@@ -26,7 +26,7 @@ struct run_out {
 };
 
 run_out one_run(const char* scheme, const char* structure,
-                std::uint64_t seed) {
+                std::uint64_t seed, bool use_trim = false) {
   const auto& reg = harness::scheme_registry::instance();
   harness::runner_fn run = reg.runner(scheme, structure);
   EXPECT_NE(run, nullptr);
@@ -40,6 +40,7 @@ run_out one_run(const char* scheme, const char* structure,
   cfg.key_range = 512;
   cfg.prefill = 128;
   cfg.seed = seed;
+  cfg.use_trim = use_trim;
   cfg.history = &rec;
   harness::scheme_params p;
   p.max_threads = 4;
@@ -50,6 +51,48 @@ run_out one_run(const char* scheme, const char* structure,
     out.history.emplace_back(o.kind, o.key, o.ok);
   }
   return out;
+}
+
+/// FNV-1a-64 over the 8 little-endian bytes of each record's kind, key
+/// and ok, in collect() order: a compact fingerprint of an op stream.
+std::uint64_t digest(const std::vector<op_sig>& history) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (unsigned i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [kind, key, ok] : history) {
+    mix(static_cast<std::uint64_t>(kind));
+    mix(key);
+    mix(ok ? 1 : 0);
+  }
+  return h;
+}
+
+// Golden digests: the budgeted single-thread op streams pinned by value,
+// not only run-against-run. A refactor of the workload loops that changes
+// which op a seed draws, the order of prefill/worker/drain records, or the
+// container token scheme moves these and must say why.
+TEST(SeededDeterminism, GoldenSetStream) {
+  EXPECT_EQ(digest(one_run("Epoch", "hashmap", 0xfeed).history),
+            0x345598483f713c33ULL);
+}
+
+TEST(SeededDeterminism, GoldenTrimStreamReplaysTheSetStream) {
+  // One guard held across many ops with trim() in between draws exactly
+  // the ops the leave+enter loop draws.
+  EXPECT_EQ(digest(one_run("Hyaline", "hashmap", 0xfeed, true).history),
+            0x345598483f713c33ULL);
+}
+
+TEST(SeededDeterminism, GoldenContainerStream) {
+  // threads == 1 is a lone producer: 2 x 20000 pushes after the prefill,
+  // then the quiescent drain pops everything (and one empty pop).
+  const run_out r = one_run("Epoch", "msqueue", 0xfeed);
+  EXPECT_EQ(r.total_ops, 2u * 20000u);
+  EXPECT_EQ(digest(r.history), 0xfc732d5a7c921e81ULL);
 }
 
 TEST(SeededDeterminism, SameSeedSameOpsColumnAndSameHistory) {

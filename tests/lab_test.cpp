@@ -1,8 +1,9 @@
 // Robustness-lab unit tests: the --faults spec parser (grammar,
 // overlapping windows, rejection of malformed input and out-of-range
 // tids), the log-bucketed latency histogram's bucket math and percentile
-// interpolation, and the recovery check that fig_timeline turns into an
-// exit status.
+// interpolation, the recovery check that fig_timeline turns into an
+// exit status, and every fault kind driven through every workload loop
+// shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
 #include "smr/stats.hpp"
@@ -282,6 +284,57 @@ TEST(TelemetrySamplerTest, ConcurrentWorkersRaceFree) {
   EXPECT_EQ(last.retired, stats.retired.load(std::memory_order_relaxed));
   EXPECT_EQ(last.freed, stats.freed.load(std::memory_order_relaxed));
   EXPECT_EQ(last.active_threads, 0u);
+}
+
+// Every fault kind at once, executed (not just parsed) through each loop
+// shape: the set loop, the trim loop (faults polled under the held
+// guard), and the container loop. A slow window, a burst, an exit, a
+// churn replacement and a stall land in one 60 ms run; it must end, the
+// scheme must free everything it retired, and a container's ledger must
+// close.
+TEST(FaultLoopTest, EveryFaultKindThroughEveryLoopShape) {
+  const fault_plan plan = parse_ok(
+      "slow:0/20@0+5ms,burst:2000@5ms,exit:1@10ms,churn:2@15ms,"
+      "stall:0@20ms+10ms");
+  constexpr unsigned kThreads = 3;
+  std::string err;
+  ASSERT_TRUE(plan.validate_tids(kThreads, &err)) << err;
+
+  struct shape {
+    const char* scheme;
+    const char* structure;
+    bool use_trim;
+  };
+  static constexpr shape kShapes[] = {
+      {"Epoch", "hashmap", false},
+      {"Hyaline", "hashmap", true},
+      {"Epoch", "msqueue", false},
+      {"Hyaline-S", "stack", false},
+  };
+  const auto& reg = harness::scheme_registry::instance();
+  for (const shape& sh : kShapes) {
+    SCOPED_TRACE(std::string(sh.scheme) + " x " + sh.structure +
+                 (sh.use_trim ? " (trim)" : ""));
+    const harness::runner_fn run = reg.runner(sh.scheme, sh.structure);
+    ASSERT_NE(run, nullptr);
+    harness::workload_config cfg;
+    cfg.threads = kThreads;
+    cfg.duration_ms = 60;
+    cfg.repeats = 1;
+    cfg.key_range = 1024;
+    cfg.prefill = 256;
+    cfg.use_trim = sh.use_trim;
+    cfg.faults = &plan;
+    harness::scheme_params p;
+    p.max_threads = plan.lease_headroom(kThreads);
+    const harness::workload_result r = run(p, cfg);
+    EXPECT_GT(r.total_ops, 0u);
+    EXPECT_EQ(r.retired, r.freed) << "scheme leaked retired nodes";
+    if (reg.kind_of(sh.structure) == harness::structure_kind::container) {
+      EXPECT_EQ(r.enqueued, r.dequeued + r.drained)
+          << "conservation violated";
+    }
+  }
 }
 
 }  // namespace
