@@ -169,20 +169,7 @@ bool write_json(const std::string& path, const harness::cli_options& o,
                    std::isinf(v.measured) ? -1.0 : v.measured, v.limit);
     }
     std::fprintf(f, "],\n     \"timeline\": [");
-    bool first_sample = true;
-    for (const lab::sample_point& p : r.timeline) {
-      std::fprintf(f,
-                   "%s\n      {\"t_ms\": %.2f, \"mops\": %.6f, \"ops\": "
-                   "%llu, \"retired\": %llu, \"freed\": %llu, "
-                   "\"unreclaimed\": %llu, \"active_threads\": %u}",
-                   first_sample ? "" : ",", p.t_ms, p.mops,
-                   static_cast<unsigned long long>(p.ops),
-                   static_cast<unsigned long long>(p.retired),
-                   static_cast<unsigned long long>(p.freed),
-                   static_cast<unsigned long long>(p.unreclaimed),
-                   p.active_threads);
-      first_sample = false;
-    }
+    harness::write_timeline_json(f, r.timeline);
     std::fprintf(f, "\n    ]}");
     first = false;
   }

@@ -142,24 +142,7 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
           1e3;
       ++cells;
 
-      bool gate_bad = false;
-      if (container && r.enqueued != r.dequeued + r.drained) {
-        std::fprintf(stderr,
-                     "%s: conservation violated — pushed %llu != popped "
-                     "%llu + drained %llu\n",
-                     where.c_str(),
-                     static_cast<unsigned long long>(r.enqueued),
-                     static_cast<unsigned long long>(r.dequeued),
-                     static_cast<unsigned long long>(r.drained));
-        gate_bad = true;
-      }
-      if (r.retired != r.freed) {
-        std::fprintf(stderr, "%s: leak — retired %llu, freed %llu\n",
-                     where.c_str(),
-                     static_cast<unsigned long long>(r.retired),
-                     static_cast<unsigned long long>(r.freed));
-        gate_bad = true;
-      }
+      const bool gate_bad = !harness::ledgers_close(r, container, where);
       if (gate_bad && status == 0) status = kExitGate;
       if (!res.ok) {
         sink.report(where, *res.bad);
@@ -302,27 +285,7 @@ int run_check(int argc, char** argv) {
   }
 
   lab::fault_plan plan;
-  if (!o.faults.empty()) {
-    std::string err;
-    auto parsed = lab::parse_fault_plan(o.faults, &err);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "--faults: %s\n", err.c_str());
-      return kExitCli;
-    }
-    plan = std::move(*parsed);
-    if (!plan.validate_tids(threads, &err)) {
-      std::fprintf(stderr, "--faults: %s\n", err.c_str());
-      return kExitCli;
-    }
-    const auto last_end = plan.last_end_ms();
-    if (last_end.has_value() && *last_end >= o.duration_ms) {
-      std::fprintf(stderr,
-                   "--faults: the last fault clears at %.0fms but each "
-                   "cell runs %ums; extend --duration\n",
-                   *last_end, o.duration_ms);
-      return kExitCli;
-    }
-  }
+  if (!harness::load_fault_plan(o, threads, &plan)) return kExitCli;
   return run_matrix(o, plan, threads);
 }
 

@@ -21,12 +21,16 @@
 //
 // The race is made *deterministic* instead of hoped-for — an ill-timed
 // preemption strikes rarely, and on a single-CPU box a spinning window
-// never lets the adversary run at all. Every 16th pop arms a cooperative
+// never lets the adversary run at all. Every 4th pop arms a cooperative
 // trap on its stale (node, successor) pair and sleeps (surrendering the
 // core); when a competitor re-links the trapped node with a *different*
 // successor — the node has been popped, reused, and re-pushed, so the
-// sleeper's pair is now poison — it freezes the other threads and wakes
-// the sleeper, whose unvalidated CAS then lands against a quiesced head.
+// sleeper's pair is now poison — the sleeper's unvalidated CAS lands
+// against that head: the queue's competitor freezes the other threads and
+// wakes the sleeper; the stack's runs the sleeper's CAS itself, back to
+// back with its poisoning push, inside the sleeper's recorded pop (a
+// woken sleeper lost that race to competitors already past the op-entry
+// gate often enough, on a loaded host, to spend every spring of a run).
 // The interleaving executed is exactly the one the deleted protection
 // step exists to survive; the trap merely chooses the resume moment
 // adversarially instead of leaving it to the scheduler.
@@ -96,8 +100,9 @@ class reuse_pool {
 
 /// The cooperative trap (see the header comment). One reader at a time
 /// arms it on the (node, successor) pair it read without protection; the
-/// competitor that re-links the node with a different successor springs
-/// it, freezing everyone else long enough for the reader's stale CAS.
+/// competitor that re-links the node with a different successor claims
+/// it and springs it — for the queue by freezing everyone else and waking
+/// the reader, for the stack by running the reader's stale CAS itself.
 template <class Node>
 class stale_trap {
  public:
@@ -113,8 +118,8 @@ class stale_trap {
 
   /// Reader: try to arm on the pair just read. False if another reader
   /// holds the trap (proceed without stalling).
-  bool arm(const Node* node, const Node* succ) {
-    const Node* expected = nullptr;
+  bool arm(Node* node, Node* succ) {
+    Node* expected = nullptr;
     if (!node_.compare_exchange_strong(expected, node,
                                        std::memory_order_acq_rel)) {
       return false;
@@ -123,44 +128,100 @@ class stale_trap {
     return true;
   }
 
-  /// Reader: sleep until sprung (the world is then frozen under us) or
-  /// the ~5ms bound expires (the CAS is benign then, and re-arming soon
-  /// beats waiting long — the trapped node cycles back to the hot end in
-  /// a couple of milliseconds).
+  /// Reader: sleep until sprung or the ~5ms bound expires. Expiry
+  /// abandons the trap — the CAS is benign then, and re-arming soon beats
+  /// waiting long — unless a competitor already claimed it: that spring
+  /// is moments away, so it gets a longer (still bounded) wait.
   void await() {
-    for (int spin = 0;
-         spin < 100 && frozen_.load(std::memory_order_acquire) == 0;
-         ++spin) {
+    for (int spin = 0; spin < 100 && !sprung(); ++spin) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
+    if (sprung() || !claimed_.exchange(true, std::memory_order_acq_rel)) {
+      return;
+    }
+    for (int spin = 0; spin < 400 && !sprung(); ++spin) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+
+  /// Stack reader, after await(): true if a competitor ran the stale CAS
+  /// on the reader's behalf, with its outcome in *won.
+  bool handed_over(bool* won) const {
+    if (!sprung()) return false;
+    *won = won_.load(std::memory_order_relaxed);
+    return true;
   }
 
   /// Reader: release the trap and thaw the world. Always pairs with a
   /// successful arm(), after the CAS.
   void disarm() {
-    node_.store(nullptr, std::memory_order_release);
+    // seq_cst: ordered before the claim release below, for claim()'s
+    // re-check of node_.
+    node_.store(nullptr, std::memory_order_seq_cst);
     succ_.store(nullptr, std::memory_order_release);
+    sprung_.store(false, std::memory_order_release);
     frozen_.store(0, std::memory_order_release);
+    // seq_cst: see above.
+    claimed_.store(false, std::memory_order_seq_cst);
   }
 
-  /// Competitor: `node` was just re-linked with successor `succ`. If it
-  /// is the trapped node and its successor changed to a *different live
-  /// node*, the sleeping reader's pair is poison — spring. A null
-  /// successor is not poison yet: the FIFO pool recycles neighbours in
-  /// order, so the old successor itself is often the very next node
-  /// linked behind `node`, silently healing the pair before the reader
-  /// wakes; a non-null different successor can never heal (a set next
-  /// edge is immutable in both containers until the node recycles).
+  /// Queue competitor: `node` was just re-linked with successor `succ`.
+  /// If that poisons the trapped pair, freeze the world and wake the
+  /// reader.
   void maybe_spring(const Node* node, const Node* succ) {
-    if (succ == nullptr) return;
-    if (node != node_.load(std::memory_order_acquire)) return;
-    if (succ == succ_.load(std::memory_order_acquire)) return;
+    if (claim(node, succ) == nullptr) return;
     frozen_.store(1, std::memory_order_release);
+    sprung_.store(true, std::memory_order_release);
+  }
+
+  /// Stack competitor: `node` just went live in front of `succ`. If that
+  /// poisons the trapped pair, run the reader's stale CAS now —
+  /// `cas(trapped successor)`, before anyone can move the head — and hand
+  /// the reader its outcome.
+  template <class Cas>
+  void spring_with(const Node* node, const Node* succ, Cas&& cas) {
+    Node* const trapped = claim(node, succ);
+    if (trapped == nullptr) return;
+    won_.store(cas(trapped), std::memory_order_relaxed);
+    sprung_.store(true, std::memory_order_release);
   }
 
  private:
-  std::atomic<const Node*> node_{nullptr};
-  std::atomic<const Node*> succ_{nullptr};
+  bool sprung() const { return sprung_.load(std::memory_order_acquire); }
+
+  /// `node` re-linked with successor `succ` makes the trapped pair poison
+  /// when it is the trapped node and its successor is a *different live
+  /// node*. A null successor is not poison yet: the FIFO pool recycles
+  /// neighbours in order, so the old successor itself is often the very
+  /// next node linked behind `node`, silently healing the pair before the
+  /// reader wakes; a non-null different successor can never heal (a set
+  /// next edge is immutable in both containers until the node recycles).
+  /// A poisoned pair is taken through `claimed_`, the arbiter between a
+  /// spring and the reader giving up. Returns the trapped successor, or
+  /// null if not claimed.
+  Node* claim(const Node* node, const Node* succ) {
+    Node* const trapped = succ_.load(std::memory_order_acquire);
+    if (succ == nullptr || trapped == nullptr || succ == trapped ||
+        node != node_.load(std::memory_order_acquire) ||
+        // seq_cst: pairs with disarm()'s node_/claimed_ stores.
+        claimed_.exchange(true, std::memory_order_seq_cst)) {
+      return nullptr;
+    }
+    // seq_cst: the reader may have disarmed between the checks above and
+    // the exchange (disarm clears node_, then the claim); a claim on a
+    // disarmed trap belongs to nobody.
+    if (node_.load(std::memory_order_seq_cst) != node) {
+      claimed_.store(false, std::memory_order_release);
+      return nullptr;
+    }
+    return trapped;
+  }
+
+  std::atomic<Node*> node_{nullptr};
+  std::atomic<Node*> succ_{nullptr};
+  std::atomic<bool> claimed_{false};
+  std::atomic<bool> sprung_{false};
+  std::atomic<bool> won_{false};  ///< outcome of a handed-over CAS
   std::atomic<int> frozen_{0};
 };
 
@@ -199,7 +260,6 @@ class mutant_stack {
   explicit mutant_stack(D&) {}
 
   void push(guard&, std::uint64_t value) {
-    trap_.obey();
     detail::wait_for_room(pushes_, pops_);
     snode* fresh = pool_.take();
     fresh->value.store(value, std::memory_order_relaxed);
@@ -211,15 +271,20 @@ class mutant_stack {
                                       std::memory_order_seq_cst)) {
         pushes_.fetch_add(1, std::memory_order_relaxed);
         // The node just went live on top with successor `head`; if a
-        // sleeping reader trapped it with a different successor, spring.
-        trap_.maybe_spring(fresh, head);
+        // sleeping reader trapped it with a different successor, its
+        // stale CAS runs now.
+        trap_.spring_with(fresh, head, [&](snode* trapped) {
+          snode* expected = fresh;
+          // seq_cst: the trapped reader's pop linearization CAS.
+          return head_.compare_exchange_strong(expected, trapped,
+                                               std::memory_order_seq_cst);
+        });
         return;
       }
     }
   }
 
   bool try_pop(guard&, std::uint64_t& out) {
-    trap_.obey();
     for (int attempts = 0; attempts < 4096; ++attempts) {
       // Pop budget: more pops than pushes is definitionally a duplicate
       // storm already on record; stop feeding it so drains terminate.
@@ -236,10 +301,13 @@ class mutant_stack {
       const bool trapped =
           detail::nth_pop() && trap_.arm(top, next);
       if (trapped) trap_.await();
-      snode* expected = top;
-      // seq_cst: mutant mirrors treiber_stack's pop linearization CAS.
-      const bool won = head_.compare_exchange_strong(
-          expected, next, std::memory_order_seq_cst);
+      bool won = false;
+      if (!trapped || !trap_.handed_over(&won)) {
+        snode* expected = top;
+        // seq_cst: mutant mirrors treiber_stack's pop linearization CAS.
+        won = head_.compare_exchange_strong(expected, next,
+                                            std::memory_order_seq_cst);
+      }
       if (trapped) trap_.disarm();
       if (won) {
         out = top->value.load(std::memory_order_relaxed);

@@ -273,6 +273,28 @@ cli_options parse_cli(int argc, char** argv, cli_options defaults) {
   return o;
 }
 
+bool load_fault_plan(const cli_options& o, unsigned threads,
+                     lab::fault_plan* plan) {
+  if (o.faults.empty()) return true;
+  std::string err;
+  auto parsed = lab::parse_fault_plan(o.faults, &err);
+  if (!parsed.has_value() || !parsed->validate_tids(threads, &err)) {
+    std::fprintf(stderr, "--faults: %s\n", err.c_str());
+    return false;
+  }
+  const auto last_end = parsed->last_end_ms();
+  if (last_end.has_value() && *last_end >= o.duration_ms) {
+    std::fprintf(stderr,
+                 "--faults: the last fault clears at %.0fms but the run "
+                 "ends at %ums; extend --duration so recovery is "
+                 "measurable\n",
+                 *last_end, o.duration_ms);
+    return false;
+  }
+  *plan = std::move(*parsed);
+  return true;
+}
+
 void print_csv_header(const char* figure, std::uint64_t seed,
                       std::uint64_t lat_sample) {
   std::printf("# %s\n# seed=0x%llx\n", figure,

@@ -77,6 +77,8 @@
 #include <string>
 #include <vector>
 
+#include "lab/fault_plan.hpp"
+
 namespace hyaline::harness {
 
 /// The CSV column list — the one source both the header line and the row
@@ -171,6 +173,13 @@ struct cli_options {
 /// Parse argv; exits with a usage message on malformed input. `defaults`
 /// seeds the sweep lists benches want when flags are absent.
 cli_options parse_cli(int argc, char** argv, cli_options defaults);
+
+/// Resolve --faults into *plan (left empty without the flag): parsed,
+/// tids validated against `threads` workers, and the last fault clearing
+/// before --duration ends so recovery is measurable. False, with the
+/// reason on stderr, on any violation.
+bool load_fault_plan(const cli_options& o, unsigned threads,
+                     lab::fault_plan* plan);
 
 /// Print the standard CSV header used by all figure benches: a comment
 /// line naming the figure, one echoing the seed, one echoing the

@@ -39,18 +39,8 @@ class figure_sink {
                   static_cast<double>(r.unreclaimed_peak), r.p50_ns,
                   r.p99_ns, static_cast<double>(r.max_ns), r.lag_p50_ns,
                   r.lag_p99_ns, static_cast<double>(r.lag_max_ns));
-    rows_.push_back({structure, scheme, threads, stalled, producers,
-                     consumers, r.mops, r.unreclaimed_avg,
-                     r.unreclaimed_peak, r.p50_ns, r.p90_ns, r.p99_ns,
-                     r.max_ns, r.lag_p50_ns, r.lag_p99_ns, r.lag_max_ns,
-                     r.obs});
-  }
-
-  /// Attach a telemetry time series to the (structure, scheme) series —
-  /// written into the JSON series object as "timeline".
-  void add_timeline(const char* structure, const char* scheme,
-                    std::vector<lab::sample_point> points) {
-    timelines_.push_back({structure, scheme, std::move(points)});
+    rows_.push_back(
+        {structure, scheme, threads, stalled, producers, consumers, r});
   }
 
   /// Attach the resolved run configuration, emitted as the JSON
@@ -90,8 +80,13 @@ class figure_sink {
       first_series = false;
       std::fprintf(f, " \"points\": [");
       bool first_point = true;
-      for (const row_t& r : rows_) {
-        if (r.structure != structure || r.scheme != scheme) continue;
+      const std::vector<lab::sample_point>* timeline = nullptr;
+      for (const row_t& row : rows_) {
+        if (row.structure != structure || row.scheme != scheme) continue;
+        const workload_result& r = row.r;
+        if (timeline == nullptr && !r.timeline.empty()) {
+          timeline = &r.timeline;
+        }
         std::fprintf(f,
                      "%s\n      {\"threads\": %u, \"stalled\": %u, "
                      "\"producers\": %u, \"consumers\": %u, "
@@ -102,8 +97,9 @@ class figure_sink {
                      "\"lag_p50_ns\": %.0f, \"lag_p99_ns\": %.0f, "
                      "\"lag_max_ns\": %llu, "
                      "\"lag_count\": %llu, \"lag_bucket\": [",
-                     first_point ? "" : ",", r.threads, r.stalled,
-                     r.producers, r.consumers, r.mops, r.unreclaimed,
+                     first_point ? "" : ",", row.threads, row.stalled,
+                     row.producers, row.consumers, r.mops,
+                     r.unreclaimed_avg,
                      static_cast<unsigned long long>(r.unreclaimed_peak),
                      r.p50_ns, r.p90_ns, r.p99_ns,
                      static_cast<unsigned long long>(r.max_ns),
@@ -121,26 +117,12 @@ class figure_sink {
         first_point = false;
       }
       std::fprintf(f, "\n    ]");
-      for (const timeline_t& tl : timelines_) {
-        if (tl.structure != structure || tl.scheme != scheme) continue;
+      // A series' telemetry (timeline figures) rides along after its
+      // points.
+      if (timeline != nullptr) {
         std::fprintf(f, ",\n    \"timeline\": [");
-        bool first_sample = true;
-        for (const lab::sample_point& p : tl.points) {
-          std::fprintf(f,
-                       "%s\n      {\"t_ms\": %.2f, \"mops\": %.6f, "
-                       "\"ops\": %llu, \"retired\": %llu, "
-                       "\"freed\": %llu, \"unreclaimed\": %llu, "
-                       "\"active_threads\": %u}",
-                       first_sample ? "" : ",", p.t_ms, p.mops,
-                       static_cast<unsigned long long>(p.ops),
-                       static_cast<unsigned long long>(p.retired),
-                       static_cast<unsigned long long>(p.freed),
-                       static_cast<unsigned long long>(p.unreclaimed),
-                       p.active_threads);
-          first_sample = false;
-        }
+        write_timeline_json(f, *timeline);
         std::fprintf(f, "\n    ]");
-        break;
       }
       std::fprintf(f, "}");
     }
@@ -161,23 +143,7 @@ class figure_sink {
     unsigned stalled;
     unsigned producers;
     unsigned consumers;
-    double mops;
-    double unreclaimed;
-    std::uint64_t unreclaimed_peak;
-    double p50_ns;
-    double p90_ns;
-    double p99_ns;
-    std::uint64_t max_ns;
-    double lag_p50_ns;
-    double lag_p99_ns;
-    std::uint64_t lag_max_ns;
-    smr::stats_snapshot obs;
-  };
-
-  struct timeline_t {
-    std::string structure;
-    std::string scheme;
-    std::vector<lab::sample_point> points;
+    workload_result r;
   };
 
   const char* figure_;
@@ -185,7 +151,6 @@ class figure_sink {
   std::uint64_t lat_sample_;
   std::string config_;
   std::vector<row_t> rows_;
-  std::vector<timeline_t> timelines_;
 };
 
 /// The paper's scheme line-up, straight from the registry (entries are in
@@ -463,27 +428,10 @@ int run_container(const figure_spec& spec, const cli_options& o,
         p.max_threads = cfg.threads;
         p.retire_shards = o.shards;
         const workload_result r = run(p, cfg);
-        if (r.enqueued != r.dequeued + r.drained) {
-          std::fprintf(stderr,
-                       "%s x %s (%up/%uc): conservation violated — "
-                       "pushed %llu != popped %llu + drained %llu\n",
-                       scheme.c_str(), structure, cfg.producers,
-                       cfg.consumers,
-                       static_cast<unsigned long long>(r.enqueued),
-                       static_cast<unsigned long long>(r.dequeued),
-                       static_cast<unsigned long long>(r.drained));
-          return 3;
-        }
-        if (r.retired != r.freed) {
-          std::fprintf(stderr,
-                       "%s x %s (%up/%uc): leak — retired %llu, freed "
-                       "%llu after drain\n",
-                       scheme.c_str(), structure, cfg.producers,
-                       cfg.consumers,
-                       static_cast<unsigned long long>(r.retired),
-                       static_cast<unsigned long long>(r.freed));
-          return 3;
-        }
+        const std::string where = scheme + " x " + structure + " (" +
+                                  std::to_string(cfg.producers) + "p/" +
+                                  std::to_string(cfg.consumers) + "c)";
+        if (!ledgers_close(r, /*container=*/true, where)) return 3;
         sink.row(structure, scheme.c_str(), cfg.threads, 0, cfg.producers,
                  cfg.consumers, r);
       }
@@ -537,28 +485,7 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
   }
 
   lab::fault_plan plan;
-  if (!o.faults.empty()) {
-    std::string err;
-    auto parsed = lab::parse_fault_plan(o.faults, &err);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "--faults: %s\n", err.c_str());
-      return 2;
-    }
-    plan = std::move(*parsed);
-    if (!plan.validate_tids(threads, &err)) {
-      std::fprintf(stderr, "--faults: %s\n", err.c_str());
-      return 2;
-    }
-    const auto last_end = plan.last_end_ms();
-    if (last_end.has_value() && *last_end >= o.duration_ms) {
-      std::fprintf(stderr,
-                   "--faults: the last fault clears at %.0fms but the run "
-                   "ends at %ums; extend --duration so recovery is "
-                   "measurable\n",
-                   *last_end, o.duration_ms);
-      return 2;
-    }
-  }
+  if (!load_fault_plan(o, threads, &plan)) return 2;
 
   // Line-up schemes that can drive this structure, plus any other
   // registered scheme named in --schemes (as in run_container).
@@ -590,30 +517,11 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
         reg.runner(scheme, structure)(p, cfg);
     const thread_split split =
         container ? container_split(cfg) : thread_split{};
-    if (container) {
-      if (r.enqueued != r.dequeued + r.drained) {
-        std::fprintf(stderr,
-                     "%s x %s: conservation violated — pushed %llu != "
-                     "popped %llu + drained %llu\n",
-                     scheme.c_str(), structure.c_str(),
-                     static_cast<unsigned long long>(r.enqueued),
-                     static_cast<unsigned long long>(r.dequeued),
-                     static_cast<unsigned long long>(r.drained));
-        return 3;
-      }
-      if (r.retired != r.freed) {
-        std::fprintf(stderr,
-                     "%s x %s: leak — retired %llu, freed %llu after "
-                     "drain\n",
-                     scheme.c_str(), structure.c_str(),
-                     static_cast<unsigned long long>(r.retired),
-                     static_cast<unsigned long long>(r.freed));
-        return 3;
-      }
+    if (container && !ledgers_close(r, true, scheme + " x " + structure)) {
+      return 3;
     }
     sink.row(structure.c_str(), scheme.c_str(), threads, 0,
              split.producers, split.consumers, r);
-    sink.add_timeline(structure.c_str(), scheme.c_str(), r.timeline);
 
     const scheme_registry::entry* e = reg.find(scheme);
     const auto last_end = plan.last_end_ms();
@@ -864,7 +772,7 @@ std::string config_json(const figure_spec& spec, const cli_options& o) {
   s += "\"prefill\": " + std::to_string(base.prefill) + ", ";
   s += "\"duration_ms\": " + std::to_string(base.duration_ms) + ", ";
   s += "\"repeats\": " + std::to_string(base.repeats) + ", ";
-  s += "\"sample_every\": " + std::to_string(base.sample_every) + ", ";
+  s += "\"sample_every\": " + std::to_string(kSampleEvery) + ", ";
   s += "\"lat_sample\": " + std::to_string(base.lat_sample) + ", ";
   s += "\"seed\": " + std::to_string(base.seed) + ", ";
   s += "\"retire_shards\": " + std::to_string(o.shards) + ", ";
@@ -875,6 +783,24 @@ std::string config_json(const figure_spec& spec, const cli_options& o) {
 }
 
 }  // namespace
+
+void write_timeline_json(std::FILE* f,
+                         const std::vector<lab::sample_point>& points) {
+  bool first = true;
+  for (const lab::sample_point& p : points) {
+    std::fprintf(f,
+                 "%s\n      {\"t_ms\": %.2f, \"mops\": %.6f, \"ops\": %llu, "
+                 "\"retired\": %llu, \"freed\": %llu, \"unreclaimed\": %llu, "
+                 "\"active_threads\": %u}",
+                 first ? "" : ",", p.t_ms, p.mops,
+                 static_cast<unsigned long long>(p.ops),
+                 static_cast<unsigned long long>(p.retired),
+                 static_cast<unsigned long long>(p.freed),
+                 static_cast<unsigned long long>(p.unreclaimed),
+                 p.active_threads);
+    first = false;
+  }
+}
 
 int run_figure(const figure_spec& spec, int argc, char** argv) {
   cli_options defaults;

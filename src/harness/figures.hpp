@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdio>
 #include <vector>
 
 #include "harness/cli.hpp"
+#include "lab/telemetry.hpp"
 
 namespace hyaline::harness {
 
@@ -44,7 +46,7 @@ enum class figure_kind {
 };
 
 struct figure_spec {
-  const char* name;  ///< CSV header tag, e.g. "fig8-write-throughput"
+  const char* name;  ///< CSV header tag, e.g. "fig8-9-write"
   figure_kind kind = figure_kind::matrix;
   /// Op-mix percentages (overridable with --mix). Paper: write = {50,50,0},
   /// read-mostly = {5,5,90}.
@@ -80,5 +82,10 @@ int run_figure(const figure_spec& spec, int argc, char** argv);
 /// (container sweep pairs, timeline/service sample cadence). Exported for
 /// drivers that run outside run_figure (bench/fig_service.cpp).
 bool validate_kind_options(const figure_spec& spec, cli_options& o);
+
+/// A telemetry series as the elements of a --json "timeline" array (the
+/// caller writes the brackets): one sample shape for every JSON file.
+void write_timeline_json(std::FILE* f,
+                         const std::vector<lab::sample_point>& points);
 
 }  // namespace hyaline::harness

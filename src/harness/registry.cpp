@@ -4,6 +4,7 @@
 #include "harness/registry.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "ds/bonsai_tree.hpp"
 #include "lab/telemetry.hpp"
@@ -54,46 +55,35 @@ void capture_counters(workload_result& r, const smr::stats& st) {
   r.lag_max_ns = r.obs.lag_max_ns;
 }
 
-/// One benchmark run over a concrete (scheme, structure) pair. Teardown
+/// One benchmark run over a concrete (scheme, structure) pair, through the
+/// set or the container driver as the structure's interface says. Teardown
 /// order matters for the trailing leak counters: the structure frees its
 /// live nodes directly, then the quiescent drain flushes every
 /// retired-but-unreclaimed node through the scheme, after which
-/// retired == freed must hold.
-template <class D, template <class> class DS>
+/// retired == freed must hold; a container's conservation ledger rides
+/// out in the result too.
+template <class D, template <class> class S>
 workload_result run_cell(const scheme_params& params,
                          const workload_config& cfg) {
+  constexpr bool container = requires(S<D> s, typename D::guard g,
+                                      std::uint64_t v) { s.try_pop(g, v); };
   // Transparent thread identity (API v2) leases tids first-come: the
-  // calling thread prefills, so the pool must cover it alongside the
-  // workers and stalled threads.
+  // calling thread prefills (and drains), so the pool must cover it
+  // alongside the workers and stalled threads.
+  const unsigned workers =
+      (container ? container_split(cfg).total() : cfg.threads) +
+      cfg.stalled_threads;
   scheme_params p = params;
-  p.max_threads = std::max(p.max_threads,
-                           cfg.threads + cfg.stalled_threads + 1);
+  p.max_threads = std::max(p.max_threads, workers + 1);
   auto dom = scheme_traits<D>::make(p);
   workload_result r;
   {
-    DS<D> s(*dom);
-    r = run_workload(*dom, s, cfg);
-  }
-  dom->drain();
-  capture_counters(r, dom->counters());
-  return r;
-}
-
-/// Container twin of run_cell, driving the producer/consumer loop. Same
-/// teardown discipline; additionally the conservation ledger
-/// (enqueued == dequeued + drained) rides out in the result for callers
-/// to check.
-template <class D, template <class> class Q>
-workload_result run_container_cell(const scheme_params& params,
-                                   const workload_config& cfg) {
-  const thread_split split = container_split(cfg);
-  scheme_params p = params;
-  p.max_threads = std::max(p.max_threads, split.total() + 1);
-  auto dom = scheme_traits<D>::make(p);
-  workload_result r;
-  {
-    Q<D> q(*dom);
-    r = run_container_workload(*dom, q, cfg);
+    S<D> s(*dom);
+    if constexpr (container) {
+      r = run_container_workload(*dom, s, cfg);
+    } else {
+      r = run_workload(*dom, s, cfg);
+    }
   }
   dom->drain();
   capture_counters(r, dom->counters());
@@ -146,15 +136,36 @@ scheme_registry::entry make_entry(const char* name, entry_opts opts = {}) {
   // and 1 respectively). The order tag declares each container's
   // checkable semantics to the linearizability oracle.
   e.cells.push_back({"msqueue", container,
-                     &run_container_cell<D, ds::ms_queue>,
+                     &run_cell<D, ds::ms_queue>,
                      container_order::fifo});
   e.cells.push_back({"stack", container,
-                     &run_container_cell<D, ds::treiber_stack>,
+                     &run_cell<D, ds::treiber_stack>,
                      container_order::lifo});
   return e;
 }
 
 }  // namespace
+
+bool ledgers_close(const workload_result& r, bool container,
+                   const std::string& where) {
+  bool ok = true;
+  if (container && r.enqueued != r.dequeued + r.drained) {
+    std::fprintf(stderr,
+                 "%s: conservation violated — pushed %llu != popped %llu + "
+                 "drained %llu\n",
+                 where.c_str(), static_cast<unsigned long long>(r.enqueued),
+                 static_cast<unsigned long long>(r.dequeued),
+                 static_cast<unsigned long long>(r.drained));
+    ok = false;
+  }
+  if (r.retired != r.freed) {
+    std::fprintf(stderr, "%s: leak — retired %llu, freed %llu after drain\n",
+                 where.c_str(), static_cast<unsigned long long>(r.retired),
+                 static_cast<unsigned long long>(r.freed));
+    ok = false;
+  }
+  return ok;
+}
 
 runner_fn scheme_registry::entry::runner_for(
     std::string_view structure) const {
@@ -215,7 +226,7 @@ scheme_registry::scheme_registry() {
          &run_cell<smr::immediate_domain, ds::locked_set>});
     mutex_entry.cells.push_back(
         {"lockedqueue", structure_kind::container,
-         &run_container_cell<smr::immediate_domain, ds::locked_queue>,
+         &run_cell<smr::immediate_domain, ds::locked_queue>,
          container_order::fifo});
     schemes_.push_back(std::move(mutex_entry));
   }

@@ -76,6 +76,13 @@ enum class container_order {
   lifo,  ///< stack: strict reverse arrival order (treiber_stack)
 };
 
+/// The integrity gate after a runner returns: the leak ledger (retired
+/// == freed after the quiescent drain) and, for a container, the
+/// conservation ledger (enqueued == dequeued + drained). Each broken
+/// ledger is reported on stderr, prefixed by `where`; false if any broke.
+bool ledgers_close(const workload_result& r, bool container,
+                   const std::string& where);
+
 class scheme_registry {
  public:
   struct cell {

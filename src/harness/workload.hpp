@@ -1,71 +1,46 @@
-// Workload driver: a reimplementation of the measurement loop of the test
-// framework the paper uses (Wen et al. [35]).
+// Workload drivers: a reimplementation of the measurement loop of the test
+// framework the paper uses (Wen et al. [35]). Per data point (paper §6):
+// prefill the structure with `prefill` elements, run `threads` workers
+// for `duration_ms`, each drawing operations on keys uniform in
+// [0, key_range); report Mops/sec and the mean retired-but-unreclaimed
+// count sampled every kSampleEvery operations (Figures 9/12/14/16);
+// repeat `repeats` times and average. Extras: stalled_threads (Figure
+// 10a; the fault plan's `stall:tid@0+inf`), faults / sample_ms (the
+// robustness lab, fig_timeline), and use_trim — one guard per thread,
+// trim() after every operation instead of leave+enter (Figure 10b).
 //
-// Per data point (paper §6): prefill the structure with `prefill` elements,
-// run `threads` worker threads for `duration_ms`, each performing randomly
-// drawn operations on keys uniform in [0, key_range); report throughput in
-// Mops/sec and the mean number of retired-but-unreclaimed objects sampled
-// once every `sample_every` operations (Figures 9/12/14/16). Repeat
-// `repeats` times and average.
+// Container workloads (fig_queue) run through run_container_workload: a
+// producer/consumer split over a FIFO queue or stack, where every
+// successful operation allocates or retires a node, with an exact
+// conservation ledger — pushed (prefill included) == popped + drained.
 //
-// Extras used by specific figures:
-//   - stalled_threads: extra threads that enter, touch one node, and then
-//     block until the run ends (the Figure 10a robustness experiment).
-//     Internally this is the degenerate case `stall:tid@0+inf` of the
-//     robustness lab's fault plans (lab/fault_plan.hpp);
-//   - faults / sample_ms: the robustness lab (fig_timeline) — a scripted
-//     schedule of transient faults executed by a lab clock thread that
-//     the loops below poll at operation boundaries, and a telemetry
-//     sampler producing the time series in workload_result::timeline;
-//   - use_trim: hold one guard per thread and trim() after every operation
-//     instead of leave+enter (the Figure 10b trimming experiment).
-//
-// Container workloads (fig_queue) run through run_container_workload
-// instead: an asymmetric producer/consumer split over a FIFO queue or
-// stack, where every successful operation allocates or retires a node.
-// Accounting is exact — pushed items (prefill included), popped items, and
-// the residual drained at the end must balance (the conservation
-// invariant checked by the registry runners and tests).
-//
-// Every loop also samples per-op latency (one in kLatencyEvery operations
-// is timed around its guard + operation) into a shared log-bucketed
-// histogram; the p50/p90/p99/max land in every workload_result.
+// Both drivers supply only a prefill, an op body and a drain or ledger;
+// the repetitions themselves are run_reps (harness/run_reps.hpp), which
+// the service swarm shares.
 //
 // Correctness oracle (src/check): when workload_config::history is set,
-// every operation both loops perform — prefill and the container drain
-// included — is recorded as a timestamped invocation/response interval
-// with its result, feeding the linearizability checker. Benchmark runs
-// leave it null and pay one predicted-not-taken branch per operation.
+// every operation — prefill and the container drain included — is
+// recorded as a timestamped invocation/response interval with its result.
+// Benchmark runs leave it null and pay one predicted-not-taken branch per
+// operation.
 #pragma once
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "check/history.hpp"
 #include "common/rng.hpp"
+#include "harness/run_reps.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::harness {
-
-namespace detail {
-/// Default latency-sampling period: one in this many operations is timed.
-/// Sampling keeps the two clock reads off the common path so the histogram
-/// does not perturb the throughput it is measured alongside. Overridable
-/// per run via workload_config::lat_sample (the --lat-sample flag).
-inline constexpr std::uint64_t kLatencyEvery = 32;
-}  // namespace detail
 
 struct workload_config {
   unsigned threads = 4;
@@ -81,7 +56,6 @@ struct workload_config {
   unsigned remove_pct = 50;
   unsigned get_pct = 0;
   bool use_trim = false;
-  unsigned sample_every = 128;
   /// Latency-sampling period: one in `lat_sample` operations is timed
   /// around its guard + operation. Must be a power of two (the CLI
   /// validates); 1 times every op (max detail, max perturbation).
@@ -127,8 +101,8 @@ struct workload_result {
   std::uint64_t unreclaimed_peak = 0;
   std::uint64_t total_ops = 0;  ///< operations completed across all threads
   /// Per-op latency percentiles (ns) over the sampled operations (one in
-  /// detail::kLatencyEvery ops is timed around guard + operation), and
-  /// the exact maximum among them.
+  /// `lat_sample` ops is timed around guard + operation), and the exact
+  /// maximum among them.
   double p50_ns = 0;
   double p90_ns = 0;
   double p99_ns = 0;
@@ -185,6 +159,12 @@ bool record_op(check::thread_log* log, check::op_kind kind, F&& op) {
   return ok;
 }
 
+/// A fresh history log for `tid`, or null with the oracle off.
+inline check::thread_log* log_for(const workload_config& cfg,
+                                  std::uint32_t tid) {
+  return cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
+}
+
 template <class D>
 concept has_flush = requires(D d) { d.flush(); };
 
@@ -219,130 +199,41 @@ void quiesce_thread(D& dom) {
 template <class G>
 concept has_trim = requires(G g) { g.trim(); };
 
-/// Relaxed monotone max — the peak counter is a statistic, not
-/// synchronization (same stance as smr::stats).
-inline void atomic_max(std::atomic<std::uint64_t>& m, std::uint64_t v) {
-  std::uint64_t cur = m.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-/// Per-repetition shared counters every worker thread updates.
-struct rep_counters {
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> sample_sum{0};
-  std::atomic<std::uint64_t> sample_cnt{0};
-
-  /// Record one unreclaimed-counter observation (worker-side); the
-  /// worker's running peak stays thread-local until merged at exit.
-  void sample(std::uint64_t unreclaimed, std::uint64_t& local_peak) {
-    if (unreclaimed > local_peak) local_peak = unreclaimed;
-    sample_sum.fetch_add(unreclaimed, std::memory_order_relaxed);
-    sample_cnt.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-/// Cross-repetition accumulator shared by both workload drivers, so the
-/// mops / unreclaimed_avg / unreclaimed_peak columns keep exactly one
-/// meaning however the figure was produced.
-struct run_stats {
-  double mops_sum = 0;
-  double unrecl_sum = 0;
-  std::uint64_t ops_total = 0;
-  std::atomic<std::uint64_t> peak{0};
-
-  /// Fold one repetition in. `end_unreclaimed` backs the too-short-run
-  /// fallback: a repetition that never reached a sampling point
-  /// contributes one end-of-run observation to both statistics.
-  void finish_rep(rep_counters& c, double secs,
-                  std::uint64_t end_unreclaimed) {
-    const std::uint64_t n = c.ops.load(std::memory_order_relaxed);
-    ops_total += n;
-    mops_sum += static_cast<double>(n) / secs / 1e6;
-    const std::uint64_t cnt = c.sample_cnt.load(std::memory_order_relaxed);
-    if (cnt == 0) {
-      atomic_max(peak, end_unreclaimed);
-      unrecl_sum += static_cast<double>(end_unreclaimed);
-    } else {
-      unrecl_sum += static_cast<double>(
-                        c.sample_sum.load(std::memory_order_relaxed)) /
-                    static_cast<double>(cnt);
-    }
-  }
-
-  void fill(workload_result& r, unsigned repeats) const {
-    r.mops = mops_sum / repeats;
-    r.unreclaimed_avg = unrecl_sum / repeats;
-    r.unreclaimed_peak = peak.load(std::memory_order_relaxed);
-    r.total_ops = ops_total;
-  }
-};
-
-/// Sleep out one repetition: the full duration, or — on op-budget runs —
-/// until every worker has published its budgeted count (workers publish
-/// at exit), whichever comes first. Budgeted tests then cost their op
-/// count, not their worst-case wall clock.
-inline void wait_rep_end(std::chrono::steady_clock::time_point t0,
-                         const workload_config& cfg,
-                         unsigned total_threads,
-                         const rep_counters& counters) {
-  const auto deadline = t0 + std::chrono::milliseconds(cfg.duration_ms);
-  if (cfg.op_limit == 0) {
-    std::this_thread::sleep_until(deadline);
-    return;
-  }
-  const std::uint64_t target = std::uint64_t{total_threads} * cfg.op_limit;
-  while (std::chrono::steady_clock::now() < deadline &&
-         counters.ops.load(std::memory_order_relaxed) < target) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-inline std::uint64_t ns_since(std::chrono::steady_clock::time_point t) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t)
-          .count());
-}
-
-/// Shared run-level lab state for one workload invocation: the merged
-/// latency histogram plus the (per-repetition) fault director and
-/// telemetry collector, so both workload drivers wire the hooks the same
-/// way.
-struct lab_state {
-  lab::latency_histogram hist;
-  std::mutex hist_mu;
-  lab::fault_director* dir = nullptr;
-  lab::telemetry_collector* tele = nullptr;
-
-  void merge_hist(const lab::latency_histogram& local) {
-    std::lock_guard<std::mutex> lk(hist_mu);
-    hist.merge(local);
-  }
-
-  void fill(workload_result& r) const {
-    r.p50_ns = hist.percentile(0.50);
-    r.p90_ns = hist.percentile(0.90);
-    r.p99_ns = hist.percentile(0.99);
-    r.max_ns = hist.max();
-  }
-};
-
-/// The user's fault plan plus the legacy permanently-stalled extras,
-/// expressed as what they are: workers that stall at t=0 forever.
-inline lab::fault_plan effective_plan(const workload_config& cfg) {
-  lab::fault_plan plan;
+/// The repetition spec of a workload over one domain: `threads` workers
+/// under the user's fault plan, plus the legacy permanently-stalled extras
+/// above them, expressed as what they are — workers that stall at t=0
+/// forever. `plan` receives the merged plan and must outlive the run.
+inline rep_spec rep_spec_of(const workload_config& cfg, unsigned threads,
+                            lab::fault_plan& plan,
+                            const smr::stats& counters) {
   if (cfg.faults != nullptr) plan = *cfg.faults;
   for (unsigned i = 0; i < cfg.stalled_threads; ++i) {
-    lab::fault_event e;
-    e.kind = lab::fault_kind::stall;
-    e.tid = cfg.threads + i;
-    e.start_ms = 0;
-    e.dur_ms = std::numeric_limits<double>::infinity();
-    plan.events.push_back(e);
+    plan.events.push_back({.kind = lab::fault_kind::stall,
+                           .tid = threads + i,
+                           .dur_ms = std::numeric_limits<double>::infinity()});
   }
-  return plan;
+  return {.workers = threads + cfg.stalled_threads,
+          .repeats = cfg.repeats,
+          .duration_ms = cfg.duration_ms,
+          .op_limit = cfg.op_limit,
+          .lat_sample = cfg.lat_sample,
+          .sample_ms = cfg.sample_ms,
+          .faults = &plan,
+          .stats = {&counters}};
+}
+
+inline workload_result to_result(run_totals t) {
+  workload_result r;
+  r.mops = t.mops;
+  r.unreclaimed_avg = t.unreclaimed_avg;
+  r.unreclaimed_peak = t.unreclaimed_peak;
+  r.total_ops = t.ops;
+  r.p50_ns = t.lat.percentile(0.50);
+  r.p90_ns = t.lat.percentile(0.90);
+  r.p99_ns = t.lat.percentile(0.99);
+  r.max_ns = t.lat.max();
+  r.timeline = std::move(t.timeline);
+  return r;
 }
 
 }  // namespace detail
@@ -375,9 +266,7 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
 
   // --- prefill (quiescent) ---------------------------------------------
   {
-    check::thread_log* plog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
+    check::thread_log* plog = detail::log_for(cfg, check::kMainTid);
     xoshiro256 rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
     std::size_t live = 0;
     while (live < cfg.prefill) {
@@ -394,243 +283,84 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
     detail::quiesce_thread(dom);
   }
 
-  detail::run_stats stats;
-  detail::lab_state lab;
-  const lab::fault_plan plan = detail::effective_plan(cfg);
-  const unsigned total_threads = cfg.threads + cfg.stalled_threads;
-  std::vector<lab::sample_point> timeline;
-
-  for (unsigned rep = 0; rep < cfg.repeats; ++rep) {
-    std::atomic<bool> start{false};
-    std::atomic<bool> stop{false};
-    detail::rep_counters counters;
-
-    auto worker = [&](unsigned tid, std::uint32_t gen) {
-      xoshiro256 rng(cfg.seed + tid * 1000003 + rep * 7919);
-      check::thread_log* hlog =
-          cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
-      lab::latency_histogram lhist;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_peak = 0;
-      auto kind_of = [&](std::uint64_t dice) {
-        return dice < cfg.insert_pct ? check::op_kind::insert
-               : dice < cfg.insert_pct + cfg.remove_pct
-                   ? check::op_kind::remove
-                   : check::op_kind::contains;
-      };
-      auto dispatch = [&](guard_t& g, std::uint64_t key,
-                          check::op_kind kind) -> bool {
-        switch (kind) {
-          case check::op_kind::insert:
-            return s.insert(g, key, key);
-          case check::op_kind::remove:
-            return s.remove(g, key);
-          default:
-            return s.contains(g, key);
-        }
-      };
-      // dispatch plus (when the oracle is on) one history record around
-      // it: the interval is taken tightly around the call, inside the
-      // guard, so it contains the linearization point and nothing else.
-      auto apply = [&](guard_t& g, check::op_kind kind,
-                       std::uint64_t key) -> bool {
-        return detail::record_op(hlog, kind, [&] {
-          return std::pair{dispatch(g, key, kind), key};
-        });
-      };
-      auto after_op = [&] {
-        ++local_ops;
-        if (lab.tele != nullptr) lab.tele->on_op(tid);
-        if (local_ops % cfg.sample_every == 0) {
-          counters.sample(dom.counters().unreclaimed(), local_peak);
-        }
-      };
-      /// Op-budget check, at the same boundaries as the stop flag.
-      auto within_limit = [&] {
-        return cfg.op_limit == 0 || local_ops < cfg.op_limit;
-      };
-      // One claimed burst unit: remove a random key (a successful remove
-      // retires its node) and reinsert to hold the size at equilibrium.
-      auto burst_pair = [&](guard_t& g) {
-        const std::uint64_t key = rng.below(cfg.key_range);
-        if (apply(g, check::op_kind::remove, key)) {
-          apply(g, check::op_kind::insert, key);
-        }
-      };
-      if (lab.tele != nullptr) lab.tele->thread_enter();
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      // Each worker completes at least one op before honoring `stop`:
-      // under heavy instrumentation (TSan) on a loaded machine the
-      // duration deadline can expire before a worker is first
-      // scheduled, and a zero-op rep is indistinguishable from a hang
-      // to the validators downstream. Only for fault-free runs: a
-      // worker stalled by the director at t=0 never counts an op, so
-      // the guarantee would turn its release into a spin.
-      auto keep_going = [&] {
-        return ((local_ops == 0 && lab.dir == nullptr) ||
-                !stop.load(std::memory_order_relaxed)) &&
-               within_limit();
-      };
-      if (!cfg.use_trim) {
-        while (keep_going()) {
-          if (lab.dir != nullptr) {
-            if (lab.dir->exited(tid, gen)) break;
-            if (lab.dir->stalled(tid)) {
-              // The paper's stalled-thread protocol: enter, touch one
-              // node, block holding the guard for the stall window.
-              guard_t g(dom);
-              apply(g, check::op_kind::contains, rng.below(cfg.key_range));
-              obs::emit(obs::event::stall_begin, tid);
-              lab.dir->wait_stall_end(tid);
-              obs::emit(obs::event::stall_end, tid);
-              continue;
+  auto kind_of = [&](std::uint64_t dice) {
+    return dice < cfg.insert_pct ? check::op_kind::insert
+           : dice < cfg.insert_pct + cfg.remove_pct ? check::op_kind::remove
+                                                    : check::op_kind::contains;
+  };
+  lab::fault_plan plan;
+  run_totals t = run_reps(
+      detail::rep_spec_of(cfg, cfg.threads, plan, dom.counters()),
+      [&](worker_ctx& w) {
+        xoshiro256 rng(cfg.seed + w.tid * 1000003 + w.rep * 7919);
+        check::thread_log* hlog = detail::log_for(cfg, w.tid);
+        // One operation plus (when the oracle is on) one history record
+        // around it: the interval is taken tightly around the call, inside
+        // the guard, so it contains the linearization point and nothing
+        // else.
+        auto apply = [&](guard_t& g, check::op_kind kind,
+                         std::uint64_t key) -> bool {
+          return detail::record_op(hlog, kind, [&] {
+            switch (kind) {
+              case check::op_kind::insert:
+                return std::pair{s.insert(g, key, key), key};
+              case check::op_kind::remove:
+                return std::pair{s.remove(g, key), key};
+              default:
+                return std::pair{s.contains(g, key), key};
             }
-            if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-              std::this_thread::sleep_for(std::chrono::microseconds(us));
-            }
-            for (std::uint64_t n = lab.dir->claim_burst(128);
-                 n != 0 && !stop.load(std::memory_order_relaxed) &&
-                 within_limit();
-                 --n) {
-              guard_t g(dom);
-              burst_pair(g);
-              after_op();
-            }
+          });
+        };
+        // The stalled-thread protocol's touch: read one node under the
+        // guard that then blocks for the window.
+        auto touch = [&](guard_t& g, auto& hold) {
+          apply(g, check::op_kind::contains, rng.below(cfg.key_range));
+          hold();
+        };
+        // One burst unit: remove a random key (a successful remove
+        // retires its node) and reinsert to hold the size at equilibrium.
+        auto burst_pair = [&](guard_t& g) {
+          const std::uint64_t key = rng.below(cfg.key_range);
+          if (apply(g, check::op_kind::remove, key)) {
+            apply(g, check::op_kind::insert, key);
+          }
+        };
+        // Trimming mode (§3.3): one guard spans regrip_every operations
+        // and trim() after each op reclaims without touching Head;
+        // re-entering bounds the retirement sublists. Fault polls run
+        // under the held guard (a stall pins exactly what it pins).
+        // Otherwise every poll and op enters its own guard, inside the
+        // timed span.
+        constexpr std::uint64_t regrip_every = 1024;
+        std::optional<guard_t> held;
+        auto in_guard = [&](auto&& f) {
+          if (held) {
+            f(*held);
+            if constexpr (detail::has_trim<guard_t>) held->trim();
+          } else {
+            guard_t g(dom);
+            f(g);
+          }
+        };
+        for (std::uint64_t i = 0; w.keep_going(); ++i) {
+          if (cfg.use_trim && i % regrip_every == 0) held.emplace(dom);
+          if (!w.poll_faults(
+                  [&](auto hold) {
+                    in_guard([&](guard_t& g) { touch(g, hold); });
+                  },
+                  [&] { in_guard(burst_pair); })) {
+            continue;
           }
           const std::uint64_t key = rng.below(cfg.key_range);
           const auto kind = kind_of(rng.below(100));
-          const bool timed = local_ops % cfg.lat_sample == 0;
-          const auto t_op = timed ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-          {
-            guard_t g(dom);
-            apply(g, kind, key);
-          }
-          if (timed) lhist.record(detail::ns_since(t_op));
-          after_op();
+          w.timed_op(
+              [&] { in_guard([&](guard_t& g) { apply(g, kind, key); }); });
         }
-      } else {
-        // Trimming mode (§3.3): one guard spans many operations; trim()
-        // after each op reclaims without touching Head. Re-enter
-        // periodically to bound the retirement sublists. Fault polls
-        // happen under the held guard (a stall here pins exactly what
-        // the long-lived guard pins).
-        constexpr std::uint64_t regrip_every = 1024;
-        while (keep_going()) {
-          if (lab.dir != nullptr && lab.dir->exited(tid, gen)) break;
-          guard_t g(dom);
-          for (std::uint64_t i = 0; i < regrip_every && keep_going(); ++i) {
-            if (lab.dir != nullptr) {
-              if (lab.dir->exited(tid, gen)) break;
-              if (lab.dir->stalled(tid)) {
-                apply(g, check::op_kind::contains,
-                      rng.below(cfg.key_range));
-                obs::emit(obs::event::stall_begin, tid);
-                lab.dir->wait_stall_end(tid);
-                obs::emit(obs::event::stall_end, tid);
-              }
-              if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-                std::this_thread::sleep_for(std::chrono::microseconds(us));
-              }
-              for (std::uint64_t n = lab.dir->claim_burst(128);
-                   n != 0 && !stop.load(std::memory_order_relaxed) &&
-                   within_limit();
-                   --n) {
-                burst_pair(g);
-                if constexpr (detail::has_trim<guard_t>) g.trim();
-                after_op();
-              }
-            }
-            const std::uint64_t key = rng.below(cfg.key_range);
-            const auto kind = kind_of(rng.below(100));
-            const bool timed = local_ops % cfg.lat_sample == 0;
-            const auto t_op =
-                timed ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
-            apply(g, kind, key);
-            if constexpr (detail::has_trim<guard_t>) g.trim();
-            if (timed) lhist.record(detail::ns_since(t_op));
-            after_op();
-          }
-        }
-      }
-      counters.ops.fetch_add(local_ops, std::memory_order_relaxed);
-      detail::atomic_max(stats.peak, local_peak);
-      detail::flush_thread(dom);
-      detail::quiesce_thread(dom);
-      lab.merge_hist(lhist);
-      if (lab.tele != nullptr) lab.tele->thread_exit();
-    };
-
-    // Churn replacements spawned by the lab clock thread mid-run; joined
-    // after the primary workers (the director is stopped first, so the
-    // clock thread no longer appends by then).
-    std::vector<std::thread> replacements;
-    std::mutex spawn_mu;
-    std::unique_ptr<lab::fault_director> dir_holder;
-    if (!plan.empty()) {
-      dir_holder = std::make_unique<lab::fault_director>(
-          plan, total_threads, [&](unsigned tid) {
-            const std::uint32_t gen = lab.dir->generation(tid);
-            std::lock_guard<std::mutex> lk(spawn_mu);
-            replacements.emplace_back([&worker, tid, gen] {
-              char name[16];
-              std::snprintf(name, sizeof name, "churn-%u", tid);
-              obs::name_thread(name);
-              worker(tid, gen);
-            });
-          });
-    }
-    lab.dir = dir_holder.get();
-    std::unique_ptr<lab::telemetry_collector> tele_holder;
-    if (cfg.sample_ms != 0) {
-      tele_holder = std::make_unique<lab::telemetry_collector>(
-          total_threads, cfg.sample_ms, &dom.counters());
-    }
-    lab.tele = tele_holder.get();
-
-    std::vector<std::thread> ts;
-    ts.reserve(total_threads);
-    for (unsigned t = 0; t < total_threads; ++t) {
-      ts.emplace_back(worker, t, 0);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    start.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->start();
-    if (lab.tele != nullptr) lab.tele->start();
-    detail::wait_rep_end(t0, cfg, total_threads, counters);
-    stop.store(true, std::memory_order_release);
-    // Stop the director before joining: it releases in-guard stall waits
-    // (a stalled worker cannot observe `stop` until released) and joins
-    // the clock thread, after which `replacements` is quiescent.
-    if (lab.dir != nullptr) lab.dir->stop();
-    // Telemetry stops BEFORE the joins: teardown samples would record
-    // the unreclaimed count after per-thread flushes — a drop the
-    // recovery check must not credit to the scheme (threads exiting is
-    // not recovery).
-    if (lab.tele != nullptr) {
-      lab.tele->stop();
-      timeline = lab.tele->take_points();
-    }
-    for (auto& th : ts) th.join();
-    for (auto& th : replacements) th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const double secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    stats.finish_rep(counters, secs, dom.counters().unreclaimed());
-    lab.dir = nullptr;
-    lab.tele = nullptr;
-  }
-
-  workload_result r;
-  stats.fill(r, cfg.repeats);
-  lab.fill(r);
-  r.timeline = std::move(timeline);
-  return r;
+        held.reset();
+        detail::flush_thread(dom);
+        detail::quiesce_thread(dom);
+      });
+  return detail::to_result(std::move(t));
 }
 
 /// Run one producer/consumer configuration against container `q` over
@@ -660,12 +390,17 @@ workload_result run_container_workload(D& dom, Q& q,
   /// else reads the payloads (the FIFO/LIFO property tests stamp their
   /// own).
   std::atomic<std::uint64_t> stamp_src{1};
+  auto pop = [&](guard_t& g, check::thread_log* log) {
+    return detail::record_op(log, check::op_kind::pop, [&] {
+      std::uint64_t v = 0;
+      const bool ok = q.try_pop(g, v);
+      return std::pair{ok, ok ? v : 0};
+    });
+  };
 
   // --- prefill (quiescent) ---------------------------------------------
   {
-    check::thread_log* plog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
+    check::thread_log* plog = detail::log_for(cfg, check::kMainTid);
     for (std::size_t i = 0; i < cfg.prefill; ++i) {
       guard_t g(dom);
       detail::record_op(plog, check::op_kind::push, [&] {
@@ -677,176 +412,59 @@ workload_result run_container_workload(D& dom, Q& q,
   }
   enqueued.fetch_add(cfg.prefill, std::memory_order_relaxed);
 
-  detail::run_stats stats;
-  detail::lab_state lab;
-  workload_config plan_cfg = cfg;
-  plan_cfg.threads = split.total();  // stalled extras ride above the split
-  const lab::fault_plan plan = detail::effective_plan(plan_cfg);
-  const unsigned total_threads = split.total() + cfg.stalled_threads;
-  std::vector<lab::sample_point> timeline;
-
-  for (unsigned rep = 0; rep < cfg.repeats; ++rep) {
-    std::atomic<bool> start{false};
-    std::atomic<bool> stop{false};
-    detail::rep_counters counters;
-
-    auto body = [&](unsigned tid, std::uint32_t gen) {
-      const bool producing = tid < split.producers;
-      check::thread_log* hlog =
-          cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
-      std::uint64_t local_ops = 0;
-      std::uint64_t local_enq = 0;
-      std::uint64_t local_deq = 0;
-      std::uint64_t local_peak = 0;
-      lab::latency_histogram lhist;
-      std::uint64_t stamp =
-          stamp_src.fetch_add(1, std::memory_order_relaxed) << 40;
-      auto do_push = [&](guard_t& g) {
-        const std::uint64_t v = stamp++;
-        detail::record_op(hlog, check::op_kind::push, [&] {
-          q.push(g, v);
-          return std::pair{true, v};
-        });
-        ++local_enq;
-      };
-      auto do_pop = [&](guard_t& g) {
-        if (detail::record_op(hlog, check::op_kind::pop, [&] {
-              std::uint64_t v = 0;
-              const bool ok = q.try_pop(g, v);
-              return std::pair{ok, ok ? v : 0};
-            })) {
-          ++local_deq;
-        }
-      };
-      auto after_op = [&] {
-        ++local_ops;
-        if (lab.tele != nullptr) lab.tele->on_op(tid);
-        if (local_ops % cfg.sample_every == 0) {
-          counters.sample(dom.counters().unreclaimed(), local_peak);
-        }
-      };
-      auto within_limit = [&] {
-        return cfg.op_limit == 0 || local_ops < cfg.op_limit;
-      };
-      // As in the set workload: guarantee one op per worker even when
-      // the deadline beats the scheduler (e.g. TSan on a loaded box),
-      // but only in fault-free runs — stalled workers never count ops.
-      auto keep_going = [&] {
-        return ((local_ops == 0 && lab.dir == nullptr) ||
-                !stop.load(std::memory_order_relaxed)) &&
-               within_limit();
-      };
-      if (lab.tele != nullptr) lab.tele->thread_enter();
-      while (!start.load(std::memory_order_acquire)) {
-      }
-      while (keep_going()) {
-        if (lab.dir != nullptr) {
-          if (lab.dir->exited(tid, gen)) break;
-          if (lab.dir->stalled(tid)) {
-            // Containers have no read-only touch; holding the guard
-            // alone pins whatever the scheme's reservation pins.
-            guard_t g(dom);
-            obs::emit(obs::event::stall_begin, tid);
-            lab.dir->wait_stall_end(tid);
-            obs::emit(obs::event::stall_end, tid);
+  lab::fault_plan plan;
+  run_totals t = run_reps(
+      detail::rep_spec_of(cfg, split.total(), plan, dom.counters()),
+      [&](worker_ctx& w) {
+        const bool producing = w.tid < split.producers;
+        check::thread_log* hlog = detail::log_for(cfg, w.tid);
+        std::uint64_t local_enq = 0;
+        std::uint64_t local_deq = 0;
+        std::uint64_t stamp =
+            stamp_src.fetch_add(1, std::memory_order_relaxed) << 40;
+        auto do_push = [&](guard_t& g) {
+          const std::uint64_t v = stamp++;
+          detail::record_op(hlog, check::op_kind::push, [&] {
+            q.push(g, v);
+            return std::pair{true, v};
+          });
+          ++local_enq;
+        };
+        auto do_pop = [&](guard_t& g) {
+          if (pop(g, hlog)) ++local_deq;
+        };
+        while (w.keep_going()) {
+          // Containers have no read-only touch: holding the guard alone
+          // pins whatever the scheme's reservation pins. A burst unit is
+          // a retire-generating pair with an exact ledger: the push is
+          // counted, and the pop (usually of the just-pushed value)
+          // retires one node.
+          if (!w.poll_faults(
+                  [&](auto hold) {
+                    guard_t g(dom);
+                    hold();
+                  },
+                  [&] {
+                    guard_t g(dom);
+                    do_push(g);
+                    do_pop(g);
+                  })) {
             continue;
           }
-          if (const std::uint32_t us = lab.dir->slow_delay_us(tid)) {
-            std::this_thread::sleep_for(std::chrono::microseconds(us));
-          }
-          for (std::uint64_t n = lab.dir->claim_burst(128);
-               n != 0 && !stop.load(std::memory_order_relaxed) &&
-               within_limit();
-               --n) {
-            // Retire-generating pair with an exact ledger: the push is
-            // counted, and the pop (usually of the just-pushed value)
-            // retires one node.
+          w.timed_op([&] {
             guard_t g(dom);
-            do_push(g);
-            do_pop(g);
-            after_op();
-          }
-        }
-        const bool timed = local_ops % cfg.lat_sample == 0;
-        const auto t_op = timed ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point{};
-        {
-          guard_t g(dom);
-          if (producing) {
-            do_push(g);
-          } else {
-            do_pop(g);
-          }
-        }
-        if (timed) lhist.record(detail::ns_since(t_op));
-        after_op();
-      }
-      counters.ops.fetch_add(local_ops, std::memory_order_relaxed);
-      enqueued.fetch_add(local_enq, std::memory_order_relaxed);
-      dequeued.fetch_add(local_deq, std::memory_order_relaxed);
-      detail::atomic_max(stats.peak, local_peak);
-      detail::flush_thread(dom);
-      detail::quiesce_thread(dom);
-      lab.merge_hist(lhist);
-      if (lab.tele != nullptr) lab.tele->thread_exit();
-    };
-
-    std::vector<std::thread> replacements;
-    std::mutex spawn_mu;
-    std::unique_ptr<lab::fault_director> dir_holder;
-    if (!plan.empty()) {
-      dir_holder = std::make_unique<lab::fault_director>(
-          plan, total_threads, [&](unsigned tid) {
-            const std::uint32_t gen = lab.dir->generation(tid);
-            std::lock_guard<std::mutex> lk(spawn_mu);
-            replacements.emplace_back([&body, tid, gen] {
-              char name[16];
-              std::snprintf(name, sizeof name, "churn-%u", tid);
-              obs::name_thread(name);
-              body(tid, gen);
-            });
+            if (producing) {
+              do_push(g);
+            } else {
+              do_pop(g);
+            }
           });
-    }
-    lab.dir = dir_holder.get();
-    std::unique_ptr<lab::telemetry_collector> tele_holder;
-    if (cfg.sample_ms != 0) {
-      tele_holder = std::make_unique<lab::telemetry_collector>(
-          total_threads, cfg.sample_ms, &dom.counters());
-    }
-    lab.tele = tele_holder.get();
-
-    std::vector<std::thread> ts;
-    ts.reserve(total_threads);
-    for (unsigned t = 0; t < total_threads; ++t) {
-      ts.emplace_back(body, t, 0);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    start.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->start();
-    if (lab.tele != nullptr) lab.tele->start();
-    detail::wait_rep_end(t0, cfg, total_threads, counters);
-    stop.store(true, std::memory_order_release);
-    if (lab.dir != nullptr) lab.dir->stop();
-    // Telemetry stops BEFORE the joins: teardown samples would record
-    // the unreclaimed count after per-thread flushes — a drop the
-    // recovery check must not credit to the scheme (threads exiting is
-    // not recovery).
-    if (lab.tele != nullptr) {
-      lab.tele->stop();
-      timeline = lab.tele->take_points();
-    }
-    for (auto& th : ts) th.join();
-    for (auto& th : replacements) th.join();
-    const auto t1 = std::chrono::steady_clock::now();
-
-    const double secs =
-        std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
-            .count();
-    stats.finish_rep(counters, secs, dom.counters().unreclaimed());
-    lab.dir = nullptr;
-    lab.tele = nullptr;
-  }
+        }
+        enqueued.fetch_add(local_enq, std::memory_order_relaxed);
+        dequeued.fetch_add(local_deq, std::memory_order_relaxed);
+        detail::flush_thread(dom);
+        detail::quiesce_thread(dom);
+      });
 
   // --- drain (quiescent) -----------------------------------------------
   // Pop the residual so the ledger closes and every node the structure
@@ -855,32 +473,18 @@ workload_result run_container_workload(D& dom, Q& q,
   // the container's checkable life, and it is what lets the oracle call
   // the history complete.
   std::uint64_t drained = 0;
-  {
-    check::thread_log* dlog =
-        cfg.history != nullptr ? &cfg.history->attach(check::kMainTid)
-                               : nullptr;
-    for (;;) {
-      guard_t g(dom);
-      if (!detail::record_op(dlog, check::op_kind::pop, [&] {
-            std::uint64_t v = 0;
-            const bool ok = q.try_pop(g, v);
-            return std::pair{ok, ok ? v : 0};
-          })) {
-        break;
-      }
-      ++drained;
-    }
+  for (check::thread_log* dlog = detail::log_for(cfg, check::kMainTid);;) {
+    guard_t g(dom);
+    if (!pop(g, dlog)) break;
+    ++drained;
   }
   detail::flush_thread(dom);
   detail::quiesce_thread(dom);  // the drain loop above took guards
 
-  workload_result r;
-  stats.fill(r, cfg.repeats);
-  lab.fill(r);
+  workload_result r = detail::to_result(std::move(t));
   r.enqueued = enqueued.load(std::memory_order_relaxed);
   r.dequeued = dequeued.load(std::memory_order_relaxed);
   r.drained = drained;
-  r.timeline = std::move(timeline);
   return r;
 }
 

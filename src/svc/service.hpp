@@ -17,29 +17,24 @@
 //   - the telemetry sampler aggregates retired/freed across all shard
 //     domains into one time series for the memory SLOs.
 //
-// The teardown order matches run_workload: stop flag, director stop
-// (releases in-guard stalls), telemetry stop BEFORE the joins (so
-// thread-exit flushes cannot masquerade as recovery), join primaries,
-// join churn replacements, then router shutdown (structures destroyed,
-// domains drained) and the retired == freed leak gate reading.
+// The swarm runs through the workload loops' own repetition lifecycle
+// (harness/run_reps.hpp) — start, fault director, telemetry, teardown
+// order and accounting are shared code; this file supplies the prefill,
+// the tenant body, and the leak-gate reading after router shutdown
+// (structures destroyed, domains drained).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "harness/run_reps.hpp"
 #include "harness/schemes.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "smr/stats.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/shard_router.hpp"
@@ -139,28 +134,19 @@ service_result run_service(const harness::scheme_params& base,
   const zipf_generator zipf(cfg.key_range, cfg.zipf_theta);
   const double tenant_rate = cfg.rate_ops_s / tenants;
 
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> total_ops{0};
-  clock::time_point run_t0{};  // written before start, read after
-
-  service_result res;
-  std::mutex hist_mu;
-  lab::fault_director* dir = nullptr;
-  lab::telemetry_collector* tele = nullptr;
-
-  auto tenant_body = [&](unsigned tid, std::uint32_t gen) {
-    char tname[16];
-    std::snprintf(tname, sizeof tname, gen == 0 ? "tenant-%u" : "churn-%u",
-                  tid);
-    obs::name_thread(tname);
+  const harness::rep_spec spec{.workers = tenants,
+                               .duration_ms = cfg.duration_ms,
+                               .sample_ms = cfg.sample_ms,
+                               .faults = &plan,
+                               .stats = router.stats_pointers(),
+                               .role = "tenant"};
+  auto tenant = [&](harness::worker_ctx& w) {
     // Churn replacements (gen > 0) get fresh randomness: a reconnecting
     // user is a different request stream, not a replay.
-    xoshiro256 rng(cfg.seed + tid * 1000003 + gen * 7919 + 1);
-    pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (tid * 0x9e37 + gen));
-    lab::latency_histogram lhist;
-    const bool scripted = script.is_scripted(tid);
-    std::uint64_t local_ops = 0;
+    xoshiro256 rng(cfg.seed + w.tid * 1000003 + w.gen * 7919 + 1);
+    pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (w.tid * 0x9e37 + w.gen));
+    const bool scripted = script.is_scripted(w.tid);
+    w.separate_latency = scripted;
     bool in_window = false;
 
     auto good_op = [&](std::uint64_t key) {
@@ -174,51 +160,41 @@ service_result run_service(const harness::scheme_params& base,
         router.get(key, out);
       }
     };
-    auto after_op = [&] {
-      ++local_ops;
-      if (tele != nullptr) tele->on_op(tid);
-    };
 
-    if (tele != nullptr) tele->thread_enter();
-    while (!start.load(std::memory_order_acquire)) {
-    }
     // Each tenant anchors its own schedule at its own loop entry, so a
     // churn replacement starts fresh instead of inheriting the backlog
     // of a schedule anchored at run start.
     pace.anchor(clock::now());
-
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (dir != nullptr) {
-        if (dir->exited(tid, gen)) break;
-        if (dir->stalled(tid)) {
-          // Stall-in-guard: enter one shard's domain, touch a node so
-          // the guard pins something, and block for the window. The
-          // blast radius is that shard; the others keep reclaiming.
-          const unsigned s = tid % shards;
-          guard_t g(router.domain(s));
-          router.touch(g, s, rng.below(cfg.key_range));
-          obs::emit(obs::event::stall_begin, tid);
-          dir->wait_stall_end(tid);
-          obs::emit(obs::event::stall_end, tid);
-          // A stalled tenant is a scripted tenant: its pacer backlog is
-          // the fault's doing, not the service's.
-          pace.reanchor();
-          continue;
-        }
+    while (w.keep_going()) {
+      // Stall-in-guard: enter one shard's domain, touch a node so the
+      // guard pins something, and block for the window. The blast radius
+      // is that shard; the others keep reclaiming. A stalled tenant is a
+      // scripted tenant: its pacer backlog is the fault's doing, not the
+      // service's. Tenant scripts lower to no bursts.
+      if (!w.poll_faults(
+              [&](auto hold) {
+                const unsigned s = w.tid % shards;
+                guard_t g(router.domain(s));
+                router.touch(g, s, rng.below(cfg.key_range));
+                hold();
+                pace.reanchor();
+              },
+              [] {})) {
+        continue;
       }
       if (scripted) {
         const double t_ms =
             std::chrono::duration_cast<std::chrono::duration<double,
                                                              std::milli>>(
-                clock::now() - run_t0)
+                clock::now() - w.rep_start())
                 .count();
-        if (const behavior_event* be = script.active(tid, t_ms)) {
+        if (const behavior_event* be = script.active(w.tid, t_ms)) {
           in_window = true;
           const auto t_op = clock::now();
           if (be->kind == behavior_kind::hot_keys) {
             // Hammer the hottest Zipf rank with unpaced writes: one
             // shard's bucket chain takes the retire churn.
-            if ((local_ops & 1) == 0) {
+            if ((w.ops() & 1) == 0) {
               router.put(0, 0);
             } else {
               router.del(0);
@@ -227,8 +203,8 @@ service_result run_service(const harness::scheme_params& base,
             router.scan(static_cast<unsigned>(rng.below(shards)),
                         rng.below(cfg.key_range), 256);
           }
-          lhist.record(intended_latency_ns(t_op, clock::now()));
-          after_op();
+          w.lat.record(intended_latency_ns(t_op, clock::now()));
+          w.after_op();
           continue;
         }
         if (in_window) {
@@ -238,73 +214,22 @@ service_result run_service(const harness::scheme_params& base,
       }
       const clock::time_point intended =
           pace.paced() ? pace.next_intended() : clock::now();
-      if (pace.paced() && !pacer::await(intended, stop)) break;
+      if (pace.paced() && !pacer::await(intended, w.stop_flag())) break;
       good_op(zipf(rng));
-      lhist.record(intended_latency_ns(intended, clock::now()));
-      after_op();
+      w.lat.record(intended_latency_ns(intended, clock::now()));
+      w.after_op();
     }
-
-    total_ops.fetch_add(local_ops, std::memory_order_relaxed);
     router.thread_quiesce();
-    {
-      std::lock_guard<std::mutex> lk(hist_mu);
-      (scripted ? res.scripted_hist : res.victim_hist).merge(lhist);
-    }
-    if (tele != nullptr) tele->thread_exit();
   };
+  harness::run_totals t = harness::run_reps(spec, tenant);
 
-  // Churn replacements spawned by the lab clock thread mid-run; joined
-  // after the primaries (the director is stopped first, so the clock
-  // thread no longer appends by then).
-  std::vector<std::thread> replacements;
-  std::mutex spawn_mu;
-  std::unique_ptr<lab::fault_director> dir_holder;
-  if (!plan.empty()) {
-    dir_holder = std::make_unique<lab::fault_director>(
-        plan, tenants, [&](unsigned tid) {
-          const std::uint32_t gen = dir->generation(tid);
-          std::lock_guard<std::mutex> lk(spawn_mu);
-          replacements.emplace_back(tenant_body, tid, gen);
-        });
-  }
-  dir = dir_holder.get();
-  std::unique_ptr<lab::telemetry_collector> tele_holder;
-  if (cfg.sample_ms != 0) {
-    tele_holder = std::make_unique<lab::telemetry_collector>(
-        tenants, cfg.sample_ms, router.stats_pointers());
-  }
-  tele = tele_holder.get();
-
-  std::vector<std::thread> ts;
-  ts.reserve(tenants);
-  for (unsigned t = 0; t < tenants; ++t) {
-    ts.emplace_back(tenant_body, t, 0);
-  }
-
-  run_t0 = clock::now();
-  start.store(true, std::memory_order_release);
-  if (dir != nullptr) dir->start();
-  if (tele != nullptr) tele->start();
-  std::this_thread::sleep_until(run_t0 +
-                                std::chrono::milliseconds(cfg.duration_ms));
-  stop.store(true, std::memory_order_release);
-  // Director before joins: a stalled tenant cannot observe stop until
-  // its wait is released. Telemetry before joins: teardown samples would
-  // record the post-flush counters — thread exit is not recovery.
-  if (dir != nullptr) dir->stop();
-  if (tele != nullptr) {
-    tele->stop();
-    res.timeline = tele->take_points();
-  }
-  for (auto& th : ts) th.join();
-  for (auto& th : replacements) th.join();
-  const auto t1 = clock::now();
-
-  res.duration_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(t1 - run_t0)
-          .count();
-  res.ops = total_ops.load(std::memory_order_relaxed);
-  res.mops = static_cast<double>(res.ops) / res.duration_s / 1e6;
+  service_result res;
+  res.victim_hist = std::move(t.lat);
+  res.scripted_hist = std::move(t.lat_separate);
+  res.timeline = std::move(t.timeline);
+  res.ops = t.ops;
+  res.duration_s = t.seconds;
+  res.mops = t.mops;
   for (const lab::sample_point& pt : res.timeline) {
     if (pt.unreclaimed > res.unreclaimed_peak) {
       res.unreclaimed_peak = pt.unreclaimed;

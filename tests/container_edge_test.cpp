@@ -43,7 +43,6 @@ check::check_result run_checked(check::semantics sem, const scenario& sc,
   cfg.prefill = sc.prefill;
   cfg.duration_ms = sc.duration_ms;
   cfg.repeats = 1;
-  cfg.sample_every = 64;
   cfg.history = &rec;
   check::check_result res;
   {

@@ -28,7 +28,6 @@ harness::workload_config container_workload(unsigned producers,
   cfg.duration_ms = 15;
   cfg.repeats = 1;
   cfg.prefill = 256;
-  cfg.sample_every = 64;
   return cfg;
 }
 
