@@ -173,12 +173,22 @@ std::string fixed(double v, int decimals) {
   return buf;
 }
 
+/// Mechanism events per thousand ops over the whole cell run.
+double per_kop(std::uint64_t events, std::uint64_t ops) {
+  return ops == 0 ? 0.0 : 1e3 * static_cast<double>(events) /
+                              static_cast<double>(ops);
+}
+
 struct out_point {
   std::string cell, structure, scheme;
   unsigned threads;
   double mops;
   double unreclaimed_peak;
   bool external;
+  // How often each reclamation mechanism ran: a scan storm or a steal
+  // loop shows here before it shows in mops.
+  double scans_per_kop, steals_per_kop, finalizes_per_kop,
+      era_advances_per_kop;
 };
 
 }  // namespace
@@ -268,7 +278,11 @@ int main(int argc, char** argv) {
       }
       points.push_back({lc.name, structure, scheme.name, o.threads, r.mops,
                         static_cast<double>(r.unreclaimed_peak),
-                        scheme.caps.external_baseline});
+                        scheme.caps.external_baseline,
+                        per_kop(r.obs.scans, r.total_ops),
+                        per_kop(r.obs.steals, r.total_ops),
+                        per_kop(r.obs.finalizes, r.total_ops),
+                        per_kop(r.obs.era_advances, r.total_ops)});
       std::fprintf(stderr, "%-10s %-10s x %-14s %8s mops  peak=%llu\n",
                    lc.name, structure, scheme.name.c_str(),
                    fixed(r.mops, 3).c_str(),
@@ -300,7 +314,12 @@ int main(int argc, char** argv) {
          "\", \"threads\": " + std::to_string(pt.threads) +
          ", \"mops\": " + fixed(pt.mops, 4) +
          ", \"unreclaimed_peak\": " + fixed(pt.unreclaimed_peak, 0) +
-         ", \"external\": " + (pt.external ? "true" : "false") + "}";
+         ", \"external\": " + (pt.external ? "true" : "false") +
+         ", \"scans_per_kop\": " + fixed(pt.scans_per_kop, 4) +
+         ", \"steals_per_kop\": " + fixed(pt.steals_per_kop, 4) +
+         ", \"finalizes_per_kop\": " + fixed(pt.finalizes_per_kop, 4) +
+         ", \"era_advances_per_kop\": " +
+         fixed(pt.era_advances_per_kop, 4) + "}";
     j += i + 1 == points.size() ? "\n" : ",\n";
   }
   j += "  ]\n}\n";

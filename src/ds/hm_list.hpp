@@ -183,6 +183,9 @@ class hm_list {
         g.retire(curr);
         w.curr_h = g.protect(*prev);  // transient third protection
         curr = w.curr_h.get();
+        // prev's owner may have been marked meanwhile: the re-read is then
+        // tagged (possibly tagged null), so restart as the forward step does.
+        if (has_tag(curr, 1)) goto retry;
         continue;
       }
       // seq_cst: validating re-read after the hazard publication in

@@ -17,9 +17,8 @@
 //     its guards lease from;
 //   - tls_cache<V>: per-(thread, domain) value cache used by the Hyaline
 //     variants for their thread-local batch builders;
-//   - thread_hint(): a small dense per-thread integer for slot placement
-//     where no capacity-bounded lease is needed (multi-list Hyaline
-//     supports any number of threads per slot).
+//   - thread_hint(), the unbounded per-thread integer for slot placement,
+//     through smr/stats.hpp: it lives below it, in core/thread_hint.hpp.
 #pragma once
 
 #include <atomic>
@@ -38,16 +37,6 @@ namespace hyaline::smr::core {
 inline std::uint64_t next_unique_id() {
   static std::atomic<std::uint64_t> ids{1};
   return ids.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Small dense per-thread integer: the slot-placement hint for schemes that
-/// need no bounded registration (§3.2: "a thread chooses randomly or based
-/// on its ID").
-inline unsigned thread_hint() {
-  static std::atomic<unsigned> source{0};
-  thread_local const unsigned hint =
-      source.fetch_add(1, std::memory_order_relaxed);
-  return hint;
 }
 
 /// Fixed-capacity pool of thread ids. Hands out the lowest free id so unit

@@ -6,7 +6,7 @@
 // statistics, not synchronization).
 //
 // Three surfaces live here:
-//   - the original alloc/retire/free ledgers,
+//   - the alloc/retire/free ledgers,
 //   - `domain_counters`: mechanism-level event counts (scans, steals,
 //     rearms, batch finalizes, era advances, tid acquires) bumped by the
 //     core primitives every scheme is built from, so all 12 schemes report
@@ -15,15 +15,36 @@
 //     bucket geometry as lab::latency_histogram) fed at free time from the
 //     retire timestamp stamped on the node. Lag tracking is gated by
 //     obs::lag_tracking() — off, retire/free pay one relaxed load each.
+//
+// Per-thread cells. Every alloc, retire and free of every scheme bumps a
+// ledger, so the ledgers and the lag histogram are not one shared block
+// (that line would bounce between all workers, the very traffic the
+// padded per-slot words elsewhere avoid) but an array of cells the domain
+// owns. A thread writes only cell[core::thread_hint() % cells]: its three
+// ledgers share one cache line — one hot line per thread per domain — and
+// its lag block sits on lines of its own, written only while lag tracking
+// is on. Readers sum the cells: each ledger's load(order), unreclaimed()
+// and snapshot(). Cells outlive the threads that wrote them, so the sums
+// keep exited threads' counts. Threads beyond the cell count share cells;
+// every bump stays an atomic read-modify-write, so a shared cell loses no
+// count. Once writers are quiescent the sums are the exact totals; while
+// they run, each sum a reader takes never falls below the one it took
+// before (every cell only grows). `domain_counters` sees about one bump
+// per hundred ops and stays one shared block, on a line of its own.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <thread>
 
 #include "common/align.hpp"
 #include "obs/trace.hpp"
 #include "smr/core/node_alloc.hpp"
+#include "smr/core/thread_hint.hpp"
 
 namespace hyaline::smr {
 
@@ -50,11 +71,12 @@ struct domain_counters {
   }
 };
 
-/// Atomic log2-bucketed histogram of retire->free lag in nanoseconds.
-/// Bucket geometry matches lab::latency_histogram exactly (bucket 0 holds
-/// {0}, bucket b holds [2^(b-1), 2^b - 1]) so the harness can rehydrate a
-/// latency_histogram from a snapshot and reuse its percentile math.
-struct lag_counters {
+/// Atomic log2-bucketed histogram of retire->free lag in nanoseconds: one
+/// cell's block. Bucket geometry matches lab::latency_histogram exactly
+/// (bucket 0 holds {0}, bucket b holds [2^(b-1), 2^b - 1]) so the harness
+/// can rehydrate a latency_histogram from a snapshot and reuse its
+/// percentile math.
+struct alignas(cache_line_size) lag_counters {
   static constexpr unsigned kBuckets = 65;
 
   std::atomic<std::uint64_t> bucket[kBuckets] = {};
@@ -68,6 +90,45 @@ struct lag_counters {
                                          std::memory_order_relaxed)) {
     }
   }
+};
+
+/// One thread's share of a domain's hot-path instruments: the three
+/// ledgers on the first line, the lag block on the lines after it.
+struct stats_cell {
+  std::atomic<std::uint64_t> allocated{0};
+  std::atomic<std::uint64_t> retired{0};
+  std::atomic<std::uint64_t> freed{0};
+  lag_counters lag;  // line-aligned, so it starts on the next line
+};
+static_assert(alignof(stats_cell) == cache_line_size);
+static_assert(sizeof(lag_counters) + cache_line_size == sizeof(stats_cell),
+              "the ledgers must fit one line ahead of the lag block");
+
+/// Cells per domain: twice the hardware threads, rounded up to a power of
+/// two (the index is a mask), between 4 and 256. Hints are handed out in
+/// order, so that many threads started together never share a cell.
+inline unsigned stats_cell_count() {
+  static const unsigned n = std::bit_ceil(
+      std::clamp(2 * std::thread::hardware_concurrency(), 4u, 256u));
+  return n;
+}
+
+/// Read side of one ledger: the sum of its field over every cell.
+class ledger {
+ public:
+  ledger(std::span<const stats_cell> cells,
+         std::atomic<std::uint64_t> stats_cell::*field)
+      : cells_(cells), field_(field) {}
+
+  std::uint64_t load(std::memory_order order) const {
+    std::uint64_t sum = 0;
+    for (const stats_cell& c : cells_) sum += (c.*field_).load(order);
+    return sum;
+  }
+
+ private:
+  std::span<const stats_cell> cells_;
+  std::atomic<std::uint64_t> stats_cell::*field_;
 };
 
 /// Plain-integer copy of everything a domain counts, for carrying results
@@ -106,21 +167,40 @@ struct stats_snapshot {
 };
 
 struct stats {
-  std::atomic<std::uint64_t> allocated{0};
-  std::atomic<std::uint64_t> retired{0};
-  std::atomic<std::uint64_t> freed{0};
-  domain_counters events;
-  lag_counters lag;
+  stats()
+      : mask_(stats_cell_count() - 1),
+        cells_(std::make_unique<stats_cell[]>(mask_ + 1)),
+        allocated(cells(), &stats_cell::allocated),
+        retired(cells(), &stats_cell::retired),
+        freed(cells(), &stats_cell::freed) {}
+
+  stats(const stats&) = delete;
+  stats& operator=(const stats&) = delete;
+
+ private:
+  // Read-only after construction, so the hot path's loads of them never
+  // miss on another thread's write.
+  const unsigned mask_;
+  const std::unique_ptr<stats_cell[]> cells_;
+
+ public:
+  const ledger allocated;
+  const ledger retired;
+  const ledger freed;
+  alignas(cache_line_size) domain_counters events;
 
   void on_alloc(std::uint64_t n = 1) {
-    allocated.fetch_add(n, std::memory_order_relaxed);
+    local().allocated.fetch_add(n, std::memory_order_relaxed);
   }
   void on_retire(std::uint64_t n = 1) {
-    retired.fetch_add(n, std::memory_order_relaxed);
+    local().retired.fetch_add(n, std::memory_order_relaxed);
   }
   void on_free(std::uint64_t n = 1) {
-    freed.fetch_add(n, std::memory_order_relaxed);
+    local().freed.fetch_add(n, std::memory_order_relaxed);
   }
+  /// One retire->free lag sample; free_node feeds it while lag tracking
+  /// is on.
+  void on_lag(std::uint64_t ns) { local().lag.record(ns); }
 
   /// Retire-path half of lag tracking: stamp the node with the current
   /// tick count. One relaxed load + predicted branch when tracking is off.
@@ -138,8 +218,7 @@ struct stats {
   void free_node(Node* n) {
     if (obs::lag_tracking()) [[unlikely]] {
       if (n->obs_retire_ticks != 0) {
-        lag.record(
-            obs::ticks_to_ns(obs::now_ticks() - n->obs_retire_ticks));
+        on_lag(obs::ticks_to_ns(obs::now_ticks() - n->obs_retire_ticks));
       }
     }
     core::destroy(n);
@@ -149,30 +228,42 @@ struct stats {
   /// Retired-but-not-yet-reclaimed snapshot. Relaxed reads: the value is a
   /// statistical sample, momentary inconsistencies are fine.
   std::uint64_t unreclaimed() const {
-    const auto r = retired.load(std::memory_order_relaxed);
-    const auto f = freed.load(std::memory_order_relaxed);
+    std::uint64_t r = 0, f = 0;
+    for (const stats_cell& c : cells()) {
+      r += c.retired.load(std::memory_order_relaxed);
+      f += c.freed.load(std::memory_order_relaxed);
+    }
     return r >= f ? r - f : 0;
   }
 
   /// Relaxed copy-out of every counter (see stats_snapshot).
   stats_snapshot snapshot() const {
     stats_snapshot s;
-    s.allocated = allocated.load(std::memory_order_relaxed);
-    s.retired = retired.load(std::memory_order_relaxed);
-    s.freed = freed.load(std::memory_order_relaxed);
+    for (const stats_cell& c : cells()) {
+      s.allocated += c.allocated.load(std::memory_order_relaxed);
+      s.retired += c.retired.load(std::memory_order_relaxed);
+      s.freed += c.freed.load(std::memory_order_relaxed);
+      for (unsigned b = 0; b < lag_counters::kBuckets; ++b) {
+        s.lag_bucket[b] += c.lag.bucket[b].load(std::memory_order_relaxed);
+      }
+      s.lag_max_ns = std::max(s.lag_max_ns,
+                              c.lag.max_ns.load(std::memory_order_relaxed));
+    }
+    for (std::uint64_t n : s.lag_bucket) s.lag_count += n;
     s.scans = events.scans.load(std::memory_order_relaxed);
     s.steals = events.steals.load(std::memory_order_relaxed);
     s.rearms = events.rearms.load(std::memory_order_relaxed);
     s.finalizes = events.finalizes.load(std::memory_order_relaxed);
     s.era_advances = events.era_advances.load(std::memory_order_relaxed);
     s.tid_acquires = events.tid_acquires.load(std::memory_order_relaxed);
-    for (unsigned b = 0; b < lag_counters::kBuckets; ++b) {
-      s.lag_bucket[b] = lag.bucket[b].load(std::memory_order_relaxed);
-      s.lag_count += s.lag_bucket[b];
-    }
-    s.lag_max_ns = lag.max_ns.load(std::memory_order_relaxed);
     return s;
   }
+
+ private:
+  std::span<const stats_cell> cells() const {
+    return {cells_.get(), mask_ + 1};
+  }
+  stats_cell& local() { return cells_[core::thread_hint() & mask_]; }
 };
 
 using padded_stats = hyaline::padded<stats>;

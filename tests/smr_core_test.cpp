@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "smr/core/era_clock.hpp"
 #include "smr/core/retired_batch.hpp"
 #include "smr/core/thread_registry.hpp"
+#include "smr/stats.hpp"
 
 namespace hyaline::smr::core {
 namespace {
@@ -280,6 +282,118 @@ TEST(TlsCache, OwnersAreIsolated) {
   tls_cache<builder> b;
   a.local().value = 10;
   EXPECT_EQ(b.local().value, 0);
+}
+
+// ---------------------------------------------------------- stats cells --
+
+// More threads than cells, arranged so that cells are shared by threads
+// running at the same time: two racers take hints, cells - 2 short-lived
+// writers take the hints after them and exit, and two more racers then
+// wrap around onto the first racers' cells. Once every writer has exited,
+// each ledger, the lag count and every log2 bucket hold the exact totals
+// (the exited writers' counts included), and the lag maximum is the
+// largest sample any thread recorded.
+TEST(StatsCells, SharedCellsKeepExactTotalsAfterWritersExit) {
+  smr::stats st;
+  const unsigned cells = smr::stats_cell_count();
+  constexpr unsigned kPairs = 2;
+  constexpr std::uint64_t kIters = 50000;  // per racer
+  constexpr std::uint64_t kFillIters = 1000;  // per short-lived writer
+  // One tight loop per instrument, so racers sharing a cell hit the same
+  // word at the same time. Every writer records its own range of lags,
+  // together 0 .. total - 1.
+  auto bump = [&st](std::uint64_t first_lag, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) st.on_alloc();
+    for (std::uint64_t i = 0; i < n; ++i) st.on_retire();
+    for (std::uint64_t i = 0; i < n; ++i) st.on_lag(first_lag + i);
+    for (std::uint64_t i = 0; i < n; ++i) st.on_free();
+  };
+  std::atomic<bool> go{false};
+  std::atomic<unsigned> hinted{0};
+  std::vector<unsigned> cell_of(2 * kPairs);
+  std::vector<std::thread> racers;
+  // A racer takes its hint before the next thread starts, so hints follow
+  // the start order.
+  auto start_racer = [&](unsigned r) {
+    racers.emplace_back([&, r] {
+      cell_of[r] = thread_hint() % cells;
+      hinted.fetch_add(1, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      bump(r * kIters, kIters);
+    });
+    while (hinted.load(std::memory_order_acquire) <= r) {
+      std::this_thread::yield();
+    }
+  };
+  for (unsigned r = 0; r < kPairs; ++r) start_racer(r);
+  for (unsigned f = 0; f + kPairs < cells; ++f) {
+    std::thread([&, f] {
+      bump(2 * kPairs * kIters + f * kFillIters, kFillIters);
+    }).join();
+  }
+  for (unsigned r = kPairs; r < 2 * kPairs; ++r) start_racer(r);
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : racers) t.join();
+  for (unsigned r = 0; r < kPairs; ++r) {
+    ASSERT_EQ(cell_of[r], cell_of[r + kPairs])
+        << "racers " << r << " and " << r + kPairs << " must share a cell";
+  }
+
+  const std::uint64_t total =
+      2 * kPairs * kIters + (cells - kPairs) * kFillIters;
+  EXPECT_EQ(st.allocated.load(std::memory_order_relaxed), total);
+  EXPECT_EQ(st.retired.load(std::memory_order_relaxed), total);
+  EXPECT_EQ(st.freed.load(std::memory_order_relaxed), total);
+  EXPECT_EQ(st.unreclaimed(), 0u);
+  const smr::stats_snapshot s = st.snapshot();
+  EXPECT_EQ(s.allocated, total);
+  EXPECT_EQ(s.retired, total);
+  EXPECT_EQ(s.freed, total);
+  EXPECT_EQ(s.lag_count, total);
+  EXPECT_EQ(s.lag_max_ns, total - 1);
+  std::vector<std::uint64_t> want(smr::lag_counters::kBuckets, 0);
+  for (std::uint64_t ns = 0; ns < total; ++ns) ++want[std::bit_width(ns)];
+  for (unsigned b = 0; b < smr::lag_counters::kBuckets; ++b) {
+    EXPECT_EQ(s.lag_bucket[b], want[b]) << "bucket " << b;
+  }
+}
+
+// A reader polling snapshot() while writers bump every ledger never sees
+// one fall: each cell only grows, and the reader sums them in order.
+TEST(StatsCells, SnapshotNeverSeesALedgerDecrease) {
+  smr::stats st;
+  constexpr unsigned kWriters = 4;
+  constexpr std::uint64_t kIters = 20000;
+  std::atomic<unsigned> done{0};
+  std::vector<std::thread> ws;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    ws.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kIters; ++i) {
+        st.on_alloc();
+        st.on_retire();
+        if (i % 4 == 0) st.on_lag(i);
+        st.on_free();
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  smr::stats_snapshot prev = st.snapshot();
+  std::uint64_t polls = 0;
+  bool decreased = false;
+  while (!decreased && done.load(std::memory_order_acquire) < kWriters) {
+    const smr::stats_snapshot cur = st.snapshot();
+    decreased = cur.allocated < prev.allocated ||
+                cur.retired < prev.retired || cur.freed < prev.freed ||
+                cur.lag_count < prev.lag_count;
+    prev = cur;
+    ++polls;
+  }
+  for (std::thread& w : ws) w.join();
+  EXPECT_FALSE(decreased) << "after " << polls << " polls";
+  const smr::stats_snapshot last = st.snapshot();
+  EXPECT_EQ(last.retired, kWriters * kIters);
+  EXPECT_EQ(last.freed, kWriters * kIters);
+  EXPECT_EQ(last.lag_count, kWriters * kIters / 4);
 }
 
 }  // namespace
