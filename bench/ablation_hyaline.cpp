@@ -45,7 +45,7 @@ void run_point(const char* series, const char* variant, unsigned threads,
 int main(int argc, char** argv) {
   cli_options defaults;
   defaults.threads = {2, 4};
-  const cli_options o = parse_cli(argc, argv, defaults);
+  const cli_options o = parse_cli(argc, argv, defaults, kAblationFlags);
   print_csv_header("ablation-hyaline", o.seed, o.lat_sample);
 
   for (unsigned t : o.threads) {

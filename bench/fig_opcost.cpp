@@ -14,100 +14,33 @@
 //
 // Single-threaded by design: cross-thread interference is the throughput
 // figures' job; this one answers "what does the uncontended path cost".
+// Every SMR scheme in harness::smr_schemes is timed, and each must close
+// its leak ledger after the drain (exit 3 otherwise).
 //
-//   fig_opcost [--iters n] [--fastpath on|off] [--shards n]
+//   fig_opcost [--iters n] [--fastpath on|off] [--shards n|auto]
 //              [--schemes a,b,...] [--json path]
 //
-// CSV (scheme,op,ns_per_op) to stdout; --json adds a machine-readable
-// file with the usual provenance block.
+// CSV (scheme,op,ns_per_op) to stdout, followed by the paper's Table 1
+// columns the code vouches for (robust, pointer publication, trim), read
+// from each scheme's D::caps; --json adds a machine-readable file of the
+// timings with the usual provenance block.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/provenance.hpp"
+#include "harness/registry.hpp"
 #include "harness/schemes.hpp"
 #include "smr/core/slab_alloc.hpp"
 
 namespace {
 
 using namespace hyaline;
+using harness::cli_options;
 using harness::scheme_params;
 using harness::scheme_traits;
-
-struct opcost_options {
-  std::uint64_t iters = 200000;
-  bool fastpath = true;
-  unsigned shards = 0;
-  std::vector<std::string> schemes;
-  std::string json;
-};
-
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--iters n] [--fastpath on|off] [--shards n]\n"
-               "          [--schemes a,b,...] [--json path]\n",
-               prog);
-  std::exit(2);
-}
-
-opcost_options parse_args(int argc, char** argv) {
-  opcost_options o;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--iters") == 0) {
-      o.iters = std::strtoull(need_val("--iters"), nullptr, 10);
-      if (o.iters == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--fastpath") == 0) {
-      const char* v = need_val("--fastpath");
-      if (std::strcmp(v, "on") == 0) {
-        o.fastpath = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        o.fastpath = false;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      o.shards = static_cast<unsigned>(
-          std::strtoul(need_val("--shards"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      std::string cur;
-      for (const char* p = need_val("--schemes");; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) o.schemes.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur.push_back(*p);
-        }
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      o.json = need_val("--json");
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    }
-  }
-  return o;
-}
-
-bool scheme_wanted(const opcost_options& o, const char* name) {
-  if (o.schemes.empty()) return true;
-  for (const auto& s : o.schemes) {
-    if (s == name) return true;
-  }
-  return false;
-}
 
 /// Keep `v` alive past the optimizer without a memory barrier.
 inline void escape(const void* v) { asm volatile("" : : "r"(v) : ); }
@@ -129,10 +62,10 @@ double ns_per(clock_type::time_point t0, clock_type::time_point t1,
   return ns / static_cast<double>(iters);
 }
 
+/// Time D's primitives into `rows`; false if its ledger does not close.
 template <class D>
-void measure(const opcost_options& o, std::vector<row>& rows) {
+bool measure(const cli_options& o, std::vector<row>& rows) {
   const char* name = scheme_traits<D>::name;
-  if (!scheme_wanted(o, name)) return;
 
   scheme_params p;
   p.max_threads = 4;
@@ -200,41 +133,48 @@ void measure(const opcost_options& o, std::vector<row>& rows) {
   }
 
   dom->drain();
-  const auto retired = dom->counters().retired.load(std::memory_order_relaxed);
-  const auto freed = dom->counters().freed.load(std::memory_order_relaxed);
-  if (retired != freed) {
-    std::fprintf(stderr, "%s: leak after drain — retired %llu, freed %llu\n",
-                 name, static_cast<unsigned long long>(retired),
-                 static_cast<unsigned long long>(freed));
-  }
+  harness::workload_result r;
+  r.retired = dom->counters().retired.load(std::memory_order_relaxed);
+  r.freed = dom->counters().freed.load(std::memory_order_relaxed);
+  return harness::ledgers_close(r, /*container=*/false, name);
 }
+
+const char* yes_no(bool b) { return b ? "yes" : "no"; }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const opcost_options o = parse_args(argc, argv);
+  cli_options defaults;
+  defaults.iters = 200000;
+  const cli_options o =
+      harness::parse_cli(argc, argv, defaults, harness::kOpcostFlags);
+  std::vector<std::string> names;
+  harness::smr_schemes::for_each(
+      [&]<class D>() { names.push_back(scheme_traits<D>::name); });
+  if (!harness::validate_scheme_filter(o, names)) return 2;
   smr::core::slab::set_enabled(o.fastpath);
 
   std::vector<row> rows;
-  measure<smr::leaky_domain>(o, rows);
-  measure<smr::ebr_domain>(o, rows);
-  measure<domain>(o, rows);
-  measure<domain_1>(o, rows);
-  measure<domain_s>(o, rows);
-  measure<domain_1s>(o, rows);
-  measure<smr::ibr_domain>(o, rows);
-  measure<smr::he_domain>(o, rows);
-  measure<smr::hp_domain>(o, rows);
-
-  if (rows.empty()) {
-    std::fprintf(stderr, "no schemes matched --schemes\n");
-    return 2;
-  }
+  bool leaked = false;
+  harness::smr_schemes::for_each([&]<class D>() {
+    if (o.scheme_enabled(scheme_traits<D>::name) && !measure<D>(o, rows)) {
+      leaked = true;
+    }
+  });
+  if (leaked) return 3;
 
   std::printf("# fig_opcost\nscheme,op,ns_per_op\n");
   for (const row& r : rows) {
     std::printf("%s,%s,%.2f\n", r.scheme, r.op, r.ns);
   }
+  std::printf("\n# table1: columns read from each scheme's D::caps\n"
+              "scheme,robust,pointer_publication,trim\n");
+  harness::smr_schemes::for_each([&]<class D>() {
+    if (!o.scheme_enabled(scheme_traits<D>::name)) return;
+    std::printf("%s,%s,%s,%s\n", scheme_traits<D>::name,
+                yes_no(D::caps.robust), yes_no(D::caps.pointer_publication),
+                yes_no(D::caps.supports_trim));
+  });
 
   if (!o.json.empty()) {
     std::string j = "{\n  \"bench\": \"opcost\",\n  \"version\": 1,\n";
@@ -259,7 +199,11 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::fputs(j.c_str(), f);
-    std::fclose(f);
+    const bool ok = std::ferror(f) == 0;
+    if (std::fclose(f) != 0 || !ok) {
+      std::fprintf(stderr, "write error on '%s'\n", o.json.c_str());
+      return 2;
+    }
   }
   return 0;
 }

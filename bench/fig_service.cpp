@@ -19,6 +19,7 @@
 // the SLO verdicts go to stderr and into the --json report.
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -185,17 +186,11 @@ bool write_json(const std::string& path, const harness::cli_options& o,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::figure_spec spec{.name = kFigure,
-                                  .kind = harness::figure_kind::service,
-                                  .insert_pct = 5,
-                                  .remove_pct = 5,
-                                  .get_pct = 90,
-                                  .default_sample_ms = 20,
-                                  .default_duration_ms = 2000};
   harness::cli_options defaults;
-  defaults.duration_ms = spec.default_duration_ms;
-  harness::cli_options o = harness::parse_cli(argc, argv, defaults);
-  if (!harness::validate_kind_options(spec, o)) return 2;
+  defaults.duration_ms = 2000;
+  defaults.sample_ms = 20;
+  const harness::cli_options o =
+      harness::parse_cli(argc, argv, defaults, harness::kServiceFlags);
 
   service_config cfg;
   cfg.shards = o.svc_shards != 0 ? o.svc_shards : 4;
@@ -209,14 +204,10 @@ int main(int argc, char** argv) {
   cfg.zipf_theta = o.skew >= 0 ? o.skew : 0.99;
   cfg.key_range = o.key_range;
   cfg.prefill = o.prefill;
-  if (!o.mix.empty()) {
+  if (!o.mix.empty()) {  // default: service_config's read-mostly mix
     cfg.insert_pct = o.mix[0];
     cfg.remove_pct = o.mix[1];
     cfg.get_pct = o.mix[2];
-  } else {
-    cfg.insert_pct = spec.insert_pct;
-    cfg.remove_pct = spec.remove_pct;
-    cfg.get_pct = spec.get_pct;
   }
   cfg.duration_ms = o.duration_ms;
   cfg.sample_ms = o.sample_ms;
@@ -256,25 +247,16 @@ int main(int argc, char** argv) {
 
   // Line-up: the contrast set by default, any service-capable scheme by
   // name. Unknown names fail loudly before any output.
-  std::vector<std::string> lineup;
-  if (o.schemes.empty()) {
-    for (const char* s : kDefaultLineup) lineup.emplace_back(s);
-  } else {
-    lineup = o.schemes;
+  const harness::scheme_registry& reg =
+      harness::scheme_registry::instance();
+  std::vector<std::string> valid;
+  for (const harness::scheme_registry::entry& e : reg.schemes()) {
+    if (e.service != nullptr) valid.push_back(e.name);
   }
-  for (const std::string& name : lineup) {
-    if (find_service_runner(name) != nullptr) continue;
-    std::string valid;
-    for (const std::string& s : service_schemes()) {
-      if (!valid.empty()) valid += ", ";
-      valid += s;
-    }
-    std::fprintf(stderr,
-                 "unknown or unsupported scheme '%s' for the service "
-                 "scenario; valid here: %s\n",
-                 name.c_str(), valid.c_str());
-    return 2;
-  }
+  if (!harness::validate_scheme_filter(o, valid)) return 2;
+  std::vector<std::string> lineup(std::begin(kDefaultLineup),
+                                  std::end(kDefaultLineup));
+  if (!o.schemes.empty()) lineup = o.schemes;
 
   unsigned stall_tenants = 0;
   for (unsigned t = 0; t < cfg.tenants; ++t) {
@@ -294,8 +276,6 @@ int main(int argc, char** argv) {
   if (!o.trace.empty()) obs::set_tracing(true);
 
   harness::print_csv_header(kFigure, o.seed);
-  const harness::scheme_registry& reg =
-      harness::scheme_registry::instance();
   std::vector<scheme_report> reports;
   std::vector<obs::metric_series> metric_rows;
   bool violated = false;
@@ -306,8 +286,8 @@ int main(int argc, char** argv) {
     const harness::scheme_registry::entry* e = reg.find(name);
     scheme_report rep;
     rep.scheme = name;
-    rep.robust = e != nullptr && e->caps.robust;
-    rep.res = find_service_runner(name)(p, cfg);
+    rep.robust = e->caps.robust;
+    rep.res = e->service(p, cfg);
     const service_result& r = rep.res;
 
     if (r.retired != r.freed) {

@@ -19,12 +19,11 @@
 // entry amortization, sharded retire) so a single binary can measure its
 // own before/after on the same machine.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/topology.hpp"
+#include "harness/cli.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
@@ -38,101 +37,6 @@ using harness::scheme_registry;
 using harness::structure_kind;
 using harness::workload_config;
 using harness::workload_result;
-
-struct sweep_options {
-  std::string out = "BENCH.json";
-  unsigned threads = 2;
-  unsigned duration_ms = 200;
-  unsigned repeats = 1;
-  std::uint64_t seed = 0x5eed;
-  bool fastpath = true;
-  unsigned shards = 0;
-  std::vector<std::string> schemes;  // empty = full lineup
-};
-
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--out path] [--threads n] [--duration ms]\n"
-               "          [--repeats n] [--seed n] [--fastpath on|off]\n"
-               "          [--shards n|auto] [--schemes a,b,...]\n",
-               prog);
-  std::exit(2);
-}
-
-sweep_options parse_args(int argc, char** argv) {
-  sweep_options o;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--out") == 0) {
-      o.out = need_val("--out");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = static_cast<unsigned>(
-          std::strtoul(need_val("--threads"), nullptr, 10));
-      if (o.threads == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      o.duration_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--duration"), nullptr, 10));
-      if (o.duration_ms == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--repeats") == 0) {
-      o.repeats = static_cast<unsigned>(
-          std::strtoul(need_val("--repeats"), nullptr, 10));
-      if (o.repeats == 0) usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = std::strtoull(need_val("--seed"), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--fastpath") == 0) {
-      const char* v = need_val("--fastpath");
-      if (std::strcmp(v, "on") == 0) {
-        o.fastpath = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        o.fastpath = false;
-      } else {
-        std::fprintf(stderr, "--fastpath wants on|off\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_val("--shards");
-      if (std::strcmp(v, "auto") == 0) {
-        o.shards = default_retire_shards();
-      } else {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0') usage(argv[0]);
-        o.shards = static_cast<unsigned>(n);
-      }
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      std::string cur;
-      for (const char* p = need_val("--schemes");; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (!cur.empty()) o.schemes.push_back(cur);
-          cur.clear();
-          if (*p == '\0') break;
-        } else {
-          cur.push_back(*p);
-        }
-      }
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    }
-  }
-  return o;
-}
-
-bool scheme_wanted(const sweep_options& o, const std::string& name) {
-  if (o.schemes.empty()) return true;
-  for (const auto& s : o.schemes) {
-    if (s == name) return true;
-  }
-  return false;
-}
 
 /// One lineup cell: a named workload shape bound to a registry structure.
 struct lineup_cell {
@@ -194,7 +98,13 @@ struct out_point {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const sweep_options o = parse_args(argc, argv);
+  harness::cli_options defaults;
+  defaults.out = "BENCH.json";
+  defaults.threads = {2};
+  defaults.duration_ms = 200;
+  const harness::cli_options o =
+      harness::parse_cli(argc, argv, defaults, harness::kSweepFlags);
+  const unsigned threads = o.threads[0];
 
   // Resolve the fast path before the first node is allocated: the slab
   // contract forbids toggling with live slab nodes, so the switch is
@@ -207,22 +117,29 @@ int main(int argc, char** argv) {
   const unsigned shards = o.fastpath ? o.shards : 0;
   const std::uint32_t entry_burst = o.fastpath ? 64 : 0;
 
+  // The SMR lineup is the nine core schemes; external baselines (the
+  // coarse-mutex cells) ride along labeled, never compared as SMR.
   const scheme_registry& reg = scheme_registry::instance();
+  std::vector<std::string> lineup;
+  for (const auto& scheme : reg.schemes()) {
+    if (scheme.core_lineup || scheme.external_baseline) {
+      lineup.push_back(scheme.name);
+    }
+  }
+  if (!harness::validate_scheme_filter(o, lineup)) return 2;
+
   std::vector<out_point> points;
   int status = 0;
-
-  for (const auto& scheme : reg.schemes()) {
-    // The SMR lineup is the nine core schemes; external baselines (the
-    // coarse-mutex cells) ride along labeled, never compared as SMR.
-    if (!scheme.caps.core_lineup && !scheme.caps.external_baseline) continue;
-    if (!scheme_wanted(o, scheme.name)) continue;
+  for (const std::string& name : lineup) {
+    if (!o.scheme_enabled(name)) continue;
+    const scheme_registry::entry& scheme = *reg.find(name);
 
     for (const lineup_cell& lc : kCells) {
       // External baselines register their own structures; map the set and
       // container cells onto them so the floor shows up beside every
       // comparable workload shape.
       const char* structure = lc.structure;
-      if (scheme.caps.external_baseline) {
+      if (scheme.external_baseline) {
         // The stall cell tracks SMR robustness (unreclaimed growth under a
         // stalled reader); immediate reclamation has nothing to defer.
         if (lc.faults[0] != '\0') continue;
@@ -235,7 +152,7 @@ int main(int argc, char** argv) {
       if (run == nullptr) continue;  // HP/HE x bonsai-class exclusions
 
       workload_config cfg;
-      cfg.threads = o.threads;
+      cfg.threads = threads;
       cfg.duration_ms = o.duration_ms;
       cfg.repeats = o.repeats;
       cfg.seed = o.seed;
@@ -254,7 +171,7 @@ int main(int argc, char** argv) {
         std::string err;
         auto parsed = lab::parse_fault_plan(spec, &err);
         if (!parsed.has_value() ||
-            !(plan = std::move(*parsed)).validate_tids(o.threads, &err)) {
+            !(plan = std::move(*parsed)).validate_tids(threads, &err)) {
           std::fprintf(stderr, "internal fault spec '%s': %s\n", spec,
                        err.c_str());
           return 2;
@@ -263,7 +180,7 @@ int main(int argc, char** argv) {
       }
 
       scheme_params p;
-      p.max_threads = plan.lease_headroom(o.threads);
+      p.max_threads = plan.lease_headroom(threads);
       p.retire_shards = shards;
       p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
@@ -276,9 +193,9 @@ int main(int argc, char** argv) {
                                       lc.name + "]")) {
         status = 4;
       }
-      points.push_back({lc.name, structure, scheme.name, o.threads, r.mops,
+      points.push_back({lc.name, structure, scheme.name, threads, r.mops,
                         static_cast<double>(r.unreclaimed_peak),
-                        scheme.caps.external_baseline,
+                        scheme.external_baseline,
                         per_kop(r.obs.scans, r.total_ops),
                         per_kop(r.obs.steals, r.total_ops),
                         per_kop(r.obs.finalizes, r.total_ops),
@@ -288,11 +205,6 @@ int main(int argc, char** argv) {
                    fixed(r.mops, 3).c_str(),
                    static_cast<unsigned long long>(r.unreclaimed_peak));
     }
-  }
-
-  if (points.empty()) {
-    std::fprintf(stderr, "no lineup points matched --schemes\n");
-    return 2;
   }
 
   std::string j = "{\n";
@@ -305,7 +217,7 @@ int main(int argc, char** argv) {
        "\", \"shards\": " + std::to_string(shards) +
        ", \"duration_ms\": " + std::to_string(o.duration_ms) +
        ", \"repeats\": " + std::to_string(o.repeats) +
-       ", \"threads\": " + std::to_string(o.threads) + "},\n";
+       ", \"threads\": " + std::to_string(threads) + "},\n";
   j += "  \"cells\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const out_point& pt = points[i];

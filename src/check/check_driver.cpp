@@ -173,13 +173,6 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
 /// caught (the healthy outcome); 0 = the oracle missed an injected bug.
 int run_mutation(const cli_options& o) {
   const bool skip_protect = o.mutate == "skip-protect";
-  if (!skip_protect && o.mutate != "drop-validate") {
-    std::fprintf(stderr,
-                 "--mutate wants drop-validate or skip-protect, got "
-                 "'%s'\n",
-                 o.mutate.c_str());
-    return kExitCli;
-  }
   smr::ebr_domain dom(16);
   history_recorder rec;
   workload_config cfg;
@@ -232,35 +225,14 @@ int run_check(int argc, char** argv) {
   defaults.duration_ms = 60;
   defaults.key_range = 24;  // small-key contention: overlap on every key
   defaults.prefill = 12;
-  cli_options o = harness::parse_cli(argc, argv, defaults);
-
-  if (!o.producers.empty() || !o.consumers.empty() || !o.stalled.empty()) {
-    std::fprintf(stderr,
-                 "check derives container splits and expresses stalls as "
-                 "--faults; --producers/--consumers/--stalled do not "
-                 "apply\n");
-    return kExitCli;
-  }
-  if (o.full || o.repeats != 1 || !o.json.empty() || o.sample_ms_set) {
-    std::fprintf(stderr,
-                 "check runs one repetition per cell and has no JSON/"
-                 "telemetry output; --full/--repeats/--json/--sample-ms "
-                 "do not apply\n");
-    return kExitCli;
-  }
-  if (o.threads.size() > 1) {
-    std::fprintf(stderr, "check takes a single --threads value\n");
-    return kExitCli;
-  }
-  const unsigned threads = o.threads.empty() ? 4 : o.threads[0];
-  if (threads == 0) {
-    std::fprintf(stderr, "check needs at least 1 thread\n");
-    return kExitCli;
-  }
+  const cli_options o =
+      harness::parse_cli(argc, argv, defaults, harness::kCheckFlags);
+  const unsigned threads = o.threads[0];
 
   if (!o.mutate.empty()) {
-    if (!o.faults.empty() || !o.structure.empty() || !o.schemes.empty() ||
-        o.threads_set || o.range_set || !o.mix.empty()) {
+    using harness::flag;
+    if (o.given.any({flag::faults, flag::structure, flag::schemes,
+                     flag::thread_count, flag::range, flag::mix})) {
       std::fprintf(stderr,
                    "--mutate is a fixed self-test (2p/2c over one mutant "
                    "container); --faults/--structure/--schemes/--threads/"
@@ -276,7 +248,7 @@ int run_check(int argc, char** argv) {
   if (!o.structure.empty() &&
       harness::scheme_registry::instance().kind_of(o.structure) ==
           harness::structure_kind::container &&
-      (o.range_set || !o.mix.empty())) {
+      (o.given.has(harness::flag::range) || !o.mix.empty())) {
     std::fprintf(stderr,
                  "--mix/--range are set-structure options; '%s' is a "
                  "container\n",

@@ -2,29 +2,56 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 
 #include "common/topology.hpp"
 
 namespace hyaline::harness {
 namespace {
 
-std::vector<unsigned> parse_list(const char* s) {
-  std::vector<unsigned> out;
-  const char* p = s;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) break;
-    // Saturate instead of truncating: a silently wrapped value could slip
-    // past downstream range checks (e.g. the --mix sum-to-100 rule).
-    out.push_back(v > ~0u ? ~0u : static_cast<unsigned>(v));
-    p = *end == ',' ? end + 1 : end;
+/// A whole-string unsigned number in [min, T's max]: no sign, no leading
+/// space, no trailing characters (`3x`, `1e5` are rejected, not cut
+/// short). Base 0 also takes hex.
+template <class T>
+bool to_uint(const char* s, T* out, std::uint64_t min = 0, int base = 10) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, base);
+  if (*end != '\0' || errno == ERANGE || v < min ||
+      v > std::numeric_limits<T>::max()) {
+    return false;
   }
-  return out;
+  *out = static_cast<T>(v);
+  return true;
+}
+
+bool to_double(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// A comma-separated list of counts, each checked as by to_uint.
+bool to_list(const char* s, std::vector<unsigned>* out) {
+  out->clear();
+  for (;;) {
+    const char* comma = std::strchr(s, ',');
+    const std::string item = comma != nullptr ? std::string(s, comma) : s;
+    unsigned v = 0;
+    if (!to_uint(item.c_str(), &v)) return false;
+    out->push_back(v);
+    if (comma == nullptr) return true;
+    s = comma + 1;
+  }
 }
 
 std::vector<std::string> parse_names(const char* s) {
@@ -42,23 +69,163 @@ std::vector<std::string> parse_names(const char* s) {
   return out;
 }
 
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--threads a,b,...] [--stalled a,b,...]\n"
-               "          [--duration ms] [--repeats n] [--prefill n]\n"
-               "          [--range n] [--schemes name,...]\n"
-               "          [--mix insert,remove,get]\n"
-               "          [--producers a,b,...] [--consumers a,b,...]\n"
-               "          [--shards n|auto]\n"
-               "          [--seed n] [--faults spec] [--sample-ms n]\n"
-               "          [--structure name] [--lat-sample n]\n"
-               "          [--trace path] [--metrics path]\n"
-               "          [--json path] [--full]\n"
-               "          [--mutate mode] [--counterexample path]\n"
-               "          [--svc-shards n] [--tenants n] [--rate ops/s]\n"
-               "          [--skew theta] [--arrival fixed|poisson]\n"
-               "          [--tenant-script spec] [--slo spec] [--churn ms]\n",
-               prog);
+// Setters for the common value shapes, bound to one cli_options field.
+template <auto M, std::uint64_t Min = 0>
+bool set_uint(cli_options& o, const char* v) {
+  return to_uint(v, &(o.*M), Min);
+}
+template <auto M>
+bool set_list(cli_options& o, const char* v) {
+  return to_list(v, &(o.*M));
+}
+template <auto M>
+bool set_text(cli_options& o, const char* v) {
+  o.*M = v;
+  return true;
+}
+
+/// One flag: its name, value syntax (nullptr for a switch), help line,
+/// and `set`, which checks the value and stores it — false rejects it.
+struct flag_row {
+  flag id;
+  const char* name;
+  const char* value;
+  const char* help;
+  bool (*set)(cli_options& o, const char* v);
+};
+
+using O = cli_options;
+
+constexpr flag_row kFlags[] = {
+    {flag::threads, "--threads", "a,b,...", "thread counts to sweep",
+     set_list<&O::threads>},
+    {flag::thread_count, "--threads", "n", "worker thread count (>= 1)",
+     [](O& o, const char* v) {
+       o.threads.assign(1, 0);
+       return to_uint(v, &o.threads[0], 1);
+     }},
+    {flag::stalled, "--stalled", "a,b,...", "stalled-thread counts to sweep",
+     set_list<&O::stalled>},
+    {flag::duration, "--duration", "ms", "run time per data point (>= 1)",
+     set_uint<&O::duration_ms, 1>},
+    {flag::repeats, "--repeats", "n",
+     "runs averaged per data point (>= 1; paper: 5)",
+     set_uint<&O::repeats, 1>},
+    {flag::prefill, "--prefill", "n", "initial element count (paper: 50000)",
+     set_uint<&O::prefill>},
+    {flag::range, "--range", "n", "key range (paper: 100000)",
+     set_uint<&O::key_range>},
+    {flag::schemes, "--schemes", "a,b,...",
+     "run only these registered schemes",
+     [](O& o, const char* v) {
+       o.schemes = parse_names(v);
+       return true;
+     }},
+    // A mix that does not sum to 100 would silently skew the op
+    // distribution (the dice remainder falls through to get). Summed in
+    // 64 bits so huge values cannot wrap back to 100.
+    {flag::mix, "--mix", "i,r,g",
+     "op-mix percentages insert,remove,get, summing to 100",
+     [](O& o, const char* v) {
+       std::uint64_t sum = 0;
+       if (!to_list(v, &o.mix)) return false;
+       for (unsigned pct : o.mix) sum += pct;
+       return o.mix.size() == 3 && sum == 100;
+     }},
+    {flag::producers, "--producers", "a,b,...",
+     "producer-thread counts, zipped with --consumers",
+     set_list<&O::producers>},
+    {flag::consumers, "--consumers", "a,b,...",
+     "consumer-thread counts (a singleton list broadcasts)",
+     set_list<&O::consumers>},
+    {flag::shards, "--shards", "n|auto",
+     "retired-node shards for EBR, IBR, HP, HE, Leaky (0 = per-thread "
+     "lists; auto = from the topology)",
+     [](O& o, const char* v) {
+       if (std::strcmp(v, "auto") != 0) return to_uint(v, &o.shards);
+       o.shards = default_retire_shards();
+       return true;
+     }},
+    {flag::seed, "--seed", "n",
+     "base PRNG seed of every generator, hex accepted (echoed in the "
+     "output)",
+     [](O& o, const char* v) { return to_uint(v, &o.seed, 0, 0); }},
+    {flag::faults, "--faults", "spec",
+     "fault schedule (grammar in lab/fault_plan.hpp)", set_text<&O::faults>},
+    {flag::sample_ms, "--sample-ms", "ms", "telemetry cadence (>= 1)",
+     set_uint<&O::sample_ms, 1>},
+    {flag::structure, "--structure", "name", "drive one registered structure",
+     set_text<&O::structure>},
+    // A power of two keeps the per-op modulo a mask and makes the
+    // sampled-op spacing exact; 0 would divide by zero.
+    {flag::lat_sample, "--lat-sample", "n",
+     "time one in n operations (a power of two; default 32)",
+     [](O& o, const char* v) {
+       return to_uint(v, &o.lat_sample) && std::has_single_bit(o.lat_sample);
+     }},
+    {flag::trace, "--trace", "path",
+     "export SMR-internals events as Chrome trace-event JSON",
+     set_text<&O::trace>},
+    {flag::metrics, "--metrics", "path",
+     "write a Prometheus text snapshot of the domain counters",
+     set_text<&O::metrics>},
+    {flag::json, "--json", "path", "also write the run as JSON",
+     set_text<&O::json>},
+    {flag::mutate, "--mutate", "drop-validate|skip-protect",
+     "run an injected-bug self-test the checker must catch",
+     [](O& o, const char* v) {
+       o.mutate = v;
+       return o.mutate == "drop-validate" || o.mutate == "skip-protect";
+     }},
+    {flag::counterexample, "--counterexample", "path",
+     "also write violation histories to this file",
+     set_text<&O::counterexample>},
+    {flag::svc_shards, "--svc-shards", "n",
+     "cache shards, each with its own domain (>= 1)",
+     set_uint<&O::svc_shards, 1>},
+    {flag::tenants, "--tenants", "n", "swarm size (>= 1)",
+     set_uint<&O::tenants, 1>},
+    {flag::rate, "--rate", "ops/s",
+     "total offered load over the tenants (0 = closed loop)",
+     [](O& o, const char* v) {
+       return to_double(v, &o.rate_ops_s) && o.rate_ops_s >= 0;
+     }},
+    // theta = 1 makes the Zipf normalization's alpha = 1/(1-theta)
+    // diverge; the YCSB-style generator is defined on [0, 1).
+    {flag::skew, "--skew", "theta", "Zipfian skew in [0, 1)",
+     [](O& o, const char* v) {
+       return to_double(v, &o.skew) && o.skew >= 0 && o.skew < 1;
+     }},
+    {flag::arrival, "--arrival", "fixed|poisson", "tenant arrival process",
+     [](O& o, const char* v) {
+       o.arrival = v;
+       return o.arrival == "fixed" || o.arrival == "poisson";
+     }},
+    {flag::tenant_script, "--tenant-script", "spec",
+     "bad-tenant schedule (grammar in svc/tenant.hpp)",
+     set_text<&O::tenant_script>},
+    {flag::slo, "--slo", "spec",
+     "SLO assertions (grammar in svc/slo.hpp); a gated violation exits 6",
+     set_text<&O::slo>},
+    {flag::churn, "--churn", "ms",
+     "connection-churn period (>= 1; omit for none)",
+     set_uint<&O::churn_ms, 1>},
+    {flag::full, "--full", nullptr, "paper scale: 10 s runs, 5 repeats",
+     [](O&, const char*) { return true; }},
+    {flag::out, "--out", "path", "trajectory file to write",
+     set_text<&O::out>},
+    {flag::fastpath, "--fastpath", "on|off",
+     "off disables the slab allocator, entry bursts and sharded retire",
+     [](O& o, const char* v) {
+       o.fastpath = std::strcmp(v, "on") == 0;
+       return o.fastpath || std::strcmp(v, "off") == 0;
+     }},
+    {flag::iters, "--iters", "n", "iterations per timed primitive (>= 1)",
+     set_uint<&O::iters, 1>},
+};
+
+[[noreturn]] void usage(const char* prog, flag_set accepted) {
+  std::fputs(usage_text(prog, accepted).c_str(), stderr);
   std::exit(2);
 }
 
@@ -91,12 +258,6 @@ void dedupe_list(std::vector<T>& v, const char* flag) {
 
 }  // namespace
 
-bool cli_options::service_flag_set() const {
-  return svc_shards != 0 || tenants != 0 || rate_ops_s >= 0 || skew >= 0 ||
-         !arrival.empty() || !tenant_script.empty() || !slo.empty() ||
-         churn_ms != 0;
-}
-
 bool cli_options::scheme_enabled(const std::string& name) const {
   if (schemes.empty()) return true;
   for (const auto& s : schemes) {
@@ -105,165 +266,48 @@ bool cli_options::scheme_enabled(const std::string& name) const {
   return false;
 }
 
-cli_options parse_cli(int argc, char** argv, cli_options defaults) {
-  cli_options o = defaults;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      o.threads = parse_list(need_val("--threads"));
-      o.threads_set = true;
-    } else if (std::strcmp(argv[i], "--stalled") == 0) {
-      o.stalled = parse_list(need_val("--stalled"));
-    } else if (std::strcmp(argv[i], "--duration") == 0) {
-      o.duration_ms =
-          static_cast<unsigned>(std::strtoul(need_val("--duration"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--repeats") == 0) {
-      o.repeats =
-          static_cast<unsigned>(std::strtoul(need_val("--repeats"), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--prefill") == 0) {
-      o.prefill = std::strtoull(need_val("--prefill"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--range") == 0) {
-      o.key_range = std::strtoull(need_val("--range"), nullptr, 10);
-      o.range_set = true;
-    } else if (std::strcmp(argv[i], "--producers") == 0) {
-      o.producers = parse_list(need_val("--producers"));
-    } else if (std::strcmp(argv[i], "--consumers") == 0) {
-      o.consumers = parse_list(need_val("--consumers"));
-    } else if (std::strcmp(argv[i], "--schemes") == 0) {
-      o.schemes = parse_names(need_val("--schemes"));
-    } else if (std::strcmp(argv[i], "--mix") == 0) {
-      o.mix = parse_list(need_val("--mix"));
-      // Reject malformed mixes up front: a mix that does not sum to 100
-      // would silently skew the op distribution (the dice remainder falls
-      // through to get). Sum in 64 bits so huge values cannot wrap back
-      // to 100.
-      unsigned long long sum = 0;
-      for (unsigned v : o.mix) sum += v;
-      if (o.mix.size() != 3 || sum != 100) {
-        std::fprintf(stderr,
-                     "--mix wants three percentages insert,remove,get "
-                     "summing to 100 (got %zu values, sum %llu)\n",
-                     o.mix.size(), sum);
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_val("--shards");
-      if (std::strcmp(v, "auto") == 0) {
-        o.shards = default_retire_shards();
-      } else {
-        char* end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end == v || *end != '\0') {
-          std::fprintf(stderr, "--shards wants a count or 'auto'\n");
-          usage(argv[0]);
-        }
-        o.shards = n > ~0u ? ~0u : static_cast<unsigned>(n);
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      // Base 0: hex seeds (0x5eed) round-trip from the header comment.
-      o.seed = std::strtoull(need_val("--seed"), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      o.faults = need_val("--faults");
-    } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-      o.sample_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--sample-ms"), nullptr, 10));
-      o.sample_ms_set = true;
-      if (o.sample_ms == 0) {
-        std::fprintf(stderr, "--sample-ms must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--structure") == 0) {
-      o.structure = need_val("--structure");
-    } else if (std::strcmp(argv[i], "--lat-sample") == 0) {
-      const char* v = need_val("--lat-sample");
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      // Power of two keeps the per-op modulo a mask and makes the
-      // sampled-op spacing exact; 0 would divide by zero.
-      if (end == v || *end != '\0' || !std::has_single_bit(n)) {
-        std::fprintf(stderr,
-                     "--lat-sample wants a power of two >= 1 (got '%s')\n",
-                     v);
-        usage(argv[0]);
-      }
-      o.lat_sample = n;
-      o.lat_sample_set = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      o.trace = need_val("--trace");
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      o.metrics = need_val("--metrics");
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      o.json = need_val("--json");
-    } else if (std::strcmp(argv[i], "--mutate") == 0) {
-      o.mutate = need_val("--mutate");
-    } else if (std::strcmp(argv[i], "--counterexample") == 0) {
-      o.counterexample = need_val("--counterexample");
-    } else if (std::strcmp(argv[i], "--svc-shards") == 0) {
-      o.svc_shards = static_cast<unsigned>(
-          std::strtoul(need_val("--svc-shards"), nullptr, 10));
-      if (o.svc_shards == 0) {
-        std::fprintf(stderr, "--svc-shards must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--tenants") == 0) {
-      o.tenants = static_cast<unsigned>(
-          std::strtoul(need_val("--tenants"), nullptr, 10));
-      if (o.tenants == 0) {
-        std::fprintf(stderr, "--tenants must be >= 1\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      const char* v = need_val("--rate");
-      char* end = nullptr;
-      o.rate_ops_s = std::strtod(v, &end);
-      if (end == v || *end != '\0' || o.rate_ops_s < 0) {
-        std::fprintf(stderr,
-                     "--rate wants a non-negative ops/s (0 = closed loop)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--skew") == 0) {
-      const char* v = need_val("--skew");
-      char* end = nullptr;
-      o.skew = std::strtod(v, &end);
-      // theta = 1 makes the Zipf normalization's alpha = 1/(1-theta)
-      // diverge; the YCSB-style generator is defined on [0, 1).
-      if (end == v || *end != '\0' || o.skew < 0 || o.skew >= 1) {
-        std::fprintf(stderr, "--skew wants a theta in [0, 1)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--arrival") == 0) {
-      o.arrival = need_val("--arrival");
-      if (o.arrival != "fixed" && o.arrival != "poisson") {
-        std::fprintf(stderr, "--arrival wants 'fixed' or 'poisson'\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--tenant-script") == 0) {
-      o.tenant_script = need_val("--tenant-script");
-    } else if (std::strcmp(argv[i], "--slo") == 0) {
-      o.slo = need_val("--slo");
-    } else if (std::strcmp(argv[i], "--churn") == 0) {
-      o.churn_ms = static_cast<unsigned>(
-          std::strtoul(need_val("--churn"), nullptr, 10));
-      if (o.churn_ms == 0) {
-        std::fprintf(stderr, "--churn must be >= 1 (omit for no churn)\n");
-        usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      o.full = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    }
+std::string usage_text(const char* prog, flag_set accepted) {
+  std::string s = "usage: " + std::string(prog) + " [flags]\n";
+  for (const flag_row& r : kFlags) {
+    if (!accepted.has(r.id)) continue;
+    std::string lhs = r.name;
+    if (r.value != nullptr) lhs += std::string(" ") + r.value;
+    char line[256];
+    std::snprintf(line, sizeof line, "  %-26s %s\n", lhs.c_str(), r.help);
+    s += line;
   }
-  if (o.full) {
+  return s;
+}
+
+cli_options parse_cli(int argc, char** argv, cli_options defaults,
+                      flag_set accepted) {
+  cli_options o = std::move(defaults);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) usage(argv[0], accepted);
+    const flag_row* row = nullptr;
+    for (const flag_row& r : kFlags) {
+      if (accepted.has(r.id) && std::strcmp(argv[i], r.name) == 0) row = &r;
+    }
+    if (row == nullptr) {
+      std::fprintf(stderr, "unknown flag for this binary: %s\n", argv[i]);
+      usage(argv[0], accepted);
+    }
+    const char* v = nullptr;
+    if (row->value != nullptr) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s requires a value\n", row->name);
+        usage(argv[0], accepted);
+      }
+      v = argv[++i];
+    }
+    if (!row->set(o, v)) {
+      std::fprintf(stderr, "%s: bad value '%s'; wants %s: %s\n", row->name,
+                   v, row->value, row->help);
+      usage(argv[0], accepted);
+    }
+    o.given.add(row->id);
+  }
+  if (o.given.has(flag::full)) {
     o.duration_ms = 10000;  // paper §6: 10-second runs,
     o.repeats = 5;          // averaged over 5 repetitions
   }
@@ -271,6 +315,22 @@ cli_options parse_cli(int argc, char** argv, cli_options defaults) {
   dedupe_list(o.stalled, "--stalled");
   dedupe_list(o.schemes, "--schemes");
   return o;
+}
+
+bool validate_scheme_filter(const cli_options& o,
+                            const std::vector<std::string>& valid) {
+  for (const std::string& want : o.schemes) {
+    if (std::find(valid.begin(), valid.end(), want) != valid.end()) continue;
+    std::string list;
+    for (const std::string& v : valid) {
+      if (!list.empty()) list += ", ";
+      list += v;
+    }
+    std::fprintf(stderr, "unknown scheme '%s' for this binary; valid here: %s\n",
+                 want.c_str(), list.c_str());
+    return false;
+  }
+  return true;
 }
 
 bool load_fault_plan(const cli_options& o, unsigned threads,

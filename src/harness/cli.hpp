@@ -1,70 +1,11 @@
-// Minimal command-line parsing shared by the benchmark binaries.
+// Command-line parsing shared by the benchmark binaries.
 //
-// Supported flags (all optional; each bench supplies paper-shaped
-// defaults scaled to finish quickly on a laptop/CI box):
-//   --threads 1,2,4,8    thread counts to sweep
-//   --duration <ms>      per-data-point run time
-//   --repeats <n>        runs averaged per point (paper uses 5)
-//   --prefill <n>        initial element count (paper: 50000)
-//   --range <n>          key range (paper: 100000)
-//   --stalled 0,1,...    stalled-thread counts (fig10a)
-//   --schemes a,b        restrict to named schemes (validated against the
-//                        runtime scheme registry by the figure drivers)
-//   --mix i,r,g          op-mix percentages (insert,remove,get); rejected
-//                        unless they sum to exactly 100 (set figures only)
-//   --producers a,b,...  producer-thread counts  (container figures only;
-//   --consumers a,b,...  consumer-thread counts   zipped pairwise into
-//                        (producers, consumers) sweep points)
-//   --shards <n|auto>    retired-node shard count for schemes that support
-//                        sharded retire domains (EBR, IBR, HP, HE, Leaky);
-//                        0 = classic per-thread lists, `auto` picks a
-//                        count from the machine topology
-//   --seed <n>           base PRNG seed threaded through every workload
-//                        generator (prefill, workers, stall draws); echoed
-//                        in the CSV header comment and the --json config
-//                        block so any run can be reproduced exactly
-//   --faults <spec>      timeline figures only: fault-injection schedule
-//                        (grammar in lab/fault_plan.hpp)
-//   --sample-ms <n>      timeline figures only: telemetry cadence
-//   --structure <name>   timeline figures only: structure to drive
-//   --lat-sample <n>     latency-sampling period: one in n operations is
-//                        timed (default 32; must be a power of two so the
-//                        modulo stays a mask); echoed in the CSV header
-//                        comment and the --json config block
-//   --trace <path>       record SMR-internals events (guard enter/exit,
-//                        retire, scan, steal, finalize, free, era advance,
-//                        stall windows) into per-thread ring buffers and
-//                        export them as Chrome trace-event JSON on exit
-//                        (load in Perfetto / chrome://tracing). Bounded
-//                        memory: oldest records are overwritten, drops are
-//                        counted in the trace metadata
-//   --metrics <path>     service scenario only: write a Prometheus-style
-//                        text snapshot of the domain counters and the
-//                        retire->free lag histogram at end of run
-//   --json <path>        also write the run as machine-readable JSON
-//                        (per-scheme throughput + unreclaimed + latency
-//                        series plus the resolved workload config as
-//                        metadata; timeline figures add the time series)
-//   --mutate <mode>      check binary only: run an injected-bug self-test
-//                        (drop-validate | skip-protect) instead of the
-//                        matrix; the checker is expected to catch it
-//   --counterexample <p> check binary only: on a violation, also write
-//                        the counterexample history to this file (CI
-//                        uploads it as a workflow artifact)
-//   --svc-shards <n>     service scenario only: cache shard count (each
-//                        shard owns its own SMR domain)
-//   --tenants <n>        service scenario only: swarm size
-//   --rate <ops/s>       service scenario only: total offered load,
-//                        split over the tenants (0 = closed loop)
-//   --skew <theta>       service scenario only: Zipfian skew in [0, 1)
-//   --arrival <kind>     service scenario only: fixed | poisson
-//   --tenant-script <s>  service scenario only: bad-tenant schedule
-//                        (grammar in svc/tenant.hpp)
-//   --slo <spec>         service scenario only: SLO assertions
-//                        (grammar in svc/slo.hpp); any gated violation
-//                        exits 6
-//   --churn <ms>         service scenario only: connection-churn period
-//   --full               paper-scale settings (duration 10s, repeats 5)
+// Every flag is written once, in cli.cpp's table: its name, value syntax,
+// help line and value check. Each binary passes the set of flags it
+// honours (the k*Flags sets below) to parse_cli, which exits 2 on any
+// other flag, naming it; `--help` lists exactly that set. A value that
+// fails its check — trailing characters included (`--shards 3x`,
+// `--iters 1e5`) — also exits 2.
 //
 // Duplicate entries in the --schemes, --threads, and --stalled lists are
 // deduplicated with a warning: each would silently re-run (and re-plot)
@@ -74,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -93,6 +35,89 @@ inline constexpr const char* kCsvColumns[] = {
     "lag_max_ns",
 };
 
+/// Every flag any binary takes (rows of cli.cpp's table). `--threads`
+/// has two rows: a sweep list, and a single count for the binaries that
+/// run one thread count.
+enum class flag : unsigned {
+  threads, thread_count, stalled, duration, repeats, prefill, range,
+  schemes, mix, producers, consumers, shards, seed, faults, sample_ms,
+  structure, lat_sample, trace, metrics, json, mutate, counterexample,
+  svc_shards, tenants, rate, skew, arrival, tenant_script, slo, churn,
+  full, out, fastpath, iters,
+};
+
+/// A set of flags, one bit each.
+class flag_set {
+ public:
+  constexpr flag_set(std::initializer_list<flag> flags) {
+    for (flag f : flags) add(f);
+  }
+  constexpr flag_set() = default;
+
+  constexpr void add(flag f) { bits_ |= bit(f); }
+  constexpr bool has(flag f) const { return (bits_ & bit(f)) != 0; }
+  /// True if the two sets share a flag.
+  constexpr bool any(flag_set other) const {
+    return (bits_ & other.bits_) != 0;
+  }
+
+ private:
+  static constexpr std::uint64_t bit(flag f) {
+    return std::uint64_t{1} << static_cast<unsigned>(f);
+  }
+  std::uint64_t bits_ = 0;
+};
+
+// The flags each binary honours — its whole accepted set.
+
+/// fig8_9_write, fig11_12_read, fig13_14_llsc_write, fig15_16_llsc_read,
+/// fig10b_trim.
+inline constexpr flag_set kFigureFlags = {
+    flag::threads, flag::duration,   flag::repeats, flag::prefill,
+    flag::range,   flag::schemes,    flag::mix,     flag::shards,
+    flag::seed,    flag::lat_sample, flag::trace,   flag::json,
+    flag::full};
+/// fig10a_robustness: one active-thread count, a stalled-thread sweep.
+inline constexpr flag_set kRobustnessFlags = {
+    flag::thread_count, flag::stalled,    flag::duration, flag::repeats,
+    flag::prefill,      flag::range,      flag::schemes,  flag::mix,
+    flag::shards,       flag::seed,       flag::lat_sample, flag::trace,
+    flag::json,         flag::full};
+/// fig_queue: the producer/consumer split instead of the set-only knobs.
+inline constexpr flag_set kContainerFlags = {
+    flag::producers, flag::consumers,  flag::duration, flag::repeats,
+    flag::prefill,   flag::schemes,    flag::shards,   flag::seed,
+    flag::lat_sample, flag::trace,     flag::json,     flag::full};
+/// fig_timeline: one thread count, one repetition, scripted faults.
+inline constexpr flag_set kTimelineFlags = {
+    flag::thread_count, flag::duration,   flag::prefill, flag::range,
+    flag::mix,          flag::schemes,    flag::shards,  flag::seed,
+    flag::lat_sample,   flag::trace,      flag::json,    flag::faults,
+    flag::sample_ms,    flag::structure};
+/// fig_service: sized by tenants; every paced op is timed.
+inline constexpr flag_set kServiceFlags = {
+    flag::duration,      flag::prefill,    flag::range,   flag::mix,
+    flag::schemes,       flag::shards,     flag::seed,    flag::trace,
+    flag::json,          flag::metrics,    flag::sample_ms, flag::svc_shards,
+    flag::tenants,       flag::rate,       flag::skew,    flag::arrival,
+    flag::tenant_script, flag::slo,        flag::churn};
+/// check: the linearizability oracle.
+inline constexpr flag_set kCheckFlags = {
+    flag::thread_count, flag::duration, flag::prefill,   flag::range,
+    flag::mix,          flag::schemes,  flag::shards,    flag::seed,
+    flag::faults,       flag::structure, flag::mutate,   flag::counterexample};
+/// ablation_hyaline: a fixed Hyaline variant line-up over the hash map.
+inline constexpr flag_set kAblationFlags = {
+    flag::threads, flag::duration, flag::repeats,    flag::prefill,
+    flag::range,   flag::seed,     flag::lat_sample, flag::full};
+/// sweep: the pinned trajectory line-up.
+inline constexpr flag_set kSweepFlags = {
+    flag::out,  flag::thread_count, flag::duration, flag::repeats,
+    flag::seed, flag::fastpath,     flag::shards,   flag::schemes};
+/// fig_opcost: single-threaded primitive timings.
+inline constexpr flag_set kOpcostFlags = {
+    flag::iters, flag::fastpath, flag::shards, flag::schemes, flag::json};
+
 struct cli_options {
   std::vector<unsigned> threads;
   std::vector<unsigned> stalled;
@@ -108,12 +133,6 @@ struct cli_options {
   /// figure's defaults; the figure driver zips them pairwise.
   std::vector<unsigned> producers;
   std::vector<unsigned> consumers;
-  /// True iff --range / --threads were given explicitly (the value alone
-  /// cannot tell — defaults are figure-supplied). Container figures
-  /// reject these set-only flags, which would otherwise be silently
-  /// ignored.
-  bool range_set = false;
-  bool threads_set = false;
   /// Base PRNG seed for every workload generator (default matches
   /// workload_config's).
   std::uint64_t seed = 0x5eed;
@@ -121,37 +140,29 @@ struct cli_options {
   /// (0 = classic lists; `--shards auto` resolves via
   /// hyaline::default_retire_shards()).
   unsigned shards = 0;
-  /// Robustness-lab knobs (timeline figures only; other kinds reject
-  /// them). `faults` is the raw spec text — parsed and validated by the
-  /// timeline driver, which knows the thread count.
+  /// Robustness-lab knobs. `faults` is the raw spec text — parsed and
+  /// validated by load_fault_plan, which knows the thread count.
   std::string faults;
   unsigned sample_ms = 0;
-  bool sample_ms_set = false;
   std::string structure;
   /// Latency-sampling period: one in `lat_sample` operations is timed.
-  /// parse_cli guarantees a power of two >= 1. `lat_sample_set` marks an
-  /// explicit flag (the service scenario records every op CO-safely and
-  /// rejects the flag rather than silently ignoring it).
+  /// parse_cli guarantees a power of two >= 1.
   std::uint64_t lat_sample = 32;
-  bool lat_sample_set = false;
   /// Path for the Chrome trace-event JSON export of the SMR-internals
   /// event rings (empty = tracing stays off).
   std::string trace;
-  /// Path for the Prometheus-style counter snapshot (fig_service only;
-  /// empty = none).
+  /// Path for the Prometheus-style counter snapshot (empty = none).
   std::string metrics;
   /// Path for the machine-readable JSON trajectory file (empty = none).
   std::string json;
-  /// Correctness-oracle knobs (the check binary only; figure binaries
-  /// reject them): `mutate` selects an injected-bug self-test
-  /// (drop-validate | skip-protect), `counterexample` is where a
-  /// violation's counterexample history is mirrored.
+  /// Correctness-oracle knobs: `mutate` selects an injected-bug
+  /// self-test (drop-validate | skip-protect), `counterexample` is where
+  /// a violation's counterexample history is mirrored.
   std::string mutate;
   std::string counterexample;
-  /// Service-scenario knobs (fig_service only; other figures reject
-  /// them). Sentinels mark "unset" so the driver can apply its own
-  /// defaults: 0 for the counts/periods, negative for the rates, empty
-  /// for the specs.
+  /// Service-scenario knobs. Sentinels mark "unset" so the driver can
+  /// apply its own defaults: 0 for the counts/periods, negative for the
+  /// rates, empty for the specs.
   unsigned svc_shards = 0;    ///< cache shards (each owns a domain)
   unsigned tenants = 0;       ///< swarm size (worker threads)
   double rate_ops_s = -1;     ///< total offered load; 0 = closed loop
@@ -160,19 +171,34 @@ struct cli_options {
   std::string tenant_script;  ///< bad-tenant spec (svc/tenant.hpp)
   std::string slo;            ///< SLO spec (svc/slo.hpp)
   unsigned churn_ms = 0;      ///< connection-churn period; 0 = none
-  bool full = false;
-
-  /// True if any service-scenario flag was given (used by the figure
-  /// kinds that must reject them).
-  bool service_flag_set() const;
+  /// Trajectory knobs (sweep, fig_opcost): the output file, the per-op
+  /// fast path switch, and the iterations per timed primitive.
+  std::string out;
+  bool fastpath = true;
+  std::uint64_t iters = 0;
+  /// The flags given on the command line — for the checks that depend on
+  /// whether a flag was given rather than on its value (defaults are
+  /// binary-supplied).
+  flag_set given;
 
   /// True if `name` should run under the --schemes filter.
   bool scheme_enabled(const std::string& name) const;
 };
 
-/// Parse argv; exits with a usage message on malformed input. `defaults`
-/// seeds the sweep lists benches want when flags are absent.
-cli_options parse_cli(int argc, char** argv, cli_options defaults);
+/// Parse argv over `defaults`, accepting only the flags in `accepted`.
+/// Exits 2 with a message and the usage text on a flag outside the set
+/// or a malformed value.
+cli_options parse_cli(int argc, char** argv, cli_options defaults,
+                      flag_set accepted);
+
+/// The usage text `--help` prints: one line per flag in `accepted`.
+std::string usage_text(const char* prog, flag_set accepted);
+
+/// True if every --schemes name is in `valid`; otherwise names the first
+/// unknown one and lists `valid` on stderr. A typo should fail loudly,
+/// not produce empty output.
+bool validate_scheme_filter(const cli_options& o,
+                            const std::vector<std::string>& valid);
 
 /// Resolve --faults into *plan (left empty without the flag): parsed,
 /// tids validated against `threads` workers, and the last fault clearing

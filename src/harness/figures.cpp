@@ -160,7 +160,7 @@ std::vector<std::string> matrix_lineup(const scheme_registry& reg,
                                        bool llsc) {
   std::vector<std::string> out;
   for (const scheme_registry::entry& e : reg.schemes()) {
-    if (!e.caps.core_lineup) continue;
+    if (!e.core_lineup) continue;
     out.push_back(llsc && !e.llsc_variant.empty() ? e.llsc_variant : e.name);
   }
   return out;
@@ -173,7 +173,7 @@ std::vector<std::string> matrix_lineup(const scheme_registry& reg,
 // default (CI-scale) run finishes; --full restores paper scale via the
 // regular flags.
 void scale_for_list(cli_options& o) {
-  if (o.full) return;
+  if (o.given.has(flag::full)) return;
   if (o.key_range > 2048) o.key_range = 2048;
   if (o.prefill > 1024) o.prefill = 1024;
 }
@@ -198,33 +198,6 @@ workload_config base_cfg(const figure_spec& spec, const cli_options& o) {
   cfg.seed = o.seed;
   cfg.lat_sample = o.lat_sample;
   return cfg;
-}
-
-/// Every label this figure can plot must cover every name the user asked
-/// for — a typo in --schemes should fail loudly, not produce empty output.
-bool validate_scheme_filter(const cli_options& o,
-                            const std::vector<std::string>& labels) {
-  for (const std::string& want : o.schemes) {
-    bool known = false;
-    for (const std::string& l : labels) {
-      if (l == want) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::string valid;
-      for (const std::string& l : labels) {
-        if (!valid.empty()) valid += ", ";
-        valid += l;
-      }
-      std::fprintf(stderr,
-                   "unknown scheme '%s' for this figure; valid here: %s\n",
-                   want.c_str(), valid.c_str());
-      return false;
-    }
-  }
-  return true;
 }
 
 int run_matrix(const figure_spec& spec, const cli_options& o,
@@ -470,7 +443,7 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
     return 2;
   }
   const bool container = *kind == structure_kind::container;
-  if (container && (!o.mix.empty() || o.range_set)) {
+  if (container && (!o.mix.empty() || o.given.has(flag::range))) {
     std::fprintf(stderr,
                  "--mix/--range are set-structure options; '%s' is a "
                  "container\n",
@@ -479,10 +452,6 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
   }
 
   const unsigned threads = o.threads.empty() ? 4 : o.threads[0];
-  if (threads == 0) {
-    std::fprintf(stderr, "timeline figures need at least 1 thread\n");
-    return 2;
-  }
 
   lab::fault_plan plan;
   if (!load_fault_plan(o, threads, &plan)) return 2;
@@ -546,115 +515,10 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
   return status;
 }
 
-}  // namespace
-
-/// Declared in figures.hpp; set-only knobs on a container figure — or the
-/// container split on a set figure — are rejected loudly, never silently
-/// ignored. Container runs also resolve the (producers, consumers) pair
-/// list here: explicit lists are zipped, a singleton broadcasts, the
-/// figure's defaults fill the gaps.
-bool validate_kind_options(const figure_spec& spec, cli_options& o) {
-  if (!o.mutate.empty() || !o.counterexample.empty()) {
-    std::fprintf(stderr,
-                 "--mutate/--counterexample only apply to the "
-                 "linearizability oracle binary (check)\n");
-    return false;
-  }
-  if (spec.kind != figure_kind::service && o.service_flag_set()) {
-    std::fprintf(stderr,
-                 "--svc-shards/--tenants/--rate/--skew/--arrival/"
-                 "--tenant-script/--slo/--churn only apply to the service "
-                 "scenario (fig_service)\n");
-    return false;
-  }
-  if (spec.kind != figure_kind::timeline &&
-      (!o.faults.empty() || !o.structure.empty())) {
-    std::fprintf(stderr,
-                 "--faults/--structure only apply to timeline figures "
-                 "(fig_timeline); service runs script disturbances with "
-                 "--tenant-script\n");
-    return false;
-  }
-  if (spec.kind != figure_kind::timeline &&
-      spec.kind != figure_kind::service && o.sample_ms_set) {
-    std::fprintf(stderr,
-                 "--sample-ms only applies to timeline and service "
-                 "figures\n");
-    return false;
-  }
-  if (spec.kind != figure_kind::service && !o.metrics.empty()) {
-    std::fprintf(stderr,
-                 "--metrics only applies to the service scenario "
-                 "(fig_service); figure runs export counters through "
-                 "--json and --trace\n");
-    return false;
-  }
-  if (spec.kind == figure_kind::service) {
-    if (o.lat_sample_set) {
-      std::fprintf(stderr,
-                   "--lat-sample applies to the sampled workload loops; "
-                   "the service scenario times every paced op "
-                   "(coordinated-omission-safe) and takes no sampling "
-                   "period\n");
-      return false;
-    }
-    if (o.threads_set || !o.stalled.empty() || !o.producers.empty() ||
-        !o.consumers.empty()) {
-      std::fprintf(stderr,
-                   "service figures size the swarm with --tenants; stalls "
-                   "and misbehavior come from --tenant-script\n");
-      return false;
-    }
-    if (o.full || o.repeats != 1) {
-      std::fprintf(stderr,
-                   "service figures run one timed swarm per scheme (the "
-                   "time series cannot average across repeats); scale with "
-                   "--duration/--rate/--tenants instead of "
-                   "--repeats/--full\n");
-      return false;
-    }
-    if (!o.sample_ms_set) o.sample_ms = spec.default_sample_ms;
-    return true;
-  }
-  if (spec.kind == figure_kind::timeline) {
-    if (!o.producers.empty() || !o.consumers.empty() || !o.stalled.empty()) {
-      std::fprintf(stderr,
-                   "timeline figures take --threads (the split is derived "
-                   "for containers) and --faults; use "
-                   "'--faults stall:TID@0+inf' instead of --stalled\n");
-      return false;
-    }
-    if (o.full || o.repeats != 1) {
-      std::fprintf(stderr,
-                   "timeline figures run a single repetition (the time "
-                   "series cannot average across repeats); set --duration "
-                   "instead of --repeats/--full\n");
-      return false;
-    }
-    if (o.threads.size() > 1) {
-      std::fprintf(stderr,
-                   "timeline figures take a single --threads value\n");
-      return false;
-    }
-    if (!o.sample_ms_set) o.sample_ms = spec.default_sample_ms;
-    return true;
-  }
-  if (spec.kind != figure_kind::container) {
-    if (!o.producers.empty() || !o.consumers.empty()) {
-      std::fprintf(stderr,
-                   "--producers/--consumers only apply to container "
-                   "figures (fig_queue)\n");
-      return false;
-    }
-    return true;
-  }
-  if (!o.mix.empty() || o.range_set || o.threads_set || !o.stalled.empty()) {
-    std::fprintf(stderr,
-                 "--mix/--range/--threads/--stalled are set-structure "
-                 "options; container figures take --producers/--consumers "
-                 "(plus --prefill/--duration/--repeats)\n");
-    return false;
-  }
+/// Resolve a container figure's (producers, consumers) pair list:
+/// explicit lists are zipped, a singleton broadcasts, the figure's
+/// defaults fill the gaps.
+bool resolve_container_pairs(const figure_spec& spec, cli_options& o) {
   if (o.producers.empty() && o.consumers.empty()) {
     o.producers = spec.default_producers;
     o.consumers = spec.default_consumers;
@@ -704,8 +568,6 @@ bool validate_kind_options(const figure_spec& spec, cli_options& o) {
   }
   return true;
 }
-
-namespace {
 
 void append_list(std::string& s, const char* key,
                  const std::vector<unsigned>& v) {
@@ -802,15 +664,34 @@ void write_timeline_json(std::FILE* f,
   }
 }
 
+flag_set figure_flags(figure_kind kind) {
+  switch (kind) {
+    case figure_kind::robustness:
+      return kRobustnessFlags;
+    case figure_kind::container:
+      return kContainerFlags;
+    case figure_kind::timeline:
+      return kTimelineFlags;
+    case figure_kind::matrix:
+    case figure_kind::trim:
+      break;
+  }
+  return kFigureFlags;
+}
+
 int run_figure(const figure_spec& spec, int argc, char** argv) {
   cli_options defaults;
   defaults.threads = spec.default_threads;
   defaults.stalled = spec.default_stalled;
+  defaults.sample_ms = spec.default_sample_ms;
   if (spec.default_duration_ms != 0) {
     defaults.duration_ms = spec.default_duration_ms;
   }
-  cli_options o = parse_cli(argc, argv, defaults);
-  if (!validate_kind_options(spec, o)) return 2;
+  cli_options o = parse_cli(argc, argv, defaults, figure_flags(spec.kind));
+  if (spec.kind == figure_kind::container &&
+      !resolve_container_pairs(spec, o)) {
+    return 2;
+  }
   figure_sink sink(spec.name, o.seed, o.lat_sample);
   sink.set_config(config_json(spec, o));
   // Tracing flips on before any domain exists and exports after the last
@@ -832,14 +713,6 @@ int run_figure(const figure_spec& spec, int argc, char** argv) {
       break;
     case figure_kind::timeline:
       status = run_timeline(spec, o, sink);
-      break;
-    case figure_kind::service:
-      // The service scenario's scheme matrix is template-instantiated in
-      // svc/matrix.cpp with its own CSV shape and SLO gate; it cannot run
-      // through the registry-driven sink here.
-      std::fprintf(stderr,
-                   "service figures run through bench/fig_service, not "
-                   "run_figure\n");
       break;
   }
   // A failed recovery check (status 4) still writes the JSON: the series

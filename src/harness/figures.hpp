@@ -1,7 +1,8 @@
 // Data-driven entry points for the paper-figure benchmarks.
 //
 // Each bench binary declares a `figure_spec` — a plain data table naming
-// the workload shape — and calls run_figure(). All scheme and structure
+// the workload shape — and calls run_figure(), which parses only the
+// flags of the spec's kind (figure_flags). All scheme and structure
 // resolution happens at runtime through harness/registry.hpp, so the
 // binaries contain no template unrolls and `--schemes` selects any
 // registered scheme by name without recompilation.
@@ -27,7 +28,7 @@ enum class figure_kind {
   /// Container family (msqueue + stack) × scheme line-up, sweeping
   /// (producers, consumers) pairs (fig_queue). Containers take the
   /// producer/consumer split instead of the set-only key_range/op-mix/
-  /// thread knobs; run_figure validates the two option families per kind.
+  /// thread knobs.
   container,
   /// Robustness lab (fig_timeline): one structure (--structure, set or
   /// container), single thread count, single repetition, scheme line-up,
@@ -36,13 +37,6 @@ enum class figure_kind {
   /// unreclaimed must return to its pre-fault baseline after the last
   /// fault clears, or the binary exits non-zero.
   timeline,
-  /// Service scenario (fig_service): a sharded cache under an open-loop
-  /// tenant swarm with SLO gating. Takes the --tenants/--svc-shards/
-  /// --rate/--skew/--arrival/--tenant-script/--slo/--churn family (plus
-  /// --mix/--range/--sample-ms); sized by tenants, not --threads. Runs
-  /// through its own driver (bench/fig_service.cpp), not run_figure —
-  /// the kind exists so option validation covers both directions.
-  service,
 };
 
 struct figure_spec {
@@ -76,12 +70,9 @@ struct figure_spec {
 /// process exit status (non-zero on CLI errors such as an unknown scheme).
 int run_figure(const figure_spec& spec, int argc, char** argv);
 
-/// Per-kind option validation (the registry's structure-kind dimension
-/// applied to the CLI): knobs from another figure family are rejected
-/// loudly, never silently ignored. Mutates `o` to resolve kind defaults
-/// (container sweep pairs, timeline/service sample cadence). Exported for
-/// drivers that run outside run_figure (bench/fig_service.cpp).
-bool validate_kind_options(const figure_spec& spec, cli_options& o);
+/// The flags a figure kind honours: kFigureFlags for matrix and trim,
+/// kRobustnessFlags, kContainerFlags, kTimelineFlags.
+flag_set figure_flags(figure_kind kind);
 
 /// A telemetry series as the elements of a --json "timeline" array (the
 /// caller writes the brackets): one sample shape for every JSON file.

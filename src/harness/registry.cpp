@@ -18,25 +18,13 @@
 #include "ds/treiber_stack.hpp"
 #include "smr/domain.hpp"
 #include "smr/immediate.hpp"
+#include "svc/service.hpp"
 
 namespace hyaline::harness {
 
-// Every registered scheme satisfies the v2 facade — enforced here, at the
-// single point all of them are instantiated, rather than documented.
-static_assert(smr::Domain<smr::leaky_domain>);
-static_assert(smr::Domain<smr::ebr_domain>);
-static_assert(smr::Domain<smr::hp_domain>);
-static_assert(smr::Domain<smr::he_domain>);
-static_assert(smr::Domain<smr::ibr_domain>);
-static_assert(smr::Domain<domain>);
-static_assert(smr::Domain<domain_dw>);
-static_assert(smr::Domain<domain_llsc>);
-static_assert(smr::Domain<domain_s>);
+// The one head-policy variant no entry registers still satisfies the v2
+// facade (run_cell asserts it for every registered scheme).
 static_assert(smr::Domain<domain_s_dw>);
-static_assert(smr::Domain<domain_s_llsc>);
-static_assert(smr::Domain<domain_1>);
-static_assert(smr::Domain<domain_1s>);
-static_assert(smr::Domain<smr::immediate_domain>);
 
 namespace {
 
@@ -65,6 +53,10 @@ void capture_counters(workload_result& r, const smr::stats& st) {
 template <class D, template <class> class S>
 workload_result run_cell(const scheme_params& params,
                          const workload_config& cfg) {
+  // Every registered scheme satisfies the v2 facade — enforced here, at
+  // the single point all of them are instantiated, rather than
+  // documented.
+  static_assert(smr::Domain<D>);
   constexpr bool container = requires(S<D> s, typename D::guard g,
                                       std::uint64_t v) { s.try_pop(g, v); };
   // Transparent thread identity (API v2) leases tids first-come: the
@@ -90,14 +82,6 @@ workload_result run_cell(const scheme_params& params,
   return r;
 }
 
-/// Presentation-level knobs the registry adds on top of D::caps.
-struct entry_opts {
-  bool core_lineup = false;   ///< one of the paper's nine plotted schemes
-  bool llsc_head = false;     ///< emulated-LL/SC head variant (§4.4)
-  const char* llsc_variant = "";  ///< this scheme's LL/SC twin, if any
-  bool external_baseline = false;  ///< coarse-mutex honesty baseline
-};
-
 /// Build one registry entry for scheme D. The structure cells follow the
 /// compile-time capability tags (smr/caps.hpp): Bonsai lookups walk an
 /// immutable snapshot that cannot be pointer-protected (paper: HP/HE
@@ -108,19 +92,18 @@ struct entry_opts {
 /// structures' own static_asserts, so an entry the registry would refuse
 /// cannot even be compiled by hand.
 template <class D>
-scheme_registry::entry make_entry(const char* name, entry_opts opts = {}) {
-  scheme_caps caps;
-  caps.pointer_publication = D::caps.pointer_publication;
-  caps.robust = D::caps.robust;
-  caps.llsc_head = opts.llsc_head;
-  caps.supports_trim = D::caps.supports_trim;
-  caps.core_lineup = opts.core_lineup;
-  caps.burst_entry = D::caps.burst_entry;
-  caps.external_baseline = opts.external_baseline;
-
+scheme_registry::entry make_entry() {
+  using traits = scheme_traits<D>;
   constexpr structure_kind set = structure_kind::set;
   constexpr structure_kind container = structure_kind::container;
-  scheme_registry::entry e{name, caps, opts.llsc_variant, {}};
+  scheme_registry::entry e;
+  e.name = traits::name;
+  e.caps = D::caps;
+  e.core_lineup = traits::core_lineup;
+  e.service = &svc::run_service<D>;
+  if constexpr (requires { typename traits::llsc_twin; }) {
+    e.llsc_variant = scheme_traits<typename traits::llsc_twin>::name;
+  }
   e.cells.push_back({"list", set, &run_cell<D, ds::hm_list>});
   e.cells.push_back({"hashmap", set, &run_cell<D, ds::michael_hashmap>});
   e.cells.push_back({"nmtree", set, &run_cell<D, ds::natarajan_tree>});
@@ -182,45 +165,18 @@ const scheme_registry::cell* scheme_registry::entry::cell_for(
 }
 
 scheme_registry::scheme_registry() {
-  using smr::ebr_domain;
-  using smr::he_domain;
-  using smr::hp_domain;
-  using smr::ibr_domain;
-  using smr::leaky_domain;
-
-  // The paper's nine headline schemes, in plotting order. The multi-list
-  // Hyaline variants name their emulated-LL/SC twin for the Figures 13-16
-  // head substitution; the baselines and per-thread-slot variants are
-  // head-agnostic.
-  schemes_.push_back(make_entry<leaky_domain>("Leaky", {.core_lineup = true}));
-  schemes_.push_back(make_entry<ebr_domain>("Epoch", {.core_lineup = true}));
-  schemes_.push_back(make_entry<domain>(
-      "Hyaline", {.core_lineup = true, .llsc_variant = "Hyaline(llsc)"}));
-  schemes_.push_back(
-      make_entry<domain_1>("Hyaline-1", {.core_lineup = true}));
-  schemes_.push_back(make_entry<domain_s>(
-      "Hyaline-S", {.core_lineup = true, .llsc_variant = "Hyaline-S(llsc)"}));
-  schemes_.push_back(
-      make_entry<domain_1s>("Hyaline-1S", {.core_lineup = true}));
-  schemes_.push_back(make_entry<ibr_domain>("IBR", {.core_lineup = true}));
-  schemes_.push_back(make_entry<he_domain>("HE", {.core_lineup = true}));
-  schemes_.push_back(make_entry<hp_domain>("HP", {.core_lineup = true}));
-
-  // ...plus the head-policy variants used by the LL/SC figures and the
-  // ablations.
-  schemes_.push_back(make_entry<domain_dw>("Hyaline(dwcas)"));
-  schemes_.push_back(
-      make_entry<domain_llsc>("Hyaline(llsc)", {.llsc_head = true}));
-  schemes_.push_back(
-      make_entry<domain_s_llsc>("Hyaline-S(llsc)", {.llsc_head = true}));
+  smr_schemes::for_each(
+      [&]<class D>() { schemes_.push_back(make_entry<D>()); });
 
   // Honesty baseline: coarse-mutex structures over the immediate-free
   // pseudo-domain. Not part of the core lineup and tagged
   // external_baseline so SMR-only sweeps skip it; run it by name
   // (`--schemes Mutex`) to report the floor speedups are measured against.
   {
-    scheme_registry::entry mutex_entry{
-        "Mutex", scheme_caps{.external_baseline = true}, "", {}};
+    scheme_registry::entry mutex_entry;
+    mutex_entry.name = scheme_traits<smr::immediate_domain>::name;
+    mutex_entry.caps = smr::immediate_domain::caps;
+    mutex_entry.external_baseline = true;
     mutex_entry.cells.push_back(
         {"lockedset", structure_kind::set,
          &run_cell<smr::immediate_domain, ds::locked_set>});

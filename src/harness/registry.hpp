@@ -1,18 +1,19 @@
 // Runtime scheme registry: the type-erased scheme×structure run matrix.
 //
-// The figure benchmarks used to unroll the full template cross-product at
-// every call site; instead, every (scheme, structure) pair is instantiated
-// exactly once — in registry.cpp — behind a plain function pointer, and
-// benchmarks look schemes up *by name at runtime*. `--schemes Hyaline-S`
-// therefore needs no recompilation, and a new scheme or structure lands in
-// the whole benchmark suite by adding one registry entry.
+// Every (scheme, structure) pair is instantiated exactly once — in
+// registry.cpp — behind a plain function pointer, and benchmarks look
+// schemes up *by name at runtime*. `--schemes Hyaline-S` therefore needs
+// no recompilation, and a new scheme lands in the whole benchmark suite
+// (figures, service scenario, oracle) by giving it a scheme_traits and
+// adding its type to `smr_schemes`; a new structure by adding one cell
+// in make_entry.
 //
-// Registered scheme names (the paper's nine headline schemes are marked
-// `core_lineup`): Leaky, Epoch, HP, HE, IBR, Hyaline, Hyaline-1, Hyaline-S,
-// Hyaline-1S, plus the head-policy variants Hyaline(dwcas), Hyaline(llsc),
-// Hyaline-S(llsc). Structures come in two kinds, which the cells carry so
-// drivers can validate options per cell (key_range/op-mix are set-only;
-// the producer/consumer split is container-only):
+// The entries are built from harness/schemes.hpp's `smr_schemes` list —
+// each entry carries the scheme's smr::caps, its line-up role and LL/SC
+// twin, its structure cells and its service-scenario runner — plus the
+// Mutex honesty baseline. Structures come in two kinds, which the cells
+// carry so drivers can validate options per cell (key_range/op-mix are
+// set-only; the producer/consumer split is container-only):
 //   - sets: list (Harris–Michael list), harris (Harris list with deferred
 //     unlink), hashmap, nmtree, bonsai — driven by run_workload;
 //   - containers: msqueue (Michael–Scott MPMC queue), stack (Treiber
@@ -28,29 +29,14 @@
 
 #include "harness/schemes.hpp"
 #include "harness/workload.hpp"
+#include "smr/caps.hpp"
+
+namespace hyaline::svc {
+struct service_config;
+struct service_result;
+}  // namespace hyaline::svc
 
 namespace hyaline::harness {
-
-/// Capability flags a scheme advertises to the benchmark drivers.
-struct scheme_caps {
-  /// HP/HE: protect() publishes pointer addresses; incompatible with
-  /// snapshot-traversal structures (bonsai), as in the paper.
-  bool pointer_publication = false;
-  /// A stalled thread pins a bounded number of nodes.
-  bool robust = false;
-  /// Hyaline over the emulated LL/SC head (§4.4; Figures 13-16).
-  bool llsc_head = false;
-  /// guard::trim() is meaningful (Hyaline family, §3.3).
-  bool supports_trim = false;
-  /// One of the nine schemes the paper's figures plot.
-  bool core_lineup = false;
-  /// Guard entry amortization applies (smr::caps::burst_entry).
-  bool burst_entry = false;
-  /// Externally synchronized honesty baseline (the coarse-mutex cells):
-  /// not an SMR scheme at all. SMR-only sweeps and comparisons skip these
-  /// entries; drivers may still run them by name to report the floor.
-  bool external_baseline = false;
-};
 
 /// One type-erased benchmark run: construct the scheme from `params`, build
 /// the structure over it, drive the kind's workload loop, tear down, and
@@ -58,6 +44,10 @@ struct scheme_caps {
 /// checks).
 using runner_fn = workload_result (*)(const scheme_params& params,
                                       const workload_config& cfg);
+
+/// The service scenario's tenant swarm over one scheme (svc/service.hpp).
+using service_runner_fn = svc::service_result (*)(const scheme_params&,
+                                                  const svc::service_config&);
 
 /// What a registered structure is, and therefore which workload driver and
 /// which workload_config options apply to its cell.
@@ -94,11 +84,21 @@ class scheme_registry {
 
   struct entry {
     std::string name;
-    scheme_caps caps;
+    smr::caps caps;  ///< D::caps
+    /// One of the nine schemes the paper's figures plot.
+    bool core_lineup = false;
+    /// Externally synchronized honesty baseline (the coarse-mutex cells):
+    /// not an SMR scheme at all. SMR-only sweeps and comparisons skip
+    /// these entries; drivers may still run them by name to report the
+    /// floor.
+    bool external_baseline = false;
     /// Name of this scheme's emulated-LL/SC twin, if one is registered
     /// (the Figures 13-16 head substitution); empty otherwise.
     std::string llsc_variant;
     std::vector<cell> cells;
+    /// The service scenario over this scheme; nullptr for the Mutex
+    /// baseline, which has no guard/retire protocol to shard.
+    service_runner_fn service = nullptr;
 
     /// Runner for one structure, or nullptr if the pair is not registered
     /// (e.g. HP/HE × bonsai).

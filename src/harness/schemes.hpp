@@ -1,10 +1,11 @@
-// Scheme registry: construction parameters, display names, and the
-// scheme×structure run matrix used by the figure benchmarks.
+// The SMR schemes the benchmarks run: construction parameters, and per
+// scheme its display name, line-up role and LL/SC twin (scheme_traits),
+// all listed once in `smr_schemes`.
 //
-// Every benchmark binary iterates the same nine schemes the paper plots:
-// Leaky, Epoch (EBR), HP, HE, IBR, Hyaline, Hyaline-1, Hyaline-S,
-// Hyaline-1S. HP and HE are skipped for the Bonsai tree, as in the paper
-// (snapshot traversal cannot be pointer-protected).
+// The paper plots nine schemes (`core_lineup`): Leaky, Epoch (EBR), HP,
+// HE, IBR, Hyaline, Hyaline-1, Hyaline-S, Hyaline-1S. The head-policy
+// variants Hyaline(dwcas), Hyaline(llsc) and Hyaline-S(llsc) run by name
+// and as the LL/SC figures' twins.
 #pragma once
 
 #include <bit>
@@ -55,6 +56,7 @@ struct scheme_traits;
 template <>
 struct scheme_traits<smr::leaky_domain> {
   static constexpr const char* name = "Leaky";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::leaky_domain> make(const scheme_params& p) {
     return std::make_unique<smr::leaky_domain>(p.max_threads,
                                                p.retire_shards);
@@ -72,6 +74,7 @@ struct scheme_traits<smr::immediate_domain> {
 template <>
 struct scheme_traits<smr::ebr_domain> {
   static constexpr const char* name = "Epoch";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::ebr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ebr_domain>(
         smr::ebr_config{.max_threads = p.max_threads,
@@ -83,6 +86,7 @@ struct scheme_traits<smr::ebr_domain> {
 template <>
 struct scheme_traits<smr::hp_domain> {
   static constexpr const char* name = "HP";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::hp_domain> make(const scheme_params& p) {
     return std::make_unique<smr::hp_domain>(smr::hp_config{
         .max_threads = p.max_threads, .retire_shards = p.retire_shards});
@@ -92,6 +96,7 @@ struct scheme_traits<smr::hp_domain> {
 template <>
 struct scheme_traits<smr::he_domain> {
   static constexpr const char* name = "HE";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::he_domain> make(const scheme_params& p) {
     return std::make_unique<smr::he_domain>(smr::he_config{
         .max_threads = p.max_threads, .retire_shards = p.retire_shards});
@@ -101,6 +106,7 @@ struct scheme_traits<smr::he_domain> {
 template <>
 struct scheme_traits<smr::ibr_domain> {
   static constexpr const char* name = "IBR";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::ibr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ibr_domain>(
         smr::ibr_config{.max_threads = p.max_threads,
@@ -112,6 +118,8 @@ struct scheme_traits<smr::ibr_domain> {
 template <>
 struct scheme_traits<domain> {
   static constexpr const char* name = "Hyaline";
+  static constexpr bool core_lineup = true;
+  using llsc_twin = domain_llsc;  ///< Figures 13-16 head substitution
   static std::unique_ptr<domain> make(const scheme_params& p) {
     return std::make_unique<domain>(config{.slots = default_slots(p),
                                            .batch_min = p.batch_min,
@@ -122,6 +130,7 @@ struct scheme_traits<domain> {
 template <>
 struct scheme_traits<domain_dw> {
   static constexpr const char* name = "Hyaline(dwcas)";
+  static constexpr bool core_lineup = false;
   static std::unique_ptr<domain_dw> make(const scheme_params& p) {
     return std::make_unique<domain_dw>(config{.slots = default_slots(p),
                                               .batch_min = p.batch_min,
@@ -132,6 +141,7 @@ struct scheme_traits<domain_dw> {
 template <>
 struct scheme_traits<domain_llsc> {
   static constexpr const char* name = "Hyaline(llsc)";
+  static constexpr bool core_lineup = false;
   static std::unique_ptr<domain_llsc> make(const scheme_params& p) {
     return std::make_unique<domain_llsc>(
         config{.slots = default_slots(p),
@@ -143,6 +153,8 @@ struct scheme_traits<domain_llsc> {
 template <>
 struct scheme_traits<domain_s> {
   static constexpr const char* name = "Hyaline-S";
+  static constexpr bool core_lineup = true;
+  using llsc_twin = domain_s_llsc;  ///< Figures 13-16 head substitution
   static std::unique_ptr<domain_s> make(const scheme_params& p) {
     return std::make_unique<domain_s>(config{.slots = default_slots(p),
                                              .max_slots = p.max_slots,
@@ -155,6 +167,7 @@ struct scheme_traits<domain_s> {
 template <>
 struct scheme_traits<domain_s_llsc> {
   static constexpr const char* name = "Hyaline-S(llsc)";
+  static constexpr bool core_lineup = false;
   static std::unique_ptr<domain_s_llsc> make(const scheme_params& p) {
     return std::make_unique<domain_s_llsc>(
         config{.slots = default_slots(p),
@@ -168,6 +181,7 @@ struct scheme_traits<domain_s_llsc> {
 template <>
 struct scheme_traits<domain_1> {
   static constexpr const char* name = "Hyaline-1";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<domain_1> make(const scheme_params& p) {
     return std::make_unique<domain_1>(
         config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
@@ -177,10 +191,29 @@ struct scheme_traits<domain_1> {
 template <>
 struct scheme_traits<domain_1s> {
   static constexpr const char* name = "Hyaline-1S";
+  static constexpr bool core_lineup = true;
   static std::unique_ptr<domain_1s> make(const scheme_params& p) {
     return std::make_unique<domain_1s>(
         config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
   }
 };
+
+/// An ordered list of scheme types; `for_each` calls f.template
+/// operator()<D>() for each D in order.
+template <class... D>
+struct scheme_list {
+  template <class F>
+  static void for_each(F&& f) {
+    (f.template operator()<D>(), ...);
+  }
+};
+
+/// The twelve SMR schemes, in the paper's plotting order, then the
+/// head-policy variants. The registry (and through it every figure, the
+/// service scenario and the oracle) and fig_opcost iterate this list.
+using smr_schemes =
+    scheme_list<smr::leaky_domain, smr::ebr_domain, domain, domain_1,
+                domain_s, domain_1s, smr::ibr_domain, smr::he_domain,
+                smr::hp_domain, domain_dw, domain_llsc, domain_s_llsc>;
 
 }  // namespace hyaline::harness

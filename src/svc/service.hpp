@@ -27,7 +27,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -258,17 +257,5 @@ service_result run_service(const harness::scheme_params& base,
   res.lag_max_ns = res.obs.lag_max_ns;
   return res;
 }
-
-/// Type-erased entry point for the scheme-name dispatch in svc/matrix.cpp
-/// (every registry scheme except the Mutex external baseline, which has
-/// no guard/retire protocol to shard).
-using service_runner_fn = service_result (*)(const harness::scheme_params&,
-                                             const service_config&);
-
-/// nullptr for unknown or unsupported (Mutex) scheme names.
-service_runner_fn find_service_runner(const std::string& scheme);
-
-/// The scheme names with a service runner, in registry order.
-std::vector<std::string> service_schemes();
 
 }  // namespace hyaline::svc

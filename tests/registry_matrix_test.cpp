@@ -86,7 +86,7 @@ TEST(RegistryMatrix, LineupAndCapabilitiesMatchThePaper) {
   for (const char* name : nine) {
     const auto* e = reg.find(name);
     ASSERT_NE(e, nullptr) << name;
-    EXPECT_TRUE(e->caps.core_lineup) << name;
+    EXPECT_TRUE(e->core_lineup) << name;
     EXPECT_NE(e->runner_for("hashmap"), nullptr) << name;
   }
 
@@ -96,8 +96,8 @@ TEST(RegistryMatrix, LineupAndCapabilitiesMatchThePaper) {
   {
     const auto* mutex_entry = reg.find("Mutex");
     ASSERT_NE(mutex_entry, nullptr);
-    EXPECT_TRUE(mutex_entry->caps.external_baseline);
-    EXPECT_FALSE(mutex_entry->caps.core_lineup);
+    EXPECT_TRUE(mutex_entry->external_baseline);
+    EXPECT_FALSE(mutex_entry->core_lineup);
     EXPECT_NE(mutex_entry->runner_for("lockedset"), nullptr);
     EXPECT_NE(mutex_entry->runner_for("lockedqueue"), nullptr);
     EXPECT_EQ(mutex_entry->runner_for("hashmap"), nullptr);
@@ -110,7 +110,7 @@ TEST(RegistryMatrix, LineupAndCapabilitiesMatchThePaper) {
   // external baseline registers none of the shared structures, so it is
   // skipped here.
   for (const auto& scheme : reg.schemes()) {
-    if (scheme.caps.external_baseline) continue;
+    if (scheme.external_baseline) continue;
     const bool snapshot_safe = !scheme.caps.pointer_publication;
     const bool epoch_style = snapshot_safe && !scheme.caps.robust;
     EXPECT_EQ(scheme.runner_for("bonsai") != nullptr, snapshot_safe)

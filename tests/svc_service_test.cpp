@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/registry.hpp"
 #include "harness/schemes.hpp"
 #include "svc/service.hpp"
 #include "svc/shard_router.hpp"
@@ -18,6 +19,14 @@
 namespace {
 
 using namespace hyaline::svc;
+using hyaline::harness::scheme_registry;
+using hyaline::harness::service_runner_fn;
+
+/// The registry entry's service runner; nullptr for an unknown name.
+service_runner_fn service_runner(const char* scheme) {
+  const scheme_registry::entry* e = scheme_registry::instance().find(scheme);
+  return e != nullptr ? e->service : nullptr;
+}
 
 TEST(RouteShard, CoversAllShardsRoughlyEvenly) {
   const unsigned kShards = 4;
@@ -91,7 +100,7 @@ class ServiceSwarm : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ServiceSwarm, RunsChurnAndFaultsWithoutLeaking) {
   const std::string scheme = GetParam();
-  service_runner_fn run = find_service_runner(scheme);
+  service_runner_fn run = service_runner(scheme.c_str());
   ASSERT_NE(run, nullptr) << scheme;
 
   std::string err;
@@ -145,19 +154,18 @@ INSTANTIATE_TEST_SUITE_P(Schemes, ServiceSwarm,
                          ::testing::Values("Epoch", "Hyaline-S", "HP"));
 
 TEST(ServiceMatrix, CoversRegistryMinusMutex) {
-  const auto names = service_schemes();
   // The core lineup plus the CAS-flavor variants; Mutex has no
   // guard/retire protocol to shard.
-  EXPECT_GE(names.size(), 9u);
-  for (const char* required :
-       {"Leaky", "Epoch", "Hyaline", "Hyaline-S", "IBR", "HE", "HP"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
-        << required;
-    EXPECT_NE(find_service_runner(required), nullptr) << required;
+  std::vector<std::string> names;
+  for (const scheme_registry::entry& e : scheme_registry::instance().schemes()) {
+    if (e.service != nullptr) names.push_back(e.name);
   }
-  EXPECT_EQ(std::find(names.begin(), names.end(), "Mutex"), names.end());
-  EXPECT_EQ(find_service_runner("Mutex"), nullptr);
-  EXPECT_EQ(find_service_runner("NoSuchScheme"), nullptr);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "Leaky", "Epoch", "Hyaline", "Hyaline-1", "Hyaline-S",
+                       "Hyaline-1S", "IBR", "HE", "HP", "Hyaline(dwcas)",
+                       "Hyaline(llsc)", "Hyaline-S(llsc)"}));
+  EXPECT_EQ(service_runner("Mutex"), nullptr);
+  EXPECT_EQ(service_runner("NoSuchScheme"), nullptr);
 }
 
 TEST(Service, ClosedLoopAndUnpacedConfigs) {
@@ -174,7 +182,7 @@ TEST(Service, ClosedLoopAndUnpacedConfigs) {
   cfg.sample_ms = 0;  // no timeline
   cfg.buckets_per_shard = 512;
 
-  service_runner_fn run = find_service_runner("Hyaline");
+  service_runner_fn run = service_runner("Hyaline");
   ASSERT_NE(run, nullptr);
   const service_result res = run(hyaline::harness::scheme_params{}, cfg);
   EXPECT_GT(res.ops, 0u);
