@@ -36,10 +36,11 @@ struct scheme_params {
   /// Retired-node shard count for schemes that support it (EBR, IBR, HP,
   /// HE, Leaky). 0 = classic per-thread (or global, for Leaky) lists.
   unsigned retire_shards = 0;
-  /// Amortized guard entry burst for caps.burst_entry schemes (EBR, IBR,
-  /// Hyaline slot caching). Harness default is on — the workload runners
-  /// quiesce idle/exiting threads, which the burst exit relies on. Direct
-  /// users of the raw configs get 0 (classic) unless they opt in.
+  /// Amortized guard entry burst for caps.burst_entry schemes (EBR and
+  /// IBR reservations, Hyaline and Hyaline-S slot presences). Harness
+  /// default is on — the workload runners quiesce idle/exiting threads,
+  /// which the burst exit relies on. Direct users of the raw configs get
+  /// 0 (classic) unless they opt in.
   std::uint32_t entry_burst = 64;
 };
 

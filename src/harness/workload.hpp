@@ -182,11 +182,13 @@ void flush_thread(D& dom) {
 template <class D>
 concept has_quiesce = requires(D d) { d.quiesce(); };
 
-/// Clear the calling thread's lingering burst-entry reservation, for
-/// schemes with amortized guard exit (EBR/IBR with entry_burst). Called
-/// wherever a thread stops taking guards — worker exit, after prefill, and
-/// after the final drain loop — so an idle reservation cannot stall epoch
-/// or era advancement for the threads still running. No-op elsewhere.
+/// Clear the calling thread's lingering burst-entry state, for schemes
+/// with amortized guard exit (entry_burst): the EBR/IBR reservation, or
+/// the Hyaline/Hyaline-S parked slot presence. Called wherever a thread
+/// stops taking guards — worker exit, after prefill, and after the final
+/// drain loop — so an idle thread cannot stall epoch or era advancement,
+/// or pin the batches that reach its slot, for the threads still running.
+/// No-op elsewhere.
 template <class D>
 void quiesce_thread(D& dom) {
   if constexpr (has_quiesce<D>) {

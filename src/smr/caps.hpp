@@ -38,12 +38,13 @@ struct caps {
   bool supports_trim = false;
 
   /// Guard entry/exit may be amortized over short op bursts: the scheme's
-  /// semantics allow a reservation (epoch, interval, or slot choice) to
+  /// semantics allow a reservation (epoch, interval, or slot presence) to
   /// linger across consecutive guards on one thread without violating its
   /// safety argument — a lingering reservation is indistinguishable from
-  /// one long-lived guard (EBR, IBR) or is a pure placement hint (Hyaline
-  /// slot choice). Pointer-publication schemes (HP, HE) publish per-access
-  /// state instead and gain nothing from entry amortization.
+  /// one long-lived guard (EBR, IBR), or is a parked slot presence, kept
+  /// only while the slot's list is empty (Hyaline, Hyaline-S).
+  /// Pointer-publication schemes (HP, HE) publish per-access state instead
+  /// and gain nothing from entry amortization.
   bool burst_entry = false;
 };
 

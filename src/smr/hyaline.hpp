@@ -79,15 +79,25 @@ struct config {
   /// stalled threads and avoided by enter (§4.2 suggests e.g. 8192).
   std::int64_t ack_threshold = 8192;
 
-  /// Amortized slot choice for the transparent guard: reuse the previously
-  /// chosen slot for up to this many consecutive guards on one thread
-  /// before re-running choose_slot(). The slot choice is a pure placement
-  /// hint (any thread may use any slot, §3.2), so caching it never affects
-  /// safety; for Hyaline-S it delays the ack-threshold stall-avoidance
-  /// probe by at most one burst. Enter/leave (the FAA/CAS on the slot
-  /// head) still run per guard — they are what make retirement safe.
-  /// 0 (default) = choose on every guard. Guards constructed with an
-  /// explicit slot hint never cache.
+  /// Amortized guard entry for the transparent guard: the thread keeps its
+  /// slot presence (its unit of HRef) across up to this many consecutive
+  /// guards. The first guard of a burst runs choose_slot() and enter (the
+  /// FAA); each exit *parks* the presence instead of leaving (no CAS) while
+  /// the slot's retirement list is empty, and the next guard adopts it
+  /// (no choose_slot, no FAA). An exit that finds the list non-empty, or
+  /// that ends the burst, leaves as usual. §3.3 trimming is the precedent:
+  /// a thread may stay in its slot across critical sections, and a parked
+  /// presence is indistinguishable from one guard spanning the burst.
+  /// Parking pins nothing: while the thread holds HRef no one can cut the
+  /// list, so an empty list means no batch arrived since it entered.
+  /// Hyaline-S probes for stalled slots at each presence entry, so at most
+  /// `entry_burst` guards apart.
+  ///
+  /// Idle-thread contract: a thread that stops taking guards calls
+  /// quiesce(), or its parked slot pins every batch that arrives there
+  /// until drain(). 0 (default) = enter and leave on every guard, the
+  /// paper's transparency with no contract. Nested guards and guards
+  /// built with an explicit slot hint always enter and leave.
   std::uint32_t entry_burst = 0;
 };
 
@@ -186,18 +196,26 @@ class basic_domain {
    public:
     /// Transparent enter: the slot is picked from a per-thread hint
     /// (threads never register — the paper's transparency property).
-    /// With entry_burst set, the previous guard's slot choice is reused
-    /// for a burst, skipping choose_slot's modulo (and, for Hyaline-S,
-    /// its ack probe) on the hot path.
-    explicit guard(basic_domain& dom) : dom_(dom) {
-      builder_ = &dom_.builders_.local();
-      if (dom_.cfg_.entry_burst != 0 && builder_->slot_probe_left != 0) {
-        --builder_->slot_probe_left;
-        slot_ = builder_->slot_cache;
-      } else {
-        slot_ = dom_.choose_slot(smr::core::thread_hint());
-        builder_->slot_cache = slot_;
-        builder_->slot_probe_left = dom_.cfg_.entry_burst;
+    /// With entry_burst set, the outermost guard on the thread owns the
+    /// thread's burst presence (see config::entry_burst): it adopts a
+    /// parked one, or enters and starts a new one. A guard nested inside
+    /// an owner enters and leaves on its own.
+    explicit guard(basic_domain& dom)
+        : dom_(dom), builder_(&dom.builders_.local()) {
+      owner_ = dom_.cfg_.entry_burst != 0 &&
+               builder_->presence != presence_state::held;
+      if (owner_ && builder_->presence == presence_state::parked) {
+        builder_->presence = presence_state::held;
+        slot_ = builder_->presence_slot;
+        handle_ = nullptr;  // a presence parks only on an empty list
+        obs::emit(obs::event::guard_enter, slot_);
+        return;
+      }
+      slot_ = dom_.choose_slot(smr::core::thread_hint());
+      if (owner_) {
+        builder_->presence = presence_state::held;
+        builder_->presence_slot = slot_;
+        builder_->burst_left = dom_.cfg_.entry_burst;
       }
       obs::emit(obs::event::guard_enter, slot_);
       handle_ = dom_.enter(slot_);
@@ -208,16 +226,30 @@ class basic_domain {
     /// number, or anything else works (§3.2: "a thread chooses randomly or
     /// based on its ID"). White-box tests use this to stage interleavings
     /// deterministically.
-    guard(basic_domain& dom, unsigned slot_hint) : dom_(dom) {
+    guard(basic_domain& dom, unsigned slot_hint)
+        : dom_(dom), builder_(&dom.builders_.local()) {
       slot_ = dom_.choose_slot(slot_hint);
       obs::emit(obs::event::guard_enter, slot_);
       handle_ = dom_.enter(slot_);
-      builder_ = &dom_.builders_.local();
     }
 
+    /// Leave, or (burst owner) park the presence: only while the burst
+    /// lasts and the slot's list is empty. HPtr cannot go back to Null
+    /// while this thread holds HRef, so an empty list here means it was
+    /// empty at enter (a Null handle) and still is: leaving would free
+    /// nothing.
     ~guard() {
       obs::emit(obs::event::guard_exit, slot_);
-      if (active_) dom_.leave(slot_, handle_);
+      if (owner_) {
+        if (--builder_->burst_left != 0 &&
+            dom_.slots_.at(slot_).head.snapshot().ptr == nullptr) {
+          assert(handle_ == nullptr);
+          builder_->presence = presence_state::parked;
+          return;
+        }
+        builder_->presence = presence_state::none;
+      }
+      dom_.leave(slot_, handle_);
     }
 
     guard(const guard&) = delete;
@@ -268,7 +300,7 @@ class basic_domain {
     std::size_t slot_;
     node* handle_;
     typename basic_domain::batch_builder* builder_;
-    bool active_ = true;
+    bool owner_ = false;  ///< holds the thread's burst presence
   };
 
   /// Finalize the calling thread's partially filled batch by padding it
@@ -276,11 +308,25 @@ class basic_domain {
   /// this, the thread is fully "off the hook" — it may exit immediately.
   void flush() { flush_builder(builders_.local()); }
 
-  /// Quiescent-state cleanup: flush every thread's builder. Callable only
-  /// when no guards are live anywhere (tests, shutdown). With HRef == 0 in
-  /// every slot, each flushed batch is freed immediately (all k per-slot
-  /// contributions arrive as Empty adjustments).
+  /// Burst-entry cleanup for the *calling thread*: leave its parked slot
+  /// presence, so an idle thread pins nothing that arrives later. Call
+  /// wherever a thread stops taking guards, with none live on it; no-op
+  /// when burst entry is off.
+  void quiesce() {
+    if (cfg_.entry_burst == 0) return;
+    batch_builder& b = builders_.local();
+    if (b.presence == presence_state::parked) leave_parked(b);
+  }
+
+  /// Quiescent-state cleanup: leave every parked presence (idle or exited
+  /// threads that skipped quiesce()), then flush every thread's builder.
+  /// Callable only when no guards are live anywhere (tests, shutdown).
+  /// With HRef == 0 in every slot, each flushed batch is freed immediately
+  /// (all k per-slot contributions arrive as Empty adjustments).
   void drain() {
+    builders_.for_each([this](batch_builder& b) {
+      if (b.presence == presence_state::parked) leave_parked(b);
+    });
     builders_.for_each([this](batch_builder& b) { flush_builder(b); });
   }
 
@@ -304,18 +350,24 @@ class basic_domain {
     std::atomic<std::int64_t> ack{0};          // Hyaline-S only
   };
 
+  /// The thread's burst presence (config::entry_burst): none, parked
+  /// between guards, or held by a live owner guard.
+  enum class presence_state : std::uint8_t { none, parked, held };
+
   // Cache-line aligned: builders are heap-allocated per thread by the TLS
-  // cache and written on every retire; two threads' builders must not
-  // share a line.
+  // cache and written on every retire and guard; two threads' builders
+  // must not share a line.
   struct alignas(cache_line_size) batch_builder {
     node* refs = nullptr;  // chain head == REFS node of the batch in progress
     std::size_t count = 0;
     std::uint64_t min_birth = ~std::uint64_t{0};
     std::uint64_t alloc_counter = 0;
-    /// Amortized slot choice (config::entry_burst): the transparent
-    /// guard's last chosen slot and how many more guards may reuse it.
-    std::size_t slot_cache = 0;
-    std::uint32_t slot_probe_left = 0;
+    /// Burst presence: its slot and the guard exits it has left. A parked
+    /// presence always has a Null handle, so none is stored. Owner thread
+    /// only, except drain() (quiescent).
+    std::size_t presence_slot = 0;
+    std::uint32_t burst_left = 0;
+    presence_state presence = presence_state::none;
   };
 
   /// Constructor-time validation (API v2): malformed configs fail loudly
@@ -388,6 +440,13 @@ class basic_domain {
     return slots_.at(slot).head.faa_enter().ptr;
   }
 
+  /// End a parked burst presence (quiesce, drain). It parked on an empty
+  /// list, so its handle is Null.
+  void leave_parked(batch_builder& b) {
+    b.presence = presence_state::none;
+    leave(b.presence_slot, nullptr);
+  }
+
   void leave(std::size_t slot, node* handle) {
     slot_rec& sl = slots_.at(slot);
     node* defer = nullptr;
@@ -415,25 +474,7 @@ class basic_domain {
       }
       if (sl.head.cas_leave_dec(h)) break;
     }
-    if (curr != handle) {
-      traverse(sl, next, handle, defer);
-      if constexpr (Robust) {
-        // Ack balance: a thread owes one acknowledgment per batch inserted
-        // during its presence (that is what retire's FAA counted it for).
-        // traverse covers (head, handle], whose size equals that count when
-        // handle != Null (the handle node substitutes for the skipped
-        // head). With a Null handle there is no substitute and traverse
-        // acknowledges one batch too few — without this correction Acks on
-        // *active* slots drift upward, enter() eventually misclassifies
-        // them as stalled and hops threads into genuinely stalled slots,
-        // un-staling their eras and unbounding memory.
-        if (handle == nullptr) {
-          // seq_cst: Ack accounting is read by enter()'s stall heuristic and
-          // must stay ordered with the head CASes it mirrors.
-          sl.ack.fetch_sub(1, std::memory_order_seq_cst);
-        }
-      }
-    }
+    if (curr != handle) traverse(sl, next, handle, defer);
     free_deferred(defer);
   }
 
@@ -563,7 +604,9 @@ class basic_domain {
   }
 
   /// Fig. 3 traverse: walk the retirement sublist acquired between enter
-  /// and leave, dropping one reference per batch.
+  /// and leave (or trim), dropping one reference per batch. `start` is the
+  /// successor of the head the caller read, and that head differs from
+  /// `handle`: at least one batch arrived since the handle was taken.
   void traverse(slot_rec& sl, node* start, node* handle, node*& defer) {
     std::int64_t batches = 0;
     node* curr = start;
@@ -578,11 +621,19 @@ class basic_domain {
       curr = nx;
     }
     if constexpr (Robust) {
-      if (batches != 0) {
-        // seq_cst: Ack debit for the batches this traversal consumed; same
-        // total-order argument as the credit in retire().
-        sl.ack.fetch_sub(batches, std::memory_order_seq_cst);
-      }
+      // Ack balance, the one place leave() and trim() settle it: the
+      // caller owes one acknowledgment per batch inserted since its handle
+      // was taken (retire's FAA counted it for each). The walk covers
+      // (head, handle], which has that many nodes when handle != Null (the
+      // handle substitutes for the skipped head). With a Null handle there
+      // is no substitute, so the debit adds the head's batch back. Without
+      // it Acks on *active* slots drift upward, choose_slot() eventually
+      // misclassifies them as stalled and hops threads into genuinely
+      // stalled slots, un-staling their eras and unbounding memory.
+      const std::int64_t owed = batches + (handle == nullptr ? 1 : 0);
+      // seq_cst: Ack debit, read by choose_slot()'s stall heuristic; same
+      // total-order argument as the credit in finalize_batch().
+      sl.ack.fetch_sub(owed, std::memory_order_seq_cst);
     } else {
       (void)sl;
     }

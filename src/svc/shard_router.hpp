@@ -151,10 +151,11 @@ class shard_router {
   }
 
   /// Release the calling thread's per-thread scheme state on every
-  /// shard: finalize partial retirement batches (Hyaline family) and
-  /// clear lingering burst-entry reservations (EBR/IBR), so an idle or
-  /// departed connection cannot stall epoch/era advancement on any
-  /// shard. Call wherever a thread stops issuing operations (tenant
+  /// shard: finalize partial retirement batches (Hyaline family), clear
+  /// lingering burst-entry reservations (EBR/IBR) and leave parked slot
+  /// presences (Hyaline, Hyaline-S), so an idle or departed connection
+  /// cannot stall epoch/era advancement, or pin what reaches its slot, on
+  /// any shard. Call wherever a thread stops issuing operations (tenant
   /// exit, after the main thread's prefill).
   void thread_quiesce() {
     for (auto& d : doms_) {

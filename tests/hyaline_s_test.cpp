@@ -30,6 +30,20 @@ domain_s::node* make_node(domain_s& dom) {
   return n;
 }
 
+config burst_cfg() {
+  config c = s_cfg(2);
+  c.entry_burst = 8;
+  return c;
+}
+
+std::uint64_t ref(domain_s& dom, std::size_t slot) {
+  return dom.debug_head(slot).ref;
+}
+
+std::uint64_t freed(const domain_s& dom) {
+  return dom.counters().freed.load(std::memory_order_relaxed);
+}
+
 TEST(HyalineS, EraClockAdvancesEveryFreqAllocations) {
   domain_s dom(s_cfg(2, 0, /*era_freq=*/4));
   const std::uint64_t before = dom.debug_alloc_era();
@@ -130,6 +144,32 @@ TEST(HyalineS, AckReflectsInsertionsAndTraversals) {
   // head batch via the null-handle correction (see leave()), so the slot
   // does not accumulate Ack drift while it is healthy.
   EXPECT_EQ(dom.debug_ack(0), 0);
+}
+
+TEST(HyalineS, TrimWithNullHandleKeepsAckBalanced) {
+  // A guard that entered an empty slot holds a Null handle. trim() owes
+  // the same acknowledgments as leave(): one per batch that arrived, the
+  // head batch included, though the walk skips the head.
+  domain_s dom(s_cfg(2));
+  domain_s::node* batch[3];  // k+1: one full batch
+  for (auto*& n : batch) n = make_node(dom);
+  auto* seen = make_node(dom);
+  std::atomic<domain_s::node*> src{seen};
+  {
+    domain_s::guard g(dom, 0);
+    g.protect(src);  // slot 0's era now covers the batch
+    std::thread([&] {
+      domain_s::guard r(dom, 1);
+      for (auto* n : batch) r.retire(n);
+    }).join();
+    ASSERT_EQ(dom.debug_ack(0), 1) << "+HRef on insertion into slot 0";
+    g.trim();
+    EXPECT_EQ(dom.debug_ack(0), 0) << "trim acknowledged the head batch";
+  }
+  EXPECT_EQ(dom.debug_ack(0), 0) << "and the leave did not do it twice";
+  EXPECT_EQ(dom.debug_ack(1), 0);
+  EXPECT_EQ(freed(dom), 3u);
+  delete seen;
 }
 
 TEST(HyalineS, EnterHopsPastAckedOutSlot) {
@@ -254,6 +294,102 @@ TEST(HyalineS, StalledThreadDoesNotStopActiveReclamation) {
   stalled.join();
   dom.drain();
   delete seen;
+}
+
+// Burst entry (config::entry_burst) over the robust variant: the same
+// presence lifecycle as basic Hyaline, and the Acks stay balanced.
+
+TEST(HyalineS, BurstPresenceParksBetweenGuardsAndExpires) {
+  domain_s dom(burst_cfg());
+  std::size_t slot = 0;
+  {
+    domain_s::guard g(dom);
+    slot = g.slot();
+  }
+  EXPECT_EQ(ref(dom, slot), 1u) << "the first guard parked";
+  for (int i = 2; i < 8; ++i) {
+    {
+      domain_s::guard g(dom);
+      EXPECT_EQ(g.slot(), slot) << "guard " << i << " adopts the presence";
+      EXPECT_EQ(ref(dom, slot), 1u) << "no second FAA";
+    }
+    EXPECT_EQ(ref(dom, slot), 1u) << "guard " << i << " parked";
+  }
+  { domain_s::guard g(dom); }
+  EXPECT_EQ(ref(dom, slot), 0u) << "the 8th guard ends the burst";
+  { domain_s::guard g(dom); }
+  EXPECT_EQ(ref(dom, slot), 1u) << "a new burst starts";
+  dom.quiesce();
+  EXPECT_EQ(ref(dom, slot), 0u) << "quiesce() leaves the presence";
+  EXPECT_EQ(dom.debug_ack(slot), 0);
+}
+
+TEST(HyalineS, ParkedSlotReleasesForeignBatchAtNextGuardExit) {
+  domain_s dom(burst_cfg());
+  domain_s::node* batch[2];
+  for (auto*& n : batch) n = make_node(dom);
+  auto* seen = make_node(dom);
+  std::atomic<domain_s::node*> src{seen};
+  std::size_t slot = 0;
+  {
+    domain_s::guard g(dom);
+    slot = g.slot();
+    g.protect(src);  // the parked slot's era covers the batch
+  }
+  std::thread retirer([&] {
+    {
+      domain_s::guard g(dom, static_cast<unsigned>(slot + 1));
+      for (auto* n : batch) g.retire(n);
+    }
+    dom.flush();  // the only occupied slot is the parked one
+  });
+  retirer.join();
+  EXPECT_EQ(freed(dom), 0u) << "the parked presence pins the batch";
+  EXPECT_EQ(dom.debug_ack(slot), 1) << "+HRef on insertion";
+  {
+    domain_s::guard g(dom);
+    EXPECT_EQ(g.slot(), slot);
+  }
+  EXPECT_EQ(freed(dom), 2u) << "the next exit leaves and frees";
+  EXPECT_EQ(ref(dom, slot), 0u);
+  EXPECT_EQ(dom.debug_ack(slot), 0);
+  delete seen;
+}
+
+TEST(HyalineS, NestedGuardInsideBurstGuardEntersAndLeaves) {
+  domain_s dom(burst_cfg());
+  std::size_t slot = 0;
+  {
+    domain_s::guard outer(dom);
+    slot = outer.slot();
+    {
+      domain_s::guard inner(dom);
+      EXPECT_EQ(inner.slot(), slot);
+      EXPECT_EQ(ref(dom, slot), 2u) << "the inner guard entered";
+    }
+    EXPECT_EQ(ref(dom, slot), 1u) << "the inner guard left";
+  }
+  EXPECT_EQ(ref(dom, slot), 1u) << "the outer guard parked";
+  dom.quiesce();
+  EXPECT_EQ(ref(dom, slot), 0u);
+  EXPECT_EQ(dom.debug_ack(slot), 0);
+}
+
+TEST(HyalineS, DrainLeavesPresenceOfExitedThread) {
+  domain_s dom(burst_cfg());
+  std::size_t slot = 0;
+  std::thread t([&] {
+    domain_s::guard g(dom);
+    slot = g.slot();
+    g.retire(make_node(dom));  // a partial batch: the list stays empty
+  });  // exits without flush() or quiesce()
+  t.join();
+  EXPECT_EQ(ref(dom, slot), 1u) << "the exited thread's presence";
+  dom.drain();
+  EXPECT_EQ(ref(dom, slot), 0u);
+  EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(freed(dom), 1u);
+  EXPECT_EQ(dom.debug_ack(slot), 0);
 }
 
 TEST(HyalineS, ConcurrentChurnWithDerefs) {

@@ -41,6 +41,16 @@ class HyalineTest : public ::testing::Test {
     return c;
   }
 
+  static config burst_cfg() {
+    config c = small_cfg();
+    c.entry_burst = 8;
+    return c;
+  }
+
+  static std::uint64_t ref(D& dom, std::size_t slot) {
+    return dom.debug_head(slot).ref;
+  }
+
   static typename D::node* make_node(D& dom) {
     auto* n = new typename D::node;
     dom.on_alloc(n);
@@ -263,6 +273,95 @@ TYPED_TEST(HyalineTest, TransparentGuardNeedsNoHint) {
     for (int i = 0; i < 3; ++i) g.retire(this->make_node(dom));
   }
   EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 3u);
+}
+
+// Burst entry (config::entry_burst): the transparent guard keeps the
+// thread's slot presence between guards while the slot's list is empty.
+
+TYPED_TEST(HyalineTest, BurstPresenceParksBetweenGuardsAndExpires) {
+  TypeParam dom(this->burst_cfg());
+  std::size_t slot = 0;
+  {
+    typename TypeParam::guard g(dom);
+    slot = g.slot();
+  }
+  EXPECT_EQ(this->ref(dom, slot), 1u) << "the first guard parked";
+  for (int i = 2; i < 8; ++i) {
+    {
+      typename TypeParam::guard g(dom);
+      EXPECT_EQ(g.slot(), slot) << "guard " << i << " adopts the presence";
+      EXPECT_EQ(this->ref(dom, slot), 1u) << "no second FAA";
+    }
+    EXPECT_EQ(this->ref(dom, slot), 1u) << "guard " << i << " parked";
+  }
+  { typename TypeParam::guard g(dom); }
+  EXPECT_EQ(this->ref(dom, slot), 0u) << "the 8th guard ends the burst";
+  { typename TypeParam::guard g(dom); }
+  EXPECT_EQ(this->ref(dom, slot), 1u) << "a new burst starts";
+  dom.quiesce();
+  EXPECT_EQ(this->ref(dom, slot), 0u) << "quiesce() leaves the presence";
+  EXPECT_EQ(dom.debug_head(slot).ptr, nullptr);
+}
+
+TYPED_TEST(HyalineTest, ParkedSlotReleasesForeignBatchAtNextGuardExit) {
+  TypeParam dom(this->burst_cfg());
+  std::size_t slot = 0;
+  {
+    typename TypeParam::guard g(dom);
+    slot = g.slot();
+  }
+  std::thread retirer([&] {
+    {
+      typename TypeParam::guard g(dom, static_cast<unsigned>(slot + 1));
+      for (int i = 0; i < 2; ++i) g.retire(this->make_node(dom));
+    }
+    dom.flush();  // the only occupied slot is the parked one
+  });
+  retirer.join();
+  EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed), 2u);
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 0u)
+      << "the parked presence pins the batch that arrived";
+  {
+    typename TypeParam::guard g(dom);
+    EXPECT_EQ(g.slot(), slot);
+  }
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 2u)
+      << "a non-empty list makes the next exit leave, and the leaver frees";
+  EXPECT_EQ(this->ref(dom, slot), 0u);
+}
+
+TYPED_TEST(HyalineTest, NestedGuardInsideBurstGuardEntersAndLeaves) {
+  TypeParam dom(this->burst_cfg());
+  std::size_t slot = 0;
+  {
+    typename TypeParam::guard outer(dom);
+    slot = outer.slot();
+    {
+      typename TypeParam::guard inner(dom);
+      EXPECT_EQ(inner.slot(), slot);
+      EXPECT_EQ(this->ref(dom, slot), 2u) << "the inner guard entered";
+    }
+    EXPECT_EQ(this->ref(dom, slot), 1u) << "the inner guard left";
+  }
+  EXPECT_EQ(this->ref(dom, slot), 1u) << "the outer guard parked";
+  dom.quiesce();
+  EXPECT_EQ(this->ref(dom, slot), 0u);
+}
+
+TYPED_TEST(HyalineTest, DrainLeavesPresenceOfExitedThread) {
+  TypeParam dom(this->burst_cfg());
+  std::size_t slot = 0;
+  std::thread t([&] {
+    typename TypeParam::guard g(dom);
+    slot = g.slot();
+    g.retire(this->make_node(dom));  // a partial batch: the list stays empty
+  });  // exits without flush() or quiesce()
+  t.join();
+  EXPECT_EQ(this->ref(dom, slot), 1u) << "the exited thread's presence";
+  dom.drain();
+  EXPECT_EQ(this->ref(dom, slot), 0u);
+  EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 1u);
 }
 
 TEST(HyalineConfig, RejectsNonPowerOfTwoSlots) {

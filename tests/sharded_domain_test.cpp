@@ -98,15 +98,17 @@ TEST(ShardedDomains, ShardedCellHistoriesStayLinearizable) {
 }
 
 TEST(ShardedDomains, BurstEntryComposesWithShards) {
-  // EBR and IBR amortize guard entry (caps.burst_entry); combine a live
-  // burst window with sharded retire lists and the ledger must still
-  // close — the drain clears every lingering reservation before scanning.
+  // EBR, IBR and the Hyaline family amortize guard entry
+  // (caps.burst_entry); combine a live burst window with sharded retire
+  // lists (Hyaline ignores retire_shards) and the ledger must still
+  // close — the drain clears every lingering reservation or parked slot
+  // presence before scanning or flushing.
   ASSERT_TRUE(hooks_installed);
   const auto& reg = harness::scheme_registry::instance();
   harness::workload_config cfg = contended_workload();
   cfg.duration_ms = 40;
 
-  for (const char* scheme : {"Epoch", "IBR"}) {
+  for (const char* scheme : {"Epoch", "IBR", "Hyaline", "Hyaline-S"}) {
     for (std::uint32_t burst : {1u, 8u, 64u}) {
       SCOPED_TRACE(std::string(scheme) + " burst=" +
                    std::to_string(burst));
@@ -131,6 +133,7 @@ TEST(ShardedDomains, BurstEntryComposesWithShards) {
   EXPECT_TRUE(reg.find("Epoch")->caps.burst_entry);
   EXPECT_TRUE(reg.find("IBR")->caps.burst_entry);
   EXPECT_TRUE(reg.find("Hyaline")->caps.burst_entry);
+  EXPECT_TRUE(reg.find("Hyaline-S")->caps.burst_entry);
   EXPECT_FALSE(reg.find("HP")->caps.burst_entry);
   EXPECT_FALSE(reg.find("HE")->caps.burst_entry);
 }
