@@ -17,8 +17,8 @@
 // Every SMR scheme in harness::smr_schemes is timed, and each must close
 // its leak ledger after the drain (exit 3 otherwise).
 //
-//   fig_opcost [--iters n] [--fastpath on|off] [--shards n|auto]
-//              [--schemes a,b,...] [--json path]
+//   fig_opcost [--iters n] [--fastpath on|off] [--schemes a,b,...]
+//              [--json path]
 //
 // CSV (scheme,op,ns_per_op) to stdout, followed by the paper's Table 1
 // columns the code vouches for (robust, pointer publication, trim), read
@@ -69,7 +69,6 @@ bool measure(const cli_options& o, std::vector<row>& rows) {
 
   scheme_params p;
   p.max_threads = 4;
-  p.retire_shards = o.fastpath ? o.shards : 0;
   p.entry_burst = o.fastpath ? 64 : 0;
   auto dom = scheme_traits<D>::make(p);
   using guard_t = typename D::guard;
@@ -181,8 +180,7 @@ int main(int argc, char** argv) {
     j += "  " + harness::provenance_json() + ",\n";
     j += "  \"config\": {\"iters\": " + std::to_string(o.iters) +
          ", \"fastpath\": \"" + (o.fastpath ? "on" : "off") +
-         "\", \"shards\": " + std::to_string(o.fastpath ? o.shards : 0) +
-         "},\n  \"rows\": [\n";
+         "\"},\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof buf,

@@ -81,14 +81,14 @@ bool write_json(const std::string& path, const harness::cli_options& o,
       "%llu, \"prefill\": %zu, \"mix\": {\"insert\": %u, \"remove\": %u, "
       "\"get\": %u}, \"duration_ms\": %u, \"sample_ms\": %u, "
       "\"churn_ms\": %u, \"tenant_script\": \"%s\", \"slo\": \"%s\", "
-      "\"seed\": %llu, \"retire_shards\": %u, %s},\n",
+      "\"seed\": %llu, %s},\n",
       cfg.shards, cfg.tenants, cfg.rate_ops_s,
       cfg.arrival == arrival_kind::fixed ? "fixed" : "poisson",
       cfg.zipf_theta, static_cast<unsigned long long>(cfg.key_range),
       cfg.prefill, cfg.insert_pct, cfg.remove_pct, cfg.get_pct,
       cfg.duration_ms, cfg.sample_ms, cfg.churn_period_ms,
       cfg.script != nullptr ? cfg.script->spec.c_str() : "",
-      slo.text.c_str(), static_cast<unsigned long long>(o.seed), o.shards,
+      slo.text.c_str(), static_cast<unsigned long long>(o.seed),
       harness::provenance_json().c_str());
   std::fprintf(f, "  \"series\": [");
   bool first = true;
@@ -120,11 +120,10 @@ bool write_json(const std::string& path, const harness::cli_options& o,
                  r.lag_p50_ns, r.lag_p99_ns,
                  static_cast<unsigned long long>(r.lag_max_ns));
     std::fprintf(f,
-                 "     \"counters\": {\"scans\": %llu, \"steals\": %llu, "
-                 "\"rearms\": %llu, \"finalizes\": %llu, "
-                 "\"era_advances\": %llu, \"tid_acquires\": %llu},\n",
+                 "     \"counters\": {\"scans\": %llu, \"rearms\": %llu, "
+                 "\"finalizes\": %llu, \"era_advances\": %llu, "
+                 "\"tid_acquires\": %llu},\n",
                  static_cast<unsigned long long>(r.obs.scans),
-                 static_cast<unsigned long long>(r.obs.steals),
                  static_cast<unsigned long long>(r.obs.rearms),
                  static_cast<unsigned long long>(r.obs.finalizes),
                  static_cast<unsigned long long>(r.obs.era_advances),
@@ -281,7 +280,6 @@ int main(int argc, char** argv) {
   bool violated = false;
   for (const std::string& name : lineup) {
     harness::scheme_params p;
-    p.retire_shards = o.shards;
     p.ack_threshold = 512;  // scaled to short runs, as in fig10a
     const harness::scheme_registry::entry* e = reg.find(name);
     scheme_report rep;

@@ -12,12 +12,11 @@
 // dropping one orphans the historical series.
 //
 //   sweep [--out path] [--threads n] [--duration ms] [--repeats n]
-//         [--seed n] [--fastpath on|off] [--shards n|auto]
-//         [--schemes a,b,...]
+//         [--seed n] [--fastpath on|off] [--schemes a,b,...]
 //
 // --fastpath off disables the per-op fast path (slab allocator, guard
-// entry amortization, sharded retire) so a single binary can measure its
-// own before/after on the same machine.
+// entry amortization) so a single binary can measure its own
+// before/after on the same machine.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -89,10 +88,9 @@ struct out_point {
   double mops;
   double unreclaimed_peak;
   bool external;
-  // How often each reclamation mechanism ran: a scan storm or a steal
-  // loop shows here before it shows in mops.
-  double scans_per_kop, steals_per_kop, finalizes_per_kop,
-      era_advances_per_kop;
+  // How often each reclamation mechanism ran: a scan storm shows here
+  // before it shows in mops.
+  double scans_per_kop, finalizes_per_kop, era_advances_per_kop;
 };
 
 }  // namespace
@@ -114,7 +112,6 @@ int main(int argc, char** argv) {
   } else {
     smr::core::slab::set_enabled(false);
   }
-  const unsigned shards = o.fastpath ? o.shards : 0;
   const std::uint32_t entry_burst = o.fastpath ? 64 : 0;
 
   // The SMR lineup is the nine core schemes; external baselines (the
@@ -181,7 +178,6 @@ int main(int argc, char** argv) {
 
       scheme_params p;
       p.max_threads = plan.lease_headroom(threads);
-      p.retire_shards = shards;
       p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
@@ -197,7 +193,6 @@ int main(int argc, char** argv) {
                         static_cast<double>(r.unreclaimed_peak),
                         scheme.external_baseline,
                         per_kop(r.obs.scans, r.total_ops),
-                        per_kop(r.obs.steals, r.total_ops),
                         per_kop(r.obs.finalizes, r.total_ops),
                         per_kop(r.obs.era_advances, r.total_ops)});
       std::fprintf(stderr, "%-10s %-10s x %-14s %8s mops  peak=%llu\n",
@@ -214,8 +209,7 @@ int main(int argc, char** argv) {
   j += "  " + harness::provenance_json() + ",\n";
   j += "  \"config\": {\"fastpath\": \"" +
        std::string(o.fastpath ? "on" : "off") +
-       "\", \"shards\": " + std::to_string(shards) +
-       ", \"duration_ms\": " + std::to_string(o.duration_ms) +
+       "\", \"duration_ms\": " + std::to_string(o.duration_ms) +
        ", \"repeats\": " + std::to_string(o.repeats) +
        ", \"threads\": " + std::to_string(threads) + "},\n";
   j += "  \"cells\": [\n";
@@ -228,7 +222,6 @@ int main(int argc, char** argv) {
          ", \"unreclaimed_peak\": " + fixed(pt.unreclaimed_peak, 0) +
          ", \"external\": " + (pt.external ? "true" : "false") +
          ", \"scans_per_kop\": " + fixed(pt.scans_per_kop, 4) +
-         ", \"steals_per_kop\": " + fixed(pt.steals_per_kop, 4) +
          ", \"finalizes_per_kop\": " + fixed(pt.finalizes_per_kop, 4) +
          ", \"era_advances_per_kop\": " +
          fixed(pt.era_advances_per_kop, 4) + "}";

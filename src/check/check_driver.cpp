@@ -128,7 +128,6 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
       harness::scheme_params p;
       p.max_threads = plan.lease_headroom(threads);
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
-      p.retire_shards = o.shards;
       const auto t0 = std::chrono::steady_clock::now();
       const harness::workload_result r = cell.run(p, cfg);
       auto history = rec.collect();

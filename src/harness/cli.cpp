@@ -10,8 +10,6 @@
 #include <iterator>
 #include <limits>
 
-#include "common/topology.hpp"
-
 namespace hyaline::harness {
 namespace {
 
@@ -138,14 +136,6 @@ constexpr flag_row kFlags[] = {
     {flag::consumers, "--consumers", "a,b,...",
      "consumer-thread counts (a singleton list broadcasts)",
      set_list<&O::consumers>},
-    {flag::shards, "--shards", "n|auto",
-     "retired-node shards for EBR, IBR, HP, HE, Leaky (0 = per-thread "
-     "lists; auto = from the topology)",
-     [](O& o, const char* v) {
-       if (std::strcmp(v, "auto") != 0) return to_uint(v, &o.shards);
-       o.shards = default_retire_shards();
-       return true;
-     }},
     {flag::seed, "--seed", "n",
      "base PRNG seed of every generator, hex accepted (echoed in the "
      "output)",
@@ -215,7 +205,7 @@ constexpr flag_row kFlags[] = {
     {flag::out, "--out", "path", "trajectory file to write",
      set_text<&O::out>},
     {flag::fastpath, "--fastpath", "on|off",
-     "off disables the slab allocator, entry bursts and sharded retire",
+     "off disables the slab allocator and entry bursts",
      [](O& o, const char* v) {
        o.fastpath = std::strcmp(v, "on") == 0;
        return o.fastpath || std::strcmp(v, "off") == 0;

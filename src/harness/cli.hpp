@@ -4,8 +4,8 @@
 // help line and value check. Each binary passes the set of flags it
 // honours (the k*Flags sets below) to parse_cli, which exits 2 on any
 // other flag, naming it; `--help` lists exactly that set. A value that
-// fails its check — trailing characters included (`--shards 3x`,
-// `--iters 1e5`) — also exits 2.
+// fails its check — trailing characters included (`--iters 1e5`,
+// `--duration 1e3`) — also exits 2.
 //
 // Duplicate entries in the --schemes, --threads, and --stalled lists are
 // deduplicated with a warning: each would silently re-run (and re-plot)
@@ -40,7 +40,7 @@ inline constexpr const char* kCsvColumns[] = {
 /// run one thread count.
 enum class flag : unsigned {
   threads, thread_count, stalled, duration, repeats, prefill, range,
-  schemes, mix, producers, consumers, shards, seed, faults, sample_ms,
+  schemes, mix, producers, consumers, seed, faults, sample_ms,
   structure, lat_sample, trace, metrics, json, mutate, counterexample,
   svc_shards, tenants, rate, skew, arrival, tenant_script, slo, churn,
   full, out, fastpath, iters,
@@ -74,38 +74,37 @@ class flag_set {
 /// fig10b_trim.
 inline constexpr flag_set kFigureFlags = {
     flag::threads, flag::duration,   flag::repeats, flag::prefill,
-    flag::range,   flag::schemes,    flag::mix,     flag::shards,
-    flag::seed,    flag::lat_sample, flag::trace,   flag::json,
-    flag::full};
+    flag::range,   flag::schemes,    flag::mix,     flag::seed,
+    flag::lat_sample, flag::trace,   flag::json,    flag::full};
 /// fig10a_robustness: one active-thread count, a stalled-thread sweep.
 inline constexpr flag_set kRobustnessFlags = {
     flag::thread_count, flag::stalled,    flag::duration, flag::repeats,
     flag::prefill,      flag::range,      flag::schemes,  flag::mix,
-    flag::shards,       flag::seed,       flag::lat_sample, flag::trace,
-    flag::json,         flag::full};
+    flag::seed,         flag::lat_sample, flag::trace,    flag::json,
+    flag::full};
 /// fig_queue: the producer/consumer split instead of the set-only knobs.
 inline constexpr flag_set kContainerFlags = {
     flag::producers, flag::consumers,  flag::duration, flag::repeats,
-    flag::prefill,   flag::schemes,    flag::shards,   flag::seed,
-    flag::lat_sample, flag::trace,     flag::json,     flag::full};
+    flag::prefill,   flag::schemes,    flag::seed,     flag::lat_sample,
+    flag::trace,     flag::json,       flag::full};
 /// fig_timeline: one thread count, one repetition, scripted faults.
 inline constexpr flag_set kTimelineFlags = {
     flag::thread_count, flag::duration,   flag::prefill, flag::range,
-    flag::mix,          flag::schemes,    flag::shards,  flag::seed,
-    flag::lat_sample,   flag::trace,      flag::json,    flag::faults,
-    flag::sample_ms,    flag::structure};
+    flag::mix,          flag::schemes,    flag::seed,    flag::lat_sample,
+    flag::trace,        flag::json,       flag::faults,  flag::sample_ms,
+    flag::structure};
 /// fig_service: sized by tenants; every paced op is timed.
 inline constexpr flag_set kServiceFlags = {
-    flag::duration,      flag::prefill,    flag::range,   flag::mix,
-    flag::schemes,       flag::shards,     flag::seed,    flag::trace,
-    flag::json,          flag::metrics,    flag::sample_ms, flag::svc_shards,
-    flag::tenants,       flag::rate,       flag::skew,    flag::arrival,
-    flag::tenant_script, flag::slo,        flag::churn};
+    flag::duration,  flag::prefill,   flag::range,      flag::mix,
+    flag::schemes,   flag::seed,      flag::trace,      flag::json,
+    flag::metrics,   flag::sample_ms, flag::svc_shards, flag::tenants,
+    flag::rate,      flag::skew,      flag::arrival,    flag::tenant_script,
+    flag::slo,       flag::churn};
 /// check: the linearizability oracle.
 inline constexpr flag_set kCheckFlags = {
     flag::thread_count, flag::duration, flag::prefill,   flag::range,
-    flag::mix,          flag::schemes,  flag::shards,    flag::seed,
-    flag::faults,       flag::structure, flag::mutate,   flag::counterexample};
+    flag::mix,          flag::schemes,  flag::seed,      flag::faults,
+    flag::structure,    flag::mutate,   flag::counterexample};
 /// ablation_hyaline: a fixed Hyaline variant line-up over the hash map.
 inline constexpr flag_set kAblationFlags = {
     flag::threads, flag::duration, flag::repeats,    flag::prefill,
@@ -113,10 +112,10 @@ inline constexpr flag_set kAblationFlags = {
 /// sweep: the pinned trajectory line-up.
 inline constexpr flag_set kSweepFlags = {
     flag::out,  flag::thread_count, flag::duration, flag::repeats,
-    flag::seed, flag::fastpath,     flag::shards,   flag::schemes};
+    flag::seed, flag::fastpath,     flag::schemes};
 /// fig_opcost: single-threaded primitive timings.
 inline constexpr flag_set kOpcostFlags = {
-    flag::iters, flag::fastpath, flag::shards, flag::schemes, flag::json};
+    flag::iters, flag::fastpath, flag::schemes, flag::json};
 
 struct cli_options {
   std::vector<unsigned> threads;
@@ -136,10 +135,6 @@ struct cli_options {
   /// Base PRNG seed for every workload generator (default matches
   /// workload_config's).
   std::uint64_t seed = 0x5eed;
-  /// Retired-node shard count plumbed into scheme_params::retire_shards
-  /// (0 = classic lists; `--shards auto` resolves via
-  /// hyaline::default_retire_shards()).
-  unsigned shards = 0;
   /// Robustness-lab knobs. `faults` is the raw spec text — parsed and
   /// validated by load_fault_plan, which knows the thread count.
   std::string faults;

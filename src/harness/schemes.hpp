@@ -33,9 +33,6 @@ struct scheme_params {
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
   std::size_t batch_min = 64;
   std::int64_t ack_threshold = 8192;  ///< Hyaline-S stalled-slot detection
-  /// Retired-node shard count for schemes that support it (EBR, IBR, HP,
-  /// HE, Leaky). 0 = classic per-thread (or global, for Leaky) lists.
-  unsigned retire_shards = 0;
   /// Amortized guard entry burst for caps.burst_entry schemes (EBR and
   /// IBR reservations, Hyaline and Hyaline-S slot presences). Harness
   /// default is on — the workload runners quiesce idle/exiting threads,
@@ -59,8 +56,7 @@ struct scheme_traits<smr::leaky_domain> {
   static constexpr const char* name = "Leaky";
   static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::leaky_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::leaky_domain>(p.max_threads,
-                                               p.retire_shards);
+    return std::make_unique<smr::leaky_domain>(p.max_threads);
   }
 };
 
@@ -79,8 +75,7 @@ struct scheme_traits<smr::ebr_domain> {
   static std::unique_ptr<smr::ebr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ebr_domain>(
         smr::ebr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst,
-                        .retire_shards = p.retire_shards});
+                        .entry_burst = p.entry_burst});
   }
 };
 
@@ -89,8 +84,8 @@ struct scheme_traits<smr::hp_domain> {
   static constexpr const char* name = "HP";
   static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::hp_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::hp_domain>(smr::hp_config{
-        .max_threads = p.max_threads, .retire_shards = p.retire_shards});
+    return std::make_unique<smr::hp_domain>(
+        smr::hp_config{.max_threads = p.max_threads});
   }
 };
 
@@ -99,8 +94,8 @@ struct scheme_traits<smr::he_domain> {
   static constexpr const char* name = "HE";
   static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::he_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::he_domain>(smr::he_config{
-        .max_threads = p.max_threads, .retire_shards = p.retire_shards});
+    return std::make_unique<smr::he_domain>(
+        smr::he_config{.max_threads = p.max_threads});
   }
 };
 
@@ -111,8 +106,7 @@ struct scheme_traits<smr::ibr_domain> {
   static std::unique_ptr<smr::ibr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ibr_domain>(
         smr::ibr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst,
-                        .retire_shards = p.retire_shards});
+                        .entry_burst = p.entry_burst});
   }
 };
 

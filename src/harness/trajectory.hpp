@@ -12,21 +12,22 @@
 //     "bench": "sweep", "version": 1, "seed": <n>,
 //     "provenance": {"git_sha": "...", "compiler": "...",
 //                    "cpu_model": "...", "hw_threads": <n>},
-//     "config": {"fastpath": "on"|"off", "shards": <n>,
-//                "duration_ms": <n>, "repeats": <n>, "threads": <n>},
+//     "config": {"fastpath": "on"|"off", "duration_ms": <n>,
+//                "repeats": <n>, "threads": <n>},
 //     "cells": [
 //       {"cell": "<lineup cell name>", "structure": "<registry name>",
 //        "scheme": "<registry name>", "threads": <n>, "mops": <x>,
 //        "unreclaimed_peak": <x>, "external": <bool>,
-//        "scans_per_kop": <x>, "steals_per_kop": <x>,
-//        "finalizes_per_kop": <x>, "era_advances_per_kop": <x>}, ...
+//        "scans_per_kop": <x>, "finalizes_per_kop": <x>,
+//        "era_advances_per_kop": <x>}, ...
 //     ]
 //   }
 // `external` marks honesty-baseline rows (the coarse-mutex cells): they
 // are reported but never participate in SMR regression comparisons.
-// The four `*_per_kop` rates (mechanism events per thousand ops, prefill
+// The three `*_per_kop` rates (mechanism events per thousand ops, prefill
 // and drain included) are written by sweep but not loaded or compared
-// yet: files written before them lack them and still load.
+// yet: files written before them lack them and still load. BENCH_6.json's
+// `config.shards` and `steals_per_kop` keys load as unknown fields.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,6 @@ struct sweep_file {
   std::string compiler;
   std::string cpu_model;
   std::string fastpath;  ///< "on" / "off" (empty if absent)
-  unsigned shards = 0;
   std::vector<sweep_point> points;
 };
 

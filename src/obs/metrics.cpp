@@ -26,8 +26,6 @@ constexpr counter_field kCounters[] = {
      &smr::stats_snapshot::freed},
     {"smr_scans_total", "Reclamation passes over a retired set.",
      &smr::stats_snapshot::scans},
-    {"smr_steals_total", "Scans of a neighbour's retired shard.",
-     &smr::stats_snapshot::steals},
     {"smr_rearms_total", "Adaptive rescan-point resets.",
      &smr::stats_snapshot::rearms},
     {"smr_batch_finalizes_total", "Hyaline batch finalizations.",

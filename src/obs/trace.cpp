@@ -226,7 +226,6 @@ const char* event_name(event ev) {
     case event::retire: return "retire";
     case event::scan_begin: return "scan";
     case event::scan_end: return "scan";
-    case event::shard_steal: return "shard_steal";
     case event::batch_finalize: return "batch_finalize";
     case event::free_node: return "free";
     case event::era_advance: return "era_advance";

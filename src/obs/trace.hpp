@@ -1,9 +1,9 @@
 // SMR-internals event tracer: compile-always, zero-overhead-when-off.
 //
 // Every scheme and core primitive calls `obs::emit(event, arg)` at its
-// interesting moments (guard enter/exit, retire, scan begin/end, shard
-// steal, batch finalize, free, era advance, slab remote-drain, fault-lab
-// stall windows). The off path — the only path benchmarks ever take — is
+// interesting moments (guard enter/exit, retire, scan begin/end, batch
+// finalize, free, era advance, slab remote-drain, fault-lab stall
+// windows). The off path — the only path benchmarks ever take — is
 // one relaxed load of a global flag word plus a predicted-not-taken
 // branch; `bench_diff` against the committed trajectory proves the cost
 // is below noise (see README "Observability").
@@ -46,7 +46,6 @@ enum class event : std::uint32_t {
   retire,             // arg = node address
   scan_begin,         // pair-begin: reclamation scan over a retired set
   scan_end,           // pair-end:   arg = nodes freed by the scan
-  shard_steal,        // arg = shard index stolen from
   batch_finalize,     // arg = batch size (Hyaline family)
   free_node,          // arg = node address
   era_advance,        // arg = new era value

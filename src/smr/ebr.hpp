@@ -9,10 +9,8 @@
 // reclamation globally — the non-robustness that Figure 10a demonstrates.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
 #include "common/align.hpp"
@@ -40,11 +38,6 @@ struct ebr_config {
   /// harness quiesces threads that stop taking guards (see workload.hpp).
   /// 0 (the default) reproduces classic enter/leave exactly.
   std::uint32_t entry_burst = 0;
-  /// Retired-node sharding: 0 keeps the classic per-thread limbo lists;
-  /// N > 0 routes retires into N concurrent shards (tid % N) scanned on a
-  /// size threshold with neighbour stealing, so reclamation no longer
-  /// depends on the retiring thread coming back.
-  unsigned retire_shards = 0;
 };
 
 class ebr_domain {
@@ -61,12 +54,6 @@ class ebr_domain {
 
   explicit ebr_domain(ebr_config cfg = {})
       : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
-    if (cfg_.retire_shards != 0) {
-      sharded_ =
-          std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      shard_threshold_ = std::max<std::size_t>(64, 2 * cfg_.max_threads);
-      sharded_->attach(&stats_->events);
-    }
     epoch_.attach(&stats_->events);
     recs_.pool()->attach(&stats_->events);
     for (rec& r : recs_) r.limbo.attach(&stats_->events);
@@ -175,9 +162,6 @@ class ebr_domain {
       }
     }
     for (int i = 0; i < 3; ++i) try_advance();
-    if (sharded_ != nullptr) {
-      for (unsigned s = 0; s < sharded_->shards(); ++s) scan_shard(s);
-    }
     for (unsigned t = 0; t < recs_.size(); ++t) reclaim(t);
   }
 
@@ -215,20 +199,6 @@ class ebr_domain {
     // the true epoch can still be live (the advance that frees does not
     // wait for it) — a real use-after-free, so this stays strong.
     n->retire_epoch = epoch_.load(std::memory_order_seq_cst);
-    if (sharded_ != nullptr) {
-      const unsigned s = sharded_->shard_of(tid);
-      const bool hot = sharded_->push(s, n, shard_threshold_);
-      if (++r.retire_count % cfg_.advance_freq == 0) try_advance();
-      if (hot) {
-        scan_shard(s);
-        const unsigned nb = (s + 1) % sharded_->shards();
-        if (nb != s && sharded_->hot(nb, shard_threshold_)) {
-          // steal-on-scan: the neighbour's group is idle
-          scan_shard(nb, /*steal=*/true);
-        }
-      }
-      return;
-    }
     r.limbo.push_back(n);
     if (++r.retire_count % cfg_.advance_freq == 0) {
       try_advance();
@@ -268,20 +238,9 @@ class ebr_domain {
         [this](node* n) { stats_->free_node(n); });
   }
 
-  void scan_shard(unsigned s, bool steal = false) {
-    // Audit(ebr-reclaim-load): acquire, same argument as reclaim().
-    const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    sharded_->scan(
-        s, shard_threshold_,
-        [e](const node* n) { return n->retire_epoch + 2 <= e; },
-        [this](node* n) { stats_->free_node(n); }, steal);
-  }
-
   const ebr_config cfg_;
   core::thread_registry<rec> recs_;
   core::era_clock epoch_{2};
-  std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
-  std::size_t shard_threshold_ = 0;
   padded_stats stats_;
 };
 

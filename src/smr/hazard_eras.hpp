@@ -11,7 +11,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
 #include "common/align.hpp"
@@ -33,9 +32,6 @@ struct he_config {
   std::uint64_t era_freq = 64;
   /// Scan this thread's retired list at this size (0 = auto).
   std::size_t scan_threshold = 0;
-  /// Retired-node sharding (see ebr_config::retire_shards). 0 = classic
-  /// per-thread lists. Era publication stays per-thread either way.
-  unsigned retire_shards = 0;
 };
 
 class he_domain {
@@ -65,11 +61,6 @@ class he_domain {
       : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
     if (cfg_.scan_threshold == 0) {
       cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads} * max_hazards;
-    }
-    if (cfg_.retire_shards != 0) {
-      sharded_ =
-          std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      sharded_->attach(&stats_->events);
     }
     era_.attach(&stats_->events);
     recs_.pool()->attach(&stats_->events);
@@ -158,9 +149,6 @@ class he_domain {
   };
 
   void drain() {
-    if (sharded_ != nullptr) {
-      for (unsigned s = 0; s < sharded_->shards(); ++s) scan_shard(s);
-    }
     for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
   }
 
@@ -191,17 +179,6 @@ class he_domain {
     // can_free miss a published era that still covers the node — early
     // free, so this read stays in the total order.
     n->retire_era = era_.load(std::memory_order_seq_cst);
-    if (sharded_ != nullptr) {
-      const unsigned s = sharded_->shard_of(tid);
-      if (sharded_->push(s, n, cfg_.scan_threshold)) {
-        scan_shard(s);
-        const unsigned nb = (s + 1) % sharded_->shards();
-        if (nb != s && sharded_->hot(nb, cfg_.scan_threshold)) {
-          scan_shard(nb, /*steal=*/true);
-        }
-      }
-      return;
-    }
     rec& r = recs_[tid];
     if (r.retired.push(n, cfg_.scan_threshold)) {
       scan(tid);
@@ -228,17 +205,9 @@ class he_domain {
         [this](node* n) { stats_->free_node(n); });
   }
 
-  void scan_shard(unsigned s, bool steal = false) {
-    sharded_->scan(
-        s, cfg_.scan_threshold,
-        [this](const node* n) { return can_free(n); },
-        [this](node* n) { stats_->free_node(n); }, steal);
-  }
-
   he_config cfg_;
   core::thread_registry<rec> recs_;
   core::era_clock era_{1};
-  std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
   padded_stats stats_;
 };
 

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
 #include "common/align.hpp"
@@ -38,9 +37,6 @@ struct ibr_config {
   /// (protect() still extends hi per acquisition), so robustness degrades
   /// only by the bounded burst length. 0 (default) = classic enter/leave.
   std::uint32_t entry_burst = 0;
-  /// Retired-node sharding (see ebr_config::retire_shards). 0 = classic
-  /// per-thread lists.
-  unsigned retire_shards = 0;
 };
 
 class ibr_domain {
@@ -65,11 +61,6 @@ class ibr_domain {
       : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
     if (cfg_.scan_threshold == 0) {
       cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads};
-    }
-    if (cfg_.retire_shards != 0) {
-      sharded_ =
-          std::make_unique<core::sharded_retire<node>>(cfg_.retire_shards);
-      sharded_->attach(&stats_->events);
     }
     era_.attach(&stats_->events);
     recs_.pool()->attach(&stats_->events);
@@ -201,9 +192,6 @@ class ibr_domain {
         r.hi.store(0, std::memory_order_release);
       }
     }
-    if (sharded_ != nullptr) {
-      for (unsigned s = 0; s < sharded_->shards(); ++s) scan_shard(s);
-    }
     for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
   }
 
@@ -239,17 +227,6 @@ class ibr_domain {
     // interval, so can_free misses reservations that still cover it and
     // frees early — this read must stay in the total order.
     n->retire_era = era_.load(std::memory_order_seq_cst);
-    if (sharded_ != nullptr) {
-      const unsigned s = sharded_->shard_of(tid);
-      if (sharded_->push(s, n, cfg_.scan_threshold)) {
-        scan_shard(s);
-        const unsigned nb = (s + 1) % sharded_->shards();
-        if (nb != s && sharded_->hot(nb, cfg_.scan_threshold)) {
-          scan_shard(nb, /*steal=*/true);
-        }
-      }
-      return;
-    }
     rec& r = recs_[tid];
     if (r.retired.push(n, cfg_.scan_threshold)) {
       scan(tid);
@@ -278,17 +255,9 @@ class ibr_domain {
         [this](node* n) { stats_->free_node(n); });
   }
 
-  void scan_shard(unsigned s, bool steal = false) {
-    sharded_->scan(
-        s, cfg_.scan_threshold,
-        [this](const node* n) { return can_free(n); },
-        [this](node* n) { stats_->free_node(n); }, steal);
-  }
-
   ibr_config cfg_;
   core::thread_registry<rec> recs_;
   core::era_clock era_{1};
-  std::unique_ptr<core::sharded_retire<node>> sharded_;  // null = classic
   padded_stats stats_;
 };
 

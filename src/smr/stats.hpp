@@ -7,8 +7,8 @@
 //
 // Three surfaces live here:
 //   - the alloc/retire/free ledgers,
-//   - `domain_counters`: mechanism-level event counts (scans, steals,
-//     rearms, batch finalizes, era advances, tid acquires) bumped by the
+//   - `domain_counters`: mechanism-level event counts (scans, rearms,
+//     batch finalizes, era advances, tid acquires) bumped by the
 //     core primitives every scheme is built from, so all 12 schemes report
 //     them uniformly without per-scheme bookkeeping,
 //   - `lag_counters`: a log-bucketed retire->free lag histogram (same
@@ -49,18 +49,16 @@
 namespace hyaline::smr {
 
 /// Mechanism-level event counters, bumped (relaxed) by the core retired-set
-/// primitives and the schemes' steal/finalize call sites. Monotone
-/// statistics only — never synchronization.
+/// primitives and the schemes' finalize call sites. Monotone statistics
+/// only — never synchronization.
 struct domain_counters {
   std::atomic<std::uint64_t> scans{0};      // reclamation passes over a retired set
-  std::atomic<std::uint64_t> steals{0};     // scans of a neighbour's shard
   std::atomic<std::uint64_t> rearms{0};     // adaptive rescan-point resets
   std::atomic<std::uint64_t> finalizes{0};  // Hyaline batch finalizations
   std::atomic<std::uint64_t> era_advances{0};
   std::atomic<std::uint64_t> tid_acquires{0};  // slow-path tid pool checkouts
 
   void on_scan() { scans.fetch_add(1, std::memory_order_relaxed); }
-  void on_steal() { steals.fetch_add(1, std::memory_order_relaxed); }
   void on_rearm() { rearms.fetch_add(1, std::memory_order_relaxed); }
   void on_finalize() { finalizes.fetch_add(1, std::memory_order_relaxed); }
   void on_era_advance() {
@@ -138,6 +136,7 @@ struct stats_snapshot {
   std::uint64_t retired = 0;
   std::uint64_t freed = 0;
   std::uint64_t scans = 0;
+  /// Always 0; kept because perfbench/src/common.hpp copies it.
   std::uint64_t steals = 0;
   std::uint64_t rearms = 0;
   std::uint64_t finalizes = 0;
@@ -153,7 +152,6 @@ struct stats_snapshot {
     retired += o.retired;
     freed += o.freed;
     scans += o.scans;
-    steals += o.steals;
     rearms += o.rearms;
     finalizes += o.finalizes;
     era_advances += o.era_advances;
@@ -251,7 +249,6 @@ struct stats {
     }
     for (std::uint64_t n : s.lag_bucket) s.lag_count += n;
     s.scans = events.scans.load(std::memory_order_relaxed);
-    s.steals = events.steals.load(std::memory_order_relaxed);
     s.rearms = events.rearms.load(std::memory_order_relaxed);
     s.finalizes = events.finalizes.load(std::memory_order_relaxed);
     s.era_advances = events.era_advances.load(std::memory_order_relaxed);

@@ -86,7 +86,7 @@ struct service_result {
   double duration_s = 0;
   double mops = 0;
   /// Domain counters summed across every shard domain after shutdown
-  /// (scans/steals/finalizes and the retire->free lag histogram).
+  /// (scans/finalizes and the retire->free lag histogram).
   smr::stats_snapshot obs;
   /// Retire->free lag percentiles (ns) over all shards; zero when lag
   /// tracking was off.

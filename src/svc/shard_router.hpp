@@ -1,10 +1,10 @@
 // Service scenario, part 2: the sharded KV front end.
 //
-// N shards, each owning its *own* SMR domain (riding scheme_params'
-// retire_shards inside each one) plus a michael_hashmap over it. Sharding
-// the domain — not just the table — is the point: a stalled tenant pins
-// reservations in exactly one shard's domain, so the blast radius of a
-// stall-in-guard fault is one shard while the others keep reclaiming.
+// N shards, each owning its *own* SMR domain plus a michael_hashmap over
+// it. Sharding the domain — not just the table — is the point: a stalled
+// tenant pins reservations in exactly one shard's domain, so the blast
+// radius of a stall-in-guard fault is one shard while the others keep
+// reclaiming.
 // Key→shard routing mixes the key first so the Zipfian head ranks
 // (0, 1, 2, ...) do not land on consecutive shards with the tail's load
 // still skewed.

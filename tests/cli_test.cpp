@@ -143,14 +143,14 @@ TEST(CliTest, SingleThreadCountParsesOneValue) {
   EXPECT_TRUE(o.given.has(flag::thread_count));
 }
 
-// Each binary's whole accepted set, as listed by its --help: 13 flags on
-// each of the five set figures, then 14, 12, 14, 19, 12, 8, 8 and 5 —
-// 157 (binary, flag) pairs.
+// Each binary's whole accepted set, as listed by its --help: 12 flags on
+// each of the five set figures, then 13, 11, 13, 18, 11, 8, 7 and 4 —
+// 145 (binary, flag) pairs.
 TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   const std::set<std::string> set_figure = {
-      "--threads", "--duration", "--repeats", "--prefill", "--range",
-      "--schemes", "--mix",      "--shards",  "--seed",    "--lat-sample",
-      "--trace",   "--json",     "--full"};
+      "--threads",    "--duration", "--repeats", "--prefill",
+      "--range",      "--schemes",  "--mix",     "--seed",
+      "--lat-sample", "--trace",    "--json",    "--full"};
   std::set<std::string> robustness = set_figure;
   robustness.insert("--stalled");
   EXPECT_EQ(listed(figure_flags(figure_kind::matrix)), set_figure);
@@ -159,27 +159,26 @@ TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   EXPECT_EQ(listed(figure_flags(figure_kind::container)),
             (std::set<std::string>{"--producers", "--consumers", "--duration",
                                    "--repeats", "--prefill", "--schemes",
-                                   "--shards", "--seed", "--lat-sample",
-                                   "--trace", "--json", "--full"}));
+                                   "--seed", "--lat-sample", "--trace",
+                                   "--json", "--full"}));
   EXPECT_EQ(listed(figure_flags(figure_kind::timeline)),
             (std::set<std::string>{"--threads", "--duration", "--prefill",
                                    "--range", "--mix", "--schemes",
-                                   "--shards", "--seed", "--lat-sample",
-                                   "--trace", "--json", "--faults",
-                                   "--sample-ms", "--structure"}));
+                                   "--seed", "--lat-sample", "--trace",
+                                   "--json", "--faults", "--sample-ms",
+                                   "--structure"}));
   EXPECT_EQ(listed(kServiceFlags),
             (std::set<std::string>{
                 "--duration", "--prefill", "--range", "--mix", "--schemes",
-                "--shards", "--seed", "--trace", "--json", "--metrics",
+                "--seed", "--trace", "--json", "--metrics",
                 "--sample-ms", "--svc-shards", "--tenants", "--rate",
                 "--skew", "--arrival", "--tenant-script", "--slo",
                 "--churn"}));
   EXPECT_EQ(listed(kCheckFlags),
             (std::set<std::string>{"--threads", "--duration", "--prefill",
                                    "--range", "--mix", "--schemes",
-                                   "--shards", "--seed", "--faults",
-                                   "--structure", "--mutate",
-                                   "--counterexample"}));
+                                   "--seed", "--faults", "--structure",
+                                   "--mutate", "--counterexample"}));
   EXPECT_EQ(listed(kAblationFlags),
             (std::set<std::string>{"--threads", "--duration", "--repeats",
                                    "--prefill", "--range", "--seed",
@@ -187,10 +186,10 @@ TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   EXPECT_EQ(listed(kSweepFlags),
             (std::set<std::string>{"--out", "--threads", "--duration",
                                    "--repeats", "--seed", "--fastpath",
-                                   "--shards", "--schemes"}));
+                                   "--schemes"}));
   EXPECT_EQ(listed(kOpcostFlags),
-            (std::set<std::string>{"--iters", "--fastpath", "--shards",
-                                   "--schemes", "--json"}));
+            (std::set<std::string>{"--iters", "--fastpath", "--schemes",
+                                   "--json"}));
 }
 
 // Fork-free death tests: each EXPECT_EXIT re-runs this binary up to the
@@ -244,8 +243,6 @@ TEST_F(CliDeathTest, SingleThreadCountRejectsALists) {
 }
 
 TEST_F(CliDeathTest, NumbersRejectTrailingCharacters) {
-  EXPECT_EXIT(parse(kOpcostFlags, {"--shards", "3x"}), ExitedWithCode(2),
-              "--shards: bad value '3x'");
   EXPECT_EXIT(parse(kOpcostFlags, {"--iters", "1e5"}), ExitedWithCode(2),
               "--iters: bad value '1e5'");
   EXPECT_EXIT(parse(kFigureFlags, {"--duration", "1e3"}), ExitedWithCode(2),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "common/debug_alloc.hpp"
 #include "ds_test_common.hpp"
@@ -74,6 +75,48 @@ TEST(RegistryMatrix, EveryCellRunsLeakFree) {
   EXPECT_EQ(debug_alloc::double_frees(), 0u) << "double free detected";
   EXPECT_EQ(debug_alloc::flush_quarantine(), 0u)
       << "write-after-free detected (poison corrupted)";
+}
+
+TEST(RegistryMatrix, BurstEntryDrainClosesTheLedger) {
+  // EBR, IBR and the Hyaline family amortize guard entry
+  // (caps.burst_entry); with a live burst window the ledger must still
+  // close — the drain clears every lingering reservation or parked slot
+  // presence before scanning or flushing.
+  ASSERT_TRUE(hooks_installed);
+  const auto& reg = harness::scheme_registry::instance();
+  harness::workload_config cfg = tiny_workload();
+  cfg.threads = 4;
+  cfg.duration_ms = 40;
+  cfg.key_range = 128;
+  cfg.prefill = 32;
+
+  for (const char* scheme : {"Epoch", "IBR", "Hyaline", "Hyaline-S"}) {
+    for (std::uint32_t burst : {1u, 8u, 64u}) {
+      SCOPED_TRACE(std::string(scheme) + " burst=" +
+                   std::to_string(burst));
+      debug_alloc::reset();
+      harness::scheme_params p;
+      p.max_threads = 8;
+      p.entry_burst = burst;
+      harness::runner_fn run = reg.runner(scheme, "hashmap");
+      ASSERT_NE(run, nullptr);
+      const harness::workload_result r = run(p, cfg);
+      EXPECT_GT(r.total_ops, 0u);
+      EXPECT_EQ(r.retired, r.freed)
+          << "a lingering burst reservation blocked reclamation forever";
+      EXPECT_EQ(debug_alloc::live_count(), 0u);
+      EXPECT_EQ(debug_alloc::flush_quarantine(), 0u)
+          << "write-after-free: burst elision freed under a live guard";
+    }
+  }
+
+  // The burst caps are advertised: schemes that amortize entry say so.
+  EXPECT_TRUE(reg.find("Epoch")->caps.burst_entry);
+  EXPECT_TRUE(reg.find("IBR")->caps.burst_entry);
+  EXPECT_TRUE(reg.find("Hyaline")->caps.burst_entry);
+  EXPECT_TRUE(reg.find("Hyaline-S")->caps.burst_entry);
+  EXPECT_FALSE(reg.find("HP")->caps.burst_entry);
+  EXPECT_FALSE(reg.find("HE")->caps.burst_entry);
 }
 
 TEST(RegistryMatrix, LineupAndCapabilitiesMatchThePaper) {
