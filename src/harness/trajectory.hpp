@@ -26,8 +26,9 @@
 // are reported but never participate in SMR regression comparisons.
 // The three `*_per_kop` rates (mechanism events per thousand ops, prefill
 // and drain included) are written by sweep but not loaded or compared
-// yet: files written before them lack them and still load. BENCH_6.json's
-// `config.shards` and `steals_per_kop` keys load as unknown fields.
+// yet: files written before them lack them and still load. Unknown keys,
+// such as the `config.shards` and `steals_per_kop` that files from before
+// sharded retire's removal carry, are ignored on load.
 #pragma once
 
 #include <cstdint>

@@ -9,9 +9,14 @@
 // (0, 1, 2, ...) do not land on consecutive shards with the tail's load
 // still skewed.
 //
-// Per-shard op/hit counters (padded, relaxed — statistics, not
-// synchronization) let the SLO report show routing balance and where a
-// hot-key hammer actually landed.
+// Per-shard op/hit counters (relaxed — statistics, not synchronization)
+// let the SLO report show routing balance and where a hot-key hammer
+// actually landed. They sit in per-thread cells, as smr::stats' ledgers
+// do: a thread bumps only its own padded cell of a shard
+// (core::thread_hint() masked to smr::stats_cell_count() cells), so no
+// request touches a counter line another tenant writes; snapshot() sums
+// the cells. Threads beyond the cell count share cells, and every bump
+// stays an atomic read-modify-write, so no count is lost.
 #pragma once
 
 #include <atomic>
@@ -21,6 +26,7 @@
 
 #include "common/align.hpp"
 #include "ds/michael_hashmap.hpp"
+#include "smr/core/thread_hint.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::svc {
@@ -87,7 +93,8 @@ class shard_router {
   template <class Factory>
   shard_router(unsigned shards, Factory&& make_domain,
                std::size_t buckets_per_shard)
-      : counters_(shards == 0 ? 1 : shards) {
+      : cells_(smr::stats_cell_count()),
+        counters_((shards == 0 ? 1 : shards) * cells_) {
     const unsigned n = shards == 0 ? 1 : shards;
     doms_.reserve(n);
     maps_.reserve(n);
@@ -109,24 +116,24 @@ class shard_router {
 
   bool get(std::uint64_t key, std::uint64_t& out) {
     const unsigned s = shard_of(key);
-    counters_[s]->gets.fetch_add(1, std::memory_order_relaxed);
+    local(s).gets.fetch_add(1, std::memory_order_relaxed);
     guard g(*doms_[s]);
     const bool ok = maps_[s]->get(g, key, out);
-    if (ok) counters_[s]->hits.fetch_add(1, std::memory_order_relaxed);
+    if (ok) local(s).hits.fetch_add(1, std::memory_order_relaxed);
     return ok;
   }
 
   /// Miss-fill: inserts `key` if absent (false when already cached).
   bool put(std::uint64_t key, std::uint64_t value) {
     const unsigned s = shard_of(key);
-    counters_[s]->puts.fetch_add(1, std::memory_order_relaxed);
+    local(s).puts.fetch_add(1, std::memory_order_relaxed);
     guard g(*doms_[s]);
     return maps_[s]->insert(g, key, value);
   }
 
   bool del(std::uint64_t key) {
     const unsigned s = shard_of(key);
-    counters_[s]->dels.fetch_add(1, std::memory_order_relaxed);
+    local(s).dels.fetch_add(1, std::memory_order_relaxed);
     guard g(*doms_[s]);
     return maps_[s]->remove(g, key);
   }
@@ -136,7 +143,7 @@ class shard_router {
   /// bucket walk per probe, the bad-tenant behavior that pressures
   /// guard-lifetime reclamation. Counts as one scan op.
   void scan(unsigned shard, std::uint64_t start_key, std::uint64_t len) {
-    counters_[shard]->scans.fetch_add(1, std::memory_order_relaxed);
+    local(shard).scans.fetch_add(1, std::memory_order_relaxed);
     guard g(*doms_[shard]);
     for (std::uint64_t i = 0; i < len; ++i) {
       (void)maps_[shard]->contains(g, start_key + i);
@@ -178,11 +185,14 @@ class shard_router {
     out.reserve(doms_.size());
     for (unsigned i = 0; i < doms_.size(); ++i) {
       shard_snapshot s;
-      s.gets = counters_[i]->gets.load(std::memory_order_relaxed);
-      s.hits = counters_[i]->hits.load(std::memory_order_relaxed);
-      s.puts = counters_[i]->puts.load(std::memory_order_relaxed);
-      s.dels = counters_[i]->dels.load(std::memory_order_relaxed);
-      s.scans = counters_[i]->scans.load(std::memory_order_relaxed);
+      for (unsigned cell = 0; cell < cells_; ++cell) {
+        const shard_counters& k = *counters_[i * cells_ + cell];
+        s.gets += k.gets.load(std::memory_order_relaxed);
+        s.hits += k.hits.load(std::memory_order_relaxed);
+        s.puts += k.puts.load(std::memory_order_relaxed);
+        s.dels += k.dels.load(std::memory_order_relaxed);
+        s.scans += k.scans.load(std::memory_order_relaxed);
+      }
       const smr::stats& c = doms_[i]->counters();
       s.retired = c.retired.load(std::memory_order_relaxed);
       s.freed = c.freed.load(std::memory_order_relaxed);
@@ -209,9 +219,16 @@ class shard_router {
     std::atomic<std::uint64_t> scans{0};
   };
 
+  /// The calling thread's cell of `shard`'s counters.
+  shard_counters& local(unsigned shard) {
+    return *counters_[shard * cells_ +
+                      (smr::core::thread_hint() & (cells_ - 1))];
+  }
+
   std::vector<std::unique_ptr<D>> doms_;
   std::vector<std::unique_ptr<ds::michael_hashmap<D>>> maps_;
-  std::vector<padded<shard_counters>> counters_;
+  const unsigned cells_;  // per shard; a power of two
+  std::vector<padded<shard_counters>> counters_;  // [shard * cells_ + cell]
 };
 
 }  // namespace hyaline::svc

@@ -1,6 +1,8 @@
 // Michael hash map: semantics and concurrency over every SMR scheme.
 #include "ds/michael_hashmap.hpp"
 
+#include <stdexcept>
+
 #include "ds_test_common.hpp"
 
 namespace hyaline {
@@ -49,6 +51,32 @@ TYPED_TEST(MapTest, KeysCollidingInBucketsCoexist) {
     ASSERT_EQ(v, k * 3);
   }
   EXPECT_EQ(this->ds_->unsafe_size(), 2000u);
+}
+
+TYPED_TEST(MapTest, ZeroBucketsThrows) {
+  EXPECT_THROW(ds::michael_hashmap<TypeParam>(*this->dom_, 0),
+               std::invalid_argument);
+}
+
+TYPED_TEST(MapTest, BucketCountRoundsUpToPowerOfTwo) {
+  ds::michael_hashmap<TypeParam> map(*this->dom_, 100);
+  EXPECT_EQ(map.bucket_count(), 128u);
+  auto g = this->guard();
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    ASSERT_TRUE(map.insert(g, k, k + 7));
+  }
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    std::uint64_t v = 0;
+    ASSERT_TRUE(map.get(g, k, v));
+    ASSERT_EQ(v, k + 7);
+  }
+  for (std::uint64_t k = 0; k < 300; k += 3) {
+    ASSERT_TRUE(map.remove(g, k));
+  }
+  std::uint64_t v = 0;
+  EXPECT_FALSE(map.get(g, 3, v));
+  EXPECT_TRUE(map.get(g, 4, v));
+  EXPECT_EQ(map.unsafe_size(), 200u);
 }
 
 TYPED_TEST(MapTest, ChurnSingleBucketReclaims) {

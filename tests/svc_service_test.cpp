@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/registry.hpp"
@@ -90,6 +91,69 @@ TEST(ShardRouter, BasicOpsAndSnapshot) {
   const shard_totals totals = aggregate(snaps);
   EXPECT_EQ(totals.ops, gets + puts + dels + scans);
   EXPECT_GT(totals.imbalance, 0.0);
+}
+
+// The router's counters live in per-thread cells. One thread more than
+// there are cells makes two threads share a cell; after the join every
+// total must still be exact.
+TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
+  using D = hyaline::smr::ebr_domain;
+  const unsigned threads = hyaline::smr::stats_cell_count() + 1;
+  hyaline::harness::scheme_params p;
+  p.max_threads = threads + 1;
+  shard_router<D> router(
+      4, [&] { return hyaline::harness::scheme_traits<D>::make(p); }, 256);
+
+  // Each thread owns keys [1000 t, 1000 t + 2 kKeys): it puts the first
+  // kKeys, gets all 2 kKeys (half hit), deletes every other one it put.
+  constexpr std::uint64_t kKeys = 200;
+  constexpr std::uint64_t kScans = 5;
+  std::vector<std::uint64_t> hits(threads, 0);
+  std::vector<std::thread> workers;
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::uint64_t base = std::uint64_t{t} * 1000;
+      for (std::uint64_t k = 0; k < kKeys; ++k) router.put(base + k, k);
+      std::uint64_t out = 0;
+      for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
+        if (router.get(base + k, out)) ++hits[t];
+      }
+      for (std::uint64_t k = 0; k < kKeys; k += 2) router.del(base + k);
+      for (std::uint64_t i = 0; i < kScans; ++i) {
+        router.scan(t % router.shards(), base, 16);
+      }
+      router.thread_quiesce();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  std::uint64_t hit_sum = 0;
+  for (std::uint64_t h : hits) hit_sum += h;
+  EXPECT_EQ(hit_sum, threads * kKeys);
+
+  const auto snaps = router.snapshot();
+  shard_snapshot sum;
+  for (const shard_snapshot& s : snaps) {
+    sum.gets += s.gets;
+    sum.hits += s.hits;
+    sum.puts += s.puts;
+    sum.dels += s.dels;
+    sum.scans += s.scans;
+  }
+  EXPECT_EQ(sum.gets, threads * 2 * kKeys);
+  EXPECT_EQ(sum.hits, hit_sum);
+  EXPECT_EQ(sum.puts, threads * kKeys);
+  EXPECT_EQ(sum.dels, threads * kKeys / 2);
+  EXPECT_EQ(sum.scans, threads * kScans);
+
+  const shard_totals totals = aggregate(snaps);
+  EXPECT_EQ(totals.ops, sum.ops());
+  EXPECT_EQ(totals.gets, sum.gets);
+  EXPECT_EQ(totals.hits, sum.hits);
+
+  router.shutdown();
+  const shard_totals after = aggregate(router.snapshot());
+  EXPECT_EQ(after.retired, after.freed) << "leak after shutdown";
 }
 
 // One short end-to-end swarm per scheme family the acceptance criteria
