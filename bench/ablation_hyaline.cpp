@@ -1,4 +1,4 @@
-// Ablations for the design choices DESIGN.md §6 calls out:
+// Ablations for the Hyaline design choices the paper leaves tunable:
 //   - batch size (the paper fixes >= 64; §3.2 ties it to retire cost),
 //   - slot count k relative to the thread count (§3.3, §5),
 //   - head policy (packed single-word FAA vs true double-width CAS vs the
@@ -36,8 +36,8 @@ void run_point(const char* series, const char* variant, unsigned threads,
   print_csv_row(series, "hashmap", variant, threads, 0, 0, 0, r.mops,
                 r.unreclaimed_avg, static_cast<double>(r.unreclaimed_peak),
                 r.p50_ns, r.p99_ns, static_cast<double>(r.max_ns),
-                r.lag_p50_ns, r.lag_p99_ns,
-                static_cast<double>(r.lag_max_ns));
+                r.lag.p50_ns, r.lag.p99_ns,
+                static_cast<double>(r.lag.max_ns));
 }
 
 }  // namespace

@@ -17,8 +17,7 @@
 // Every SMR scheme in harness::smr_schemes is timed, and each must close
 // its leak ledger after the drain (exit 3 otherwise).
 //
-//   fig_opcost [--iters n] [--fastpath on|off] [--schemes a,b,...]
-//              [--json path]
+//   fig_opcost [--iters n] [--schemes a,b,...] [--json path]
 //
 // CSV (scheme,op,ns_per_op) to stdout, followed by the paper's Table 1
 // columns the code vouches for (robust, pointer publication, trim), read
@@ -33,7 +32,6 @@
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "harness/schemes.hpp"
-#include "smr/core/slab_alloc.hpp"
 
 namespace {
 
@@ -69,7 +67,6 @@ bool measure(const cli_options& o, std::vector<row>& rows) {
 
   scheme_params p;
   p.max_threads = 4;
-  p.entry_burst = o.fastpath ? 64 : 0;
   auto dom = scheme_traits<D>::make(p);
   using guard_t = typename D::guard;
   struct pnode : D::node {
@@ -151,7 +148,6 @@ int main(int argc, char** argv) {
   harness::smr_schemes::for_each(
       [&]<class D>() { names.push_back(scheme_traits<D>::name); });
   if (!harness::validate_scheme_filter(o, names)) return 2;
-  smr::core::slab::set_enabled(o.fastpath);
 
   std::vector<row> rows;
   bool leaked = false;
@@ -179,8 +175,7 @@ int main(int argc, char** argv) {
     std::string j = "{\n  \"bench\": \"opcost\",\n  \"version\": 1,\n";
     j += "  " + harness::provenance_json() + ",\n";
     j += "  \"config\": {\"iters\": " + std::to_string(o.iters) +
-         ", \"fastpath\": \"" + (o.fastpath ? "on" : "off") +
-         "\"},\n  \"rows\": [\n";
+         "},\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       char buf[160];
       std::snprintf(buf, sizeof buf,

@@ -4,14 +4,16 @@
 // Each scheme in the line-up gets a fresh shard_router (one SMR domain
 // per shard) driven by an open-loop tenant swarm (svc/service.hpp):
 // Zipfian keys, Poisson or fixed arrivals, coordinated-omission-safe
-// latency, optional connection churn, and a --tenant-script of bad
-// tenants (hot-key hammering, scan storms, stall-in-guard). The --slo
-// assertions (svc/slo.hpp) are then evaluated over the victim latency
-// histogram and the aggregate reclamation time series; any gated
-// violation exits 6, a reclamation leak exits 3, usage errors exit 2.
+// latency, optional connection churn, and --faults for bad tenants
+// (lab/fault_plan.hpp: stall, slow, exit, churn, and the hot-key and
+// scan-storm windows only this loop runs; burst and never-ending
+// windows exit 2). The --slo assertions (svc/slo.hpp) are then
+// evaluated over the victim latency histogram and the aggregate
+// reclamation time series; any gated violation exits 6, a reclamation
+// leak exits 3, usage errors exit 2.
 //
 //   ./fig_service --tenants 16 --svc-shards 4 --churn 200 \
-//       --tenant-script 'stall:3@600ms+300ms,hot:7@700ms+300ms' \
+//       --faults 'stall:3@600ms+300ms,hot:7@700ms+300ms' \
 //       --slo 'p99=50ms,unreclaimed<4x,recovery<1s' --json SERVICE.json
 //
 // CSV rows use the standard figure columns (structure = "cache",
@@ -20,6 +22,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,11 +30,9 @@
 #include "harness/figures.hpp"
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "svc/service.hpp"
 #include "svc/slo.hpp"
-#include "svc/tenant.hpp"
 
 namespace {
 
@@ -80,14 +81,13 @@ bool write_json(const std::string& path, const harness::cli_options& o,
       "%.0f, \"arrival\": \"%s\", \"zipf_theta\": %.3f, \"key_range\": "
       "%llu, \"prefill\": %zu, \"mix\": {\"insert\": %u, \"remove\": %u, "
       "\"get\": %u}, \"duration_ms\": %u, \"sample_ms\": %u, "
-      "\"churn_ms\": %u, \"tenant_script\": \"%s\", \"slo\": \"%s\", "
+      "\"churn_ms\": %u, \"faults\": \"%s\", \"slo\": \"%s\", "
       "\"seed\": %llu, %s},\n",
       cfg.shards, cfg.tenants, cfg.rate_ops_s,
       cfg.arrival == arrival_kind::fixed ? "fixed" : "poisson",
       cfg.zipf_theta, static_cast<unsigned long long>(cfg.key_range),
       cfg.prefill, cfg.insert_pct, cfg.remove_pct, cfg.get_pct,
-      cfg.duration_ms, cfg.sample_ms, cfg.churn_period_ms,
-      cfg.script != nullptr ? cfg.script->spec.c_str() : "",
+      cfg.duration_ms, cfg.sample_ms, cfg.churn_period_ms, o.faults.c_str(),
       slo.text.c_str(), static_cast<unsigned long long>(o.seed),
       harness::provenance_json().c_str());
   std::fprintf(f, "  \"series\": [");
@@ -117,8 +117,8 @@ bool write_json(const std::string& path, const harness::cli_options& o,
                  "     \"retire_free_lag\": {\"count\": %llu, \"p50_ns\": "
                  "%.0f, \"p99_ns\": %.0f, \"max_ns\": %llu},\n",
                  static_cast<unsigned long long>(r.obs.lag_count),
-                 r.lag_p50_ns, r.lag_p99_ns,
-                 static_cast<unsigned long long>(r.lag_max_ns));
+                 r.lag.p50_ns, r.lag.p99_ns,
+                 static_cast<unsigned long long>(r.lag.max_ns));
     std::fprintf(f,
                  "     \"counters\": {\"scans\": %llu, \"rearms\": %llu, "
                  "\"finalizes\": %llu, \"era_advances\": %llu, "
@@ -213,29 +213,12 @@ int main(int argc, char** argv) {
   cfg.seed = o.seed;
   cfg.churn_period_ms = o.churn_ms;
 
-  tenant_plan script;
-  if (!o.tenant_script.empty()) {
-    std::string err;
-    auto parsed = parse_tenant_plan(o.tenant_script, &err);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "--tenant-script: %s\n", err.c_str());
-      return 2;
-    }
-    script = std::move(*parsed);
-    if (!script.validate(cfg.tenants, &err)) {
-      std::fprintf(stderr, "--tenant-script: %s\n", err.c_str());
-      return 2;
-    }
-    if (script.last_end_ms() >= cfg.duration_ms) {
-      std::fprintf(stderr,
-                   "--tenant-script: the last window ends at %.0fms but "
-                   "the run ends at %ums; extend --duration so recovery "
-                   "is measurable\n",
-                   script.last_end_ms(), cfg.duration_ms);
-      return 2;
-    }
-    cfg.script = &script;
+  lab::fault_plan faults;
+  if (!harness::load_fault_plan(o, cfg.tenants, lab::fault_loop::service,
+                                &faults)) {
+    return 2;
   }
+  cfg.faults = &faults;
 
   std::string slo_err;
   auto slo = parse_slo(o.slo.empty() ? kDefaultSlo : o.slo, &slo_err);
@@ -257,15 +240,11 @@ int main(int argc, char** argv) {
                                   std::end(kDefaultLineup));
   if (!o.schemes.empty()) lineup = o.schemes;
 
-  unsigned stall_tenants = 0;
-  for (unsigned t = 0; t < cfg.tenants; ++t) {
-    for (const behavior_event& e : script.events) {
-      if (e.tenant == t && e.kind == behavior_kind::stall_in_guard) {
-        ++stall_tenants;
-        break;
-      }
-    }
+  std::set<unsigned> stall_tenants;
+  for (const lab::fault_event& e : faults.events) {
+    if (e.kind == lab::fault_kind::stall) stall_tenants.insert(e.tid);
   }
+  const disturbance disturbed = disturbance_of(faults);
 
   // Lag tracking is always on here: the retire->free lag columns are the
   // per-shard blast-radius story told in time units, which is what this
@@ -276,7 +255,6 @@ int main(int argc, char** argv) {
 
   harness::print_csv_header(kFigure, o.seed);
   std::vector<scheme_report> reports;
-  std::vector<obs::metric_series> metric_rows;
   bool violated = false;
   for (const std::string& name : lineup) {
     harness::scheme_params p;
@@ -299,8 +277,8 @@ int main(int argc, char** argv) {
     slo_inputs in;
     in.latency = &r.victim_hist;
     in.timeline = &r.timeline;
-    in.disturb_start_ms = script.first_start_ms();
-    in.disturb_end_ms = script.last_end_ms();
+    in.disturb_start_ms = disturbed.start_ms;
+    in.disturb_end_ms = disturbed.end_ms;
     in.duration_ms = cfg.duration_ms;
     in.robust = rep.robust;
     rep.verdicts = evaluate_slo(*slo, in);
@@ -319,13 +297,13 @@ int main(int argc, char** argv) {
     if (slo_violated(rep.verdicts)) violated = true;
 
     harness::print_csv_row(
-        kFigure, "cache", name.c_str(), cfg.tenants, stall_tenants, 0, 0,
+        kFigure, "cache", name.c_str(), cfg.tenants,
+        static_cast<unsigned>(stall_tenants.size()), 0, 0,
         r.mops, timeline_mean_unreclaimed(r.timeline),
         static_cast<double>(r.unreclaimed_peak),
         r.victim_hist.percentile(0.50), r.victim_hist.percentile(0.99),
-        static_cast<double>(r.victim_hist.max()), r.lag_p50_ns,
-        r.lag_p99_ns, static_cast<double>(r.lag_max_ns));
-    metric_rows.push_back({name, r.obs});
+        static_cast<double>(r.victim_hist.max()), r.lag.p50_ns,
+        r.lag.p99_ns, static_cast<double>(r.lag.max_ns));
     reports.push_back(std::move(rep));
   }
 
@@ -337,13 +315,6 @@ int main(int argc, char** argv) {
   // tripped is exactly what a CI debugger needs.
   if (!o.json.empty() && !write_json(o.json, o, cfg, *slo, reports)) {
     status = 2;
-  }
-  if (!o.metrics.empty()) {
-    std::string err;
-    if (!obs::write_prometheus(o.metrics, metric_rows, &err)) {
-      std::fprintf(stderr, "--metrics: %s\n", err.c_str());
-      status = 2;
-    }
   }
   if (!o.trace.empty()) {
     std::string err;

@@ -12,11 +12,11 @@
 // dropping one orphans the historical series.
 //
 //   sweep [--out path] [--threads n] [--duration ms] [--repeats n]
-//         [--seed n] [--fastpath on|off] [--schemes a,b,...]
+//         [--seed n] [--schemes a,b,...]
 //
-// --fastpath off disables the per-op fast path (slab allocator, guard
-// entry amortization) so a single binary can measure its own
-// before/after on the same machine.
+// Every cell runs the per-op fast path as the harness ships it: the slab
+// allocator at its build default (off under ASan) and scheme_params{}'s
+// entry burst.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,7 +26,6 @@
 #include "harness/provenance.hpp"
 #include "harness/registry.hpp"
 #include "lab/fault_plan.hpp"
-#include "smr/core/slab_alloc.hpp"
 
 namespace {
 
@@ -104,16 +103,6 @@ int main(int argc, char** argv) {
       harness::parse_cli(argc, argv, defaults, harness::kSweepFlags);
   const unsigned threads = o.threads[0];
 
-  // Resolve the fast path before the first node is allocated: the slab
-  // contract forbids toggling with live slab nodes, so the switch is
-  // flipped exactly once, here.
-  if (o.fastpath) {
-    smr::core::slab::set_enabled(true);
-  } else {
-    smr::core::slab::set_enabled(false);
-  }
-  const std::uint32_t entry_burst = o.fastpath ? 64 : 0;
-
   // The SMR lineup is the nine core schemes; external baselines (the
   // coarse-mutex cells) ride along labeled, never compared as SMR.
   const scheme_registry& reg = scheme_registry::instance();
@@ -178,7 +167,6 @@ int main(int argc, char** argv) {
 
       scheme_params p;
       p.max_threads = plan.lease_headroom(threads);
-      p.entry_burst = entry_burst;
       p.ack_threshold = 512;  // scaled to short runs, as in fig10a
 
       const workload_result r = run(p, cfg);
@@ -207,9 +195,7 @@ int main(int argc, char** argv) {
   j += "  \"version\": 1,\n";
   j += "  \"seed\": " + std::to_string(o.seed) + ",\n";
   j += "  " + harness::provenance_json() + ",\n";
-  j += "  \"config\": {\"fastpath\": \"" +
-       std::string(o.fastpath ? "on" : "off") +
-       "\", \"duration_ms\": " + std::to_string(o.duration_ms) +
+  j += "  \"config\": {\"duration_ms\": " + std::to_string(o.duration_ms) +
        ", \"repeats\": " + std::to_string(o.repeats) +
        ", \"threads\": " + std::to_string(threads) + "},\n";
   j += "  \"cells\": [\n";

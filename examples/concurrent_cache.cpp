@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <string>
 
+#include "lab/fault_plan.hpp"
 #include "smr/hyaline.hpp"
 #include "svc/service.hpp"
 #include "svc/slo.hpp"
-#include "svc/tenant.hpp"
 
 int main() {
   using namespace hyaline::svc;
@@ -22,9 +22,10 @@ int main() {
   // robust, so the memory SLOs report without gating, but the leak gate
   // and the CO-safe latency bound hold for every scheme.
   std::string err;
-  const auto script = parse_tenant_plan("stall:1@150ms+100ms", &err);
-  if (!script.has_value()) {
-    std::fprintf(stderr, "script: %s\n", err.c_str());
+  const auto faults =
+      hyaline::lab::parse_fault_plan("stall:1@150ms+100ms", &err);
+  if (!faults.has_value()) {
+    std::fprintf(stderr, "faults: %s\n", err.c_str());
     return 1;
   }
 
@@ -38,7 +39,7 @@ int main() {
   cfg.duration_ms = 400;
   cfg.sample_ms = 20;
   cfg.churn_period_ms = 150;  // connections recycle while the swarm runs
-  cfg.script = &*script;
+  cfg.faults = &*faults;
 
   const service_result r =
       run_service<hyaline::domain>(hyaline::harness::scheme_params{}, cfg);
@@ -72,8 +73,9 @@ int main() {
   slo_inputs in;
   in.latency = &r.victim_hist;
   in.timeline = &r.timeline;
-  in.disturb_start_ms = script->first_start_ms();
-  in.disturb_end_ms = script->last_end_ms();
+  const disturbance d = disturbance_of(*faults);
+  in.disturb_start_ms = d.start_ms;
+  in.disturb_end_ms = d.end_ms;
   in.duration_ms = cfg.duration_ms;
   in.robust = false;  // Hyaline: memory items report, latency items gate
   const auto verdicts = evaluate_slo(*slo, in);

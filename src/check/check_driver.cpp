@@ -256,7 +256,10 @@ int run_check(int argc, char** argv) {
   }
 
   lab::fault_plan plan;
-  if (!harness::load_fault_plan(o, threads, &plan)) return kExitCli;
+  if (!harness::load_fault_plan(o, threads, lab::fault_loop::workload,
+                                &plan)) {
+    return kExitCli;
+  }
   return run_matrix(o, plan, threads);
 }
 

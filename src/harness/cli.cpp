@@ -156,9 +156,6 @@ constexpr flag_row kFlags[] = {
     {flag::trace, "--trace", "path",
      "export SMR-internals events as Chrome trace-event JSON",
      set_text<&O::trace>},
-    {flag::metrics, "--metrics", "path",
-     "write a Prometheus text snapshot of the domain counters",
-     set_text<&O::metrics>},
     {flag::json, "--json", "path", "also write the run as JSON",
      set_text<&O::json>},
     {flag::mutate, "--mutate", "drop-validate|skip-protect",
@@ -191,9 +188,6 @@ constexpr flag_row kFlags[] = {
        o.arrival = v;
        return o.arrival == "fixed" || o.arrival == "poisson";
      }},
-    {flag::tenant_script, "--tenant-script", "spec",
-     "bad-tenant schedule (grammar in svc/tenant.hpp)",
-     set_text<&O::tenant_script>},
     {flag::slo, "--slo", "spec",
      "SLO assertions (grammar in svc/slo.hpp); a gated violation exits 6",
      set_text<&O::slo>},
@@ -204,12 +198,6 @@ constexpr flag_row kFlags[] = {
      [](O&, const char*) { return true; }},
     {flag::out, "--out", "path", "trajectory file to write",
      set_text<&O::out>},
-    {flag::fastpath, "--fastpath", "on|off",
-     "off disables the slab allocator and entry bursts",
-     [](O& o, const char* v) {
-       o.fastpath = std::strcmp(v, "on") == 0;
-       return o.fastpath || std::strcmp(v, "off") == 0;
-     }},
     {flag::iters, "--iters", "n", "iterations per timed primitive (>= 1)",
      set_uint<&O::iters, 1>},
 };
@@ -324,11 +312,12 @@ bool validate_scheme_filter(const cli_options& o,
 }
 
 bool load_fault_plan(const cli_options& o, unsigned threads,
-                     lab::fault_plan* plan) {
+                     lab::fault_loop loop, lab::fault_plan* plan) {
   if (o.faults.empty()) return true;
   std::string err;
   auto parsed = lab::parse_fault_plan(o.faults, &err);
-  if (!parsed.has_value() || !parsed->validate_tids(threads, &err)) {
+  if (!parsed.has_value() || !parsed->validate_tids(threads, &err) ||
+      !parsed->runs_on(loop, &err)) {
     std::fprintf(stderr, "--faults: %s\n", err.c_str());
     return false;
   }

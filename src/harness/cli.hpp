@@ -41,9 +41,8 @@ inline constexpr const char* kCsvColumns[] = {
 enum class flag : unsigned {
   threads, thread_count, stalled, duration, repeats, prefill, range,
   schemes, mix, producers, consumers, seed, faults, sample_ms,
-  structure, lat_sample, trace, metrics, json, mutate, counterexample,
-  svc_shards, tenants, rate, skew, arrival, tenant_script, slo, churn,
-  full, out, fastpath, iters,
+  structure, lat_sample, trace, json, mutate, counterexample,
+  svc_shards, tenants, rate, skew, arrival, slo, churn, full, out, iters,
 };
 
 /// A set of flags, one bit each.
@@ -97,9 +96,9 @@ inline constexpr flag_set kTimelineFlags = {
 inline constexpr flag_set kServiceFlags = {
     flag::duration,  flag::prefill,   flag::range,      flag::mix,
     flag::schemes,   flag::seed,      flag::trace,      flag::json,
-    flag::metrics,   flag::sample_ms, flag::svc_shards, flag::tenants,
-    flag::rate,      flag::skew,      flag::arrival,    flag::tenant_script,
-    flag::slo,       flag::churn};
+    flag::faults,    flag::sample_ms, flag::svc_shards, flag::tenants,
+    flag::rate,      flag::skew,      flag::arrival,    flag::slo,
+    flag::churn};
 /// check: the linearizability oracle.
 inline constexpr flag_set kCheckFlags = {
     flag::thread_count, flag::duration, flag::prefill,   flag::range,
@@ -112,10 +111,10 @@ inline constexpr flag_set kAblationFlags = {
 /// sweep: the pinned trajectory line-up.
 inline constexpr flag_set kSweepFlags = {
     flag::out,  flag::thread_count, flag::duration, flag::repeats,
-    flag::seed, flag::fastpath,     flag::schemes};
+    flag::seed, flag::schemes};
 /// fig_opcost: single-threaded primitive timings.
-inline constexpr flag_set kOpcostFlags = {
-    flag::iters, flag::fastpath, flag::schemes, flag::json};
+inline constexpr flag_set kOpcostFlags = {flag::iters, flag::schemes,
+                                          flag::json};
 
 struct cli_options {
   std::vector<unsigned> threads;
@@ -146,8 +145,6 @@ struct cli_options {
   /// Path for the Chrome trace-event JSON export of the SMR-internals
   /// event rings (empty = tracing stays off).
   std::string trace;
-  /// Path for the Prometheus-style counter snapshot (empty = none).
-  std::string metrics;
   /// Path for the machine-readable JSON trajectory file (empty = none).
   std::string json;
   /// Correctness-oracle knobs: `mutate` selects an injected-bug
@@ -163,13 +160,11 @@ struct cli_options {
   double rate_ops_s = -1;     ///< total offered load; 0 = closed loop
   double skew = -1;           ///< Zipfian theta in [0, 1); 0 = uniform
   std::string arrival;        ///< fixed | poisson
-  std::string tenant_script;  ///< bad-tenant spec (svc/tenant.hpp)
   std::string slo;            ///< SLO spec (svc/slo.hpp)
   unsigned churn_ms = 0;      ///< connection-churn period; 0 = none
-  /// Trajectory knobs (sweep, fig_opcost): the output file, the per-op
-  /// fast path switch, and the iterations per timed primitive.
+  /// Trajectory knobs (sweep, fig_opcost): the output file and the
+  /// iterations per timed primitive.
   std::string out;
-  bool fastpath = true;
   std::uint64_t iters = 0;
   /// The flags given on the command line — for the checks that depend on
   /// whether a flag was given rather than on its value (defaults are
@@ -196,11 +191,11 @@ bool validate_scheme_filter(const cli_options& o,
                             const std::vector<std::string>& valid);
 
 /// Resolve --faults into *plan (left empty without the flag): parsed,
-/// tids validated against `threads` workers, and the last fault clearing
-/// before --duration ends so recovery is measurable. False, with the
-/// reason on stderr, on any violation.
+/// tids validated against `threads` workers, every kind one `loop` runs,
+/// and the last fault clearing before --duration ends so recovery is
+/// measurable. False, with the reason on stderr, on any violation.
 bool load_fault_plan(const cli_options& o, unsigned threads,
-                     lab::fault_plan* plan);
+                     lab::fault_loop loop, lab::fault_plan* plan);
 
 /// Print the standard CSV header used by all figure benches: a comment
 /// line naming the figure, one echoing the seed, one echoing the

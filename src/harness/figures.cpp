@@ -37,8 +37,8 @@ class figure_sink {
     print_csv_row(figure_, structure, scheme, threads, stalled, producers,
                   consumers, r.mops, r.unreclaimed_avg,
                   static_cast<double>(r.unreclaimed_peak), r.p50_ns,
-                  r.p99_ns, static_cast<double>(r.max_ns), r.lag_p50_ns,
-                  r.lag_p99_ns, static_cast<double>(r.lag_max_ns));
+                  r.p99_ns, static_cast<double>(r.max_ns), r.lag.p50_ns,
+                  r.lag.p99_ns, static_cast<double>(r.lag.max_ns));
     rows_.push_back(
         {structure, scheme, threads, stalled, producers, consumers, r});
   }
@@ -103,8 +103,8 @@ class figure_sink {
                      static_cast<unsigned long long>(r.unreclaimed_peak),
                      r.p50_ns, r.p90_ns, r.p99_ns,
                      static_cast<unsigned long long>(r.max_ns),
-                     r.lag_p50_ns, r.lag_p99_ns,
-                     static_cast<unsigned long long>(r.lag_max_ns),
+                     r.lag.p50_ns, r.lag.p99_ns,
+                     static_cast<unsigned long long>(r.lag.max_ns),
                      static_cast<unsigned long long>(r.obs.lag_count));
         // Full log2-bucket histogram (bucket b covers [2^(b-1), 2^b-1]
         // ns; bucket 0 is exact zero): percentiles hide the tail *mass*,
@@ -450,7 +450,9 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
   const unsigned threads = o.threads.empty() ? 4 : o.threads[0];
 
   lab::fault_plan plan;
-  if (!load_fault_plan(o, threads, &plan)) return 2;
+  if (!load_fault_plan(o, threads, lab::fault_loop::workload, &plan)) {
+    return 2;
+  }
 
   // Line-up schemes that can drive this structure, plus any other
   // registered scheme named in --schemes (as in run_container).

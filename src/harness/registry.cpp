@@ -29,18 +29,14 @@ static_assert(smr::Domain<domain_s_dw>);
 namespace {
 
 /// Carry the domain's full counter state (ledgers, mechanism events, lag
-/// histogram) out of the cell after the quiescent drain, and rehydrate the
-/// lag buckets into percentile columns via the shared histogram math. The
-/// lag fields stay zero unless the caller enabled obs::set_lag_tracking.
+/// histogram) out of the cell after the quiescent drain, with the lag
+/// percentile columns. The lag fields stay zero unless the caller enabled
+/// obs::set_lag_tracking.
 void capture_counters(workload_result& r, const smr::stats& st) {
   r.obs = st.snapshot();
   r.retired = r.obs.retired;
   r.freed = r.obs.freed;
-  const auto lagh =
-      lab::latency_histogram::from_counts(r.obs.lag_bucket, r.obs.lag_max_ns);
-  r.lag_p50_ns = lagh.percentile(0.50);
-  r.lag_p99_ns = lagh.percentile(0.99);
-  r.lag_max_ns = r.obs.lag_max_ns;
+  r.lag = lab::lag_percentiles_of(r.obs);
 }
 
 /// One benchmark run over a concrete (scheme, structure) pair, through the

@@ -7,8 +7,9 @@
 // Mops / unreclaimed / latency accounting.
 //
 // A body runs once per worker invocation with its own worker_ctx: it loops
-// on keep_going(), calls poll_faults() at each op boundary, and runs each
-// op through timed_op() — or records its own latency into `lat` and calls
+// on keep_going(), calls poll_faults() at each op boundary (and the
+// service swarm reads behaviour() after it), and runs each op through
+// timed_op() — or records its own latency into `lat` and calls
 // after_op(). History logs, ledgers and the thread's SMR exit (flush,
 // quiesce) stay with the body.
 #pragma once
@@ -104,7 +105,6 @@ struct rep_state {
   std::atomic<std::uint64_t> sample_cnt{0};
   lab::fault_director* dir = nullptr;
   lab::telemetry_collector* tele = nullptr;
-  std::chrono::steady_clock::time_point t0{};  ///< set before `start`
 };
 
 }  // namespace detail
@@ -121,8 +121,15 @@ class worker_ctx {
   bool separate_latency = false;
 
   std::uint64_t ops() const { return ops_; }
-  std::chrono::steady_clock::time_point rep_start() const { return st_.t0; }
   const std::atomic<bool>& stop_flag() const { return st_.stop; }
+
+  /// The inline behaviour an open hot or scan window asks of this worker
+  /// (none without a fault plan). Only the service swarm runs those
+  /// windows; the workload loops never see one open.
+  lab::behaviour behaviour() const {
+    return st_.dir != nullptr ? st_.dir->behaviour_of(tid)
+                              : lab::behaviour::none;
+  }
 
   /// False once the director retired this generation, the stop flag is
   /// up, or the op budget is spent. A fault-free worker completes one op
@@ -271,14 +278,14 @@ run_totals run_reps(const rep_spec& spec, Body&& body) {
     for (unsigned t = 0; t < spec.workers; ++t) {
       primaries.emplace_back(worker, t, std::uint32_t{0});
     }
-    st.t0 = clock::now();
+    const auto t0 = clock::now();
     st.start.store(true, std::memory_order_release);
     if (dir) dir->start();
     if (tele) tele->start();
     // The full duration, or — on op-budget runs — until every worker has
     // published its budget, so budgeted tests cost their op count rather
     // than their worst-case wall clock.
-    const auto deadline = st.t0 + std::chrono::milliseconds(spec.duration_ms);
+    const auto deadline = t0 + std::chrono::milliseconds(spec.duration_ms);
     if (spec.op_limit == 0) {
       std::this_thread::sleep_until(deadline);
     } else {
@@ -302,7 +309,7 @@ run_totals run_reps(const rep_spec& spec, Body&& body) {
     for (auto& th : primaries) th.join();
     for (auto& th : replacements) th.join();
     const double secs =
-        std::chrono::duration<double>(clock::now() - st.t0).count();
+        std::chrono::duration<double>(clock::now() - t0).count();
 
     const std::uint64_t n = st.ops.load(std::memory_order_relaxed);
     out.ops += n;

@@ -48,6 +48,43 @@ inline std::size_t default_slots(const scheme_params& p) {
   return k;
 }
 
+namespace detail {
+
+template <class D>
+concept has_flush = requires(D d) { d.flush(); };
+
+/// Finalize the calling thread's partial retirement batch, for schemes
+/// that batch (the Hyaline family). No-op elsewhere.
+template <class D>
+void flush_thread(D& dom) {
+  if constexpr (has_flush<D>) {
+    dom.flush();
+  } else {
+    (void)dom;
+  }
+}
+
+template <class D>
+concept has_quiesce = requires(D d) { d.quiesce(); };
+
+/// Clear the calling thread's lingering burst-entry state, for schemes
+/// with amortized guard exit (entry_burst): the EBR/IBR reservation, or
+/// the Hyaline/Hyaline-S parked slot presence. Called wherever a thread
+/// stops taking guards — worker and tenant exit, after prefill, and after
+/// the final drain loop — so an idle thread cannot stall epoch or era
+/// advancement, or pin the batches that reach its slot, for the threads
+/// still running. No-op elsewhere.
+template <class D>
+void quiesce_thread(D& dom) {
+  if constexpr (has_quiesce<D>) {
+    dom.quiesce();
+  } else {
+    (void)dom;
+  }
+}
+
+}  // namespace detail
+
 template <class D>
 struct scheme_traits;
 

@@ -46,11 +46,6 @@ bool load_sweep(const std::string& path, sweep_file& out, std::string& err) {
     want_str(*prov, "cpu_model", out.cpu_model, err);
     err.clear();  // provenance strings are advisory, not load-fatal
   }
-  if (const jvalue* cfg = get(root, "config");
-      cfg != nullptr && cfg->is_obj()) {
-    want_str(*cfg, "fastpath", out.fastpath, err);
-    err.clear();
-  }
 
   const jvalue* cells = get(root, "cells");
   if (cells == nullptr || !cells->is_arr()) {

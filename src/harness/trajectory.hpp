@@ -12,8 +12,7 @@
 //     "bench": "sweep", "version": 1, "seed": <n>,
 //     "provenance": {"git_sha": "...", "compiler": "...",
 //                    "cpu_model": "...", "hw_threads": <n>},
-//     "config": {"fastpath": "on"|"off", "duration_ms": <n>,
-//                "repeats": <n>, "threads": <n>},
+//     "config": {"duration_ms": <n>, "repeats": <n>, "threads": <n>},
 //     "cells": [
 //       {"cell": "<lineup cell name>", "structure": "<registry name>",
 //        "scheme": "<registry name>", "threads": <n>, "mops": <x>,
@@ -26,9 +25,10 @@
 // are reported but never participate in SMR regression comparisons.
 // The three `*_per_kop` rates (mechanism events per thousand ops, prefill
 // and drain included) are written by sweep but not loaded or compared
-// yet: files written before them lack them and still load. Unknown keys,
-// such as the `config.shards` and `steals_per_kop` that files from before
-// sharded retire's removal carry, are ignored on load.
+// yet: files written before them lack them and still load. Unknown keys
+// are ignored on load: `config.shards` and `steals_per_kop` in files from
+// before sharded retire's removal, and the fast-path on/off key in the
+// `config` of files from before that switch's removal.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,6 @@ struct sweep_file {
   std::string git_sha;
   std::string compiler;
   std::string cpu_model;
-  std::string fastpath;  ///< "on" / "off" (empty if absent)
   std::vector<sweep_point> points;
 };
 

@@ -36,6 +36,7 @@
 #include "check/history.hpp"
 #include "common/rng.hpp"
 #include "harness/run_reps.hpp"
+#include "harness/schemes.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
 #include "smr/stats.hpp"
@@ -126,11 +127,8 @@ struct workload_result {
   /// captured by the registry runners after the quiescent drain. The lag
   /// buckets are all-zero unless obs::lag_tracking() was on for the run.
   smr::stats_snapshot obs;
-  /// Retire->free lag percentiles (ns) rehydrated from obs.lag_bucket;
-  /// zero when lag tracking was off.
-  double lag_p50_ns = 0;
-  double lag_p99_ns = 0;
-  std::uint64_t lag_max_ns = 0;
+  /// Retire->free lag percentiles rehydrated from obs.lag_bucket.
+  lab::lag_percentiles lag;
 };
 
 /// True iff the op-mix percentages cover exactly the whole dice range.
@@ -163,39 +161,6 @@ bool record_op(check::thread_log* log, check::op_kind kind, F&& op) {
 inline check::thread_log* log_for(const workload_config& cfg,
                                   std::uint32_t tid) {
   return cfg.history != nullptr ? &cfg.history->attach(tid) : nullptr;
-}
-
-template <class D>
-concept has_flush = requires(D d) { d.flush(); };
-
-/// Finalize the calling thread's partial retirement batch, for schemes
-/// that batch (the Hyaline family). No-op elsewhere.
-template <class D>
-void flush_thread(D& dom) {
-  if constexpr (has_flush<D>) {
-    dom.flush();
-  } else {
-    (void)dom;
-  }
-}
-
-template <class D>
-concept has_quiesce = requires(D d) { d.quiesce(); };
-
-/// Clear the calling thread's lingering burst-entry state, for schemes
-/// with amortized guard exit (entry_burst): the EBR/IBR reservation, or
-/// the Hyaline/Hyaline-S parked slot presence. Called wherever a thread
-/// stops taking guards — worker exit, after prefill, and after the final
-/// drain loop — so an idle thread cannot stall epoch or era advancement,
-/// or pin the batches that reach its slot, for the threads still running.
-/// No-op elsewhere.
-template <class D>
-void quiesce_thread(D& dom) {
-  if constexpr (has_quiesce<D>) {
-    dom.quiesce();
-  } else {
-    (void)dom;
-  }
 }
 
 template <class G>

@@ -11,16 +11,14 @@
 
 namespace hyaline::lab {
 
-/// Consume a time value with an optional unit suffix; milliseconds when
-/// bare. Advances *p past the value. Negative and non-numeric input fail.
-/// Exported (fault_plan.hpp): the svc tenant-script and SLO grammars
-/// reuse it so all schedule specs share one time syntax.
 bool parse_time_ms(const char*& p, double* out) {
   if (*p == '-') return false;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(p, &end);
-  if (end == p || errno == ERANGE || !(v >= 0)) return false;
+  if (end == p || errno == ERANGE || !(v >= 0) || std::isinf(v)) {
+    return false;
+  }
   p = end;
   double scale = 1.0;  // ms
   if (p[0] == 'u' && p[1] == 's') {
@@ -73,6 +71,10 @@ bool parse_event(std::string_view tok, fault_event* ev, std::string* err) {
     ev->kind = fault_kind::stall;
   } else if (starts("slow:")) {
     ev->kind = fault_kind::slow;
+  } else if (starts("hot:")) {
+    ev->kind = fault_kind::hot;
+  } else if (starts("scan:")) {
+    ev->kind = fault_kind::scan;
   } else if (starts("burst:")) {
     ev->kind = fault_kind::burst;
   } else if (starts("exit:")) {
@@ -81,7 +83,7 @@ bool parse_event(std::string_view tok, fault_event* ev, std::string* err) {
     ev->kind = fault_kind::churn;
   } else {
     return fail(err, "unknown fault kind in '" + item +
-                         "' (want stall/slow/burst/exit/churn)");
+                         "' (want stall/slow/hot/scan/burst/exit/churn)");
   }
 
   std::uint64_t arg = 0;
@@ -116,9 +118,7 @@ bool parse_event(std::string_view tok, fault_event* ev, std::string* err) {
     return fail(err, "bad start time in '" + item + "'");
   }
 
-  const bool windowed =
-      ev->kind == fault_kind::stall || ev->kind == fault_kind::slow;
-  if (windowed) {
+  if (windowed(ev->kind)) {
     if (*p != '+') {
       return fail(err, "missing '+duration' in '" + item + "'");
     }
@@ -153,6 +153,26 @@ bool fault_plan::validate_tids(unsigned worker_threads,
                " worker threads (tids 0.." +
                std::to_string(worker_threads - 1) + ")";
       }
+      return false;
+    }
+  }
+  return true;
+}
+
+bool fault_plan::runs_on(fault_loop loop, std::string* err) const {
+  for (const fault_event& e : events) {
+    const bool inline_kind =
+        e.kind == fault_kind::hot || e.kind == fault_kind::scan;
+    const char* why = nullptr;
+    if (loop == fault_loop::workload && inline_kind) {
+      why = "hot and scan windows run only in the service swarm";
+    } else if (loop == fault_loop::service && e.kind == fault_kind::burst) {
+      why = "the service swarm has no retire pair to replay a burst with";
+    } else if (loop == fault_loop::service && std::isinf(e.dur_ms)) {
+      why = "the service swarm needs every window to close";
+    }
+    if (why != nullptr) {
+      if (err != nullptr) *err = why;
       return false;
     }
   }
@@ -212,42 +232,27 @@ fault_director::fault_director(const fault_plan& plan, unsigned threads,
                                std::function<void(unsigned)> spawn)
     : ctl_(threads), spawn_(std::move(spawn)) {
   for (const fault_event& e : plan.events) {
-    switch (e.kind) {
-      case fault_kind::stall:
-      case fault_kind::slow:
-        actions_.push_back({e.start_ms, e.kind, e.tid, 0, e.delay_us,
-                            /*begin=*/true});
-        if (!std::isinf(e.dur_ms)) {
-          actions_.push_back({e.end_ms(), e.kind, e.tid, 0, e.delay_us,
-                              /*begin=*/false});
-        }
-        break;
-      case fault_kind::burst:
-      case fault_kind::exit_thread:
-      case fault_kind::churn:
-        actions_.push_back({e.start_ms, e.kind, e.tid, e.count, 0,
-                            /*begin=*/true});
-        break;
+    actions_.push_back({e.start_ms, e.kind, e.tid, e.count, e.delay_us,
+                        /*begin=*/true});
+    if (windowed(e.kind) && !std::isinf(e.dur_ms)) {
+      actions_.push_back({e.end_ms(), e.kind, e.tid, 0, e.delay_us,
+                          /*begin=*/false});
     }
   }
   std::stable_sort(actions_.begin(), actions_.end(),
                    [](const action& a, const action& b) {
                      return a.t_ms < b.t_ms;
                    });
-  // Open t=0 stall/slow windows right now, before any worker runs: a
-  // thread meant to be stalled from the start (the legacy
-  // permanently-stalled mode is stall:tid@0+inf) must not sneak in real
-  // operations while the clock thread waits to be scheduled. One-shot
-  // kinds (burst/exit/churn) stay on the clock — churn's spawn callback
-  // must not run from the constructor.
+  // Open t=0 windows right now, before any worker runs: a thread meant
+  // to be stalled from the start (the legacy permanently-stalled mode is
+  // stall:tid@0+inf) must not sneak in real operations while the clock
+  // thread waits to be scheduled. One-shot kinds (burst/exit/churn) stay
+  // on the clock — churn's spawn callback must not run from the
+  // constructor.
   for (action& a : actions_) {
     if (a.t_ms > 0) break;
-    if (!a.begin) continue;
-    if (a.kind == fault_kind::stall) {
-      ctl_[a.tid]->stall_depth.fetch_add(1, std::memory_order_relaxed);
-      a.pre_applied = true;
-    } else if (a.kind == fault_kind::slow) {
-      ctl_[a.tid]->slow_us.fetch_add(a.delay_us, std::memory_order_relaxed);
+    if (a.begin && windowed(a.kind)) {
+      apply(a);
       a.pre_applied = true;
     }
   }
@@ -285,6 +290,48 @@ std::uint64_t fault_director::claim_burst(std::uint64_t max_n) {
   return 0;
 }
 
+namespace {
+
+/// Open or close one window on a control word: additive, so
+/// overlapping windows compose instead of clobbering.
+void shift(std::atomic<std::uint32_t>& word, std::uint32_t by, bool open) {
+  if (open) {
+    word.fetch_add(by, std::memory_order_relaxed);
+  } else {
+    word.fetch_sub(by, std::memory_order_relaxed);
+  }
+}
+
+}  // namespace
+
+void fault_director::apply(const action& a) {
+  control& c = *ctl_[a.tid];
+  switch (a.kind) {
+    case fault_kind::stall:
+      shift(c.stall_depth, 1, a.begin);
+      break;
+    case fault_kind::slow:
+      shift(c.slow_us, a.delay_us, a.begin);
+      break;
+    case fault_kind::hot:
+      shift(c.inline_depth, 1, a.begin);
+      break;
+    case fault_kind::scan:
+      shift(c.inline_depth, kScanUnit, a.begin);
+      break;
+    case fault_kind::burst:
+      burst_.fetch_add(a.count, std::memory_order_relaxed);
+      break;
+    case fault_kind::churn:
+      c.exit_gen.fetch_add(1, std::memory_order_relaxed);
+      if (spawn_) spawn_(a.tid);
+      break;
+    case fault_kind::exit_thread:
+      c.exit_gen.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
+}
+
 void fault_director::run_clock() {
   obs::name_thread("fault-director");
   const auto t0 = std::chrono::steady_clock::now();
@@ -296,35 +343,7 @@ void fault_director::run_clock() {
             .count();
     while (next < actions_.size() && actions_[next].t_ms <= now_ms) {
       const action& a = actions_[next++];
-      if (a.pre_applied) continue;
-      control& c = *ctl_[a.tid];
-      switch (a.kind) {
-        case fault_kind::stall:
-          if (a.begin) {
-            c.stall_depth.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            c.stall_depth.fetch_sub(1, std::memory_order_relaxed);
-          }
-          break;
-        case fault_kind::slow:
-          // Additive so overlapping windows compose instead of clobbering.
-          if (a.begin) {
-            c.slow_us.fetch_add(a.delay_us, std::memory_order_relaxed);
-          } else {
-            c.slow_us.fetch_sub(a.delay_us, std::memory_order_relaxed);
-          }
-          break;
-        case fault_kind::burst:
-          burst_.fetch_add(a.count, std::memory_order_relaxed);
-          break;
-        case fault_kind::churn:
-          c.exit_gen.fetch_add(1, std::memory_order_relaxed);
-          if (spawn_) spawn_(a.tid);
-          break;
-        case fault_kind::exit_thread:
-          c.exit_gen.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
+      if (!a.pre_applied) apply(a);
     }
     if (next == actions_.size()) {
       // Schedule exhausted; linger only to keep open-ended stalls pinned

@@ -10,6 +10,8 @@
 //   spec   := event (',' event)*
 //   event  := 'stall' ':' tid '@' start '+' dur     dur may be 'inf'
 //           | 'slow'  ':' tid '/' usec '@' start '+' dur
+//           | 'hot'   ':' tid '@' start '+' dur
+//           | 'scan'  ':' tid '@' start '+' dur
 //           | 'burst' ':' count '@' start
 //           | 'exit'  ':' tid '@' start
 //           | 'churn' ':' tid '@' start
@@ -20,6 +22,10 @@
 //            degenerate case `stall:tid@0+inf`).
 //   slow   — thread `tid` sleeps `usec` microseconds at every operation
 //            boundary inside the window (overlapping windows add up).
+//   hot    — thread `tid` hammers the hottest key with unpaced writes for
+//            the window (service swarm only).
+//   scan   — thread `tid` runs unpaced scan storms, long runs of probes
+//            under one guard, for the window (service swarm only).
 //   burst  — `count` extra retire-generating operations (remove+reinsert
 //            pairs on sets, push+pop pairs on containers) are distributed
 //            to the workers at time `start`.
@@ -27,6 +33,10 @@
 //            returns, releasing its SMR thread identity).
 //   churn  — like exit, but a replacement thread joins immediately,
 //            exercising thread-identity recycling mid-run.
+//
+// Stall, slow, hot and scan are windowed: the director flips a per-thread
+// control word when the window opens and again when it closes. Each loop
+// runs only the kinds it has a body for (fault_plan::runs_on).
 //
 // Example: `stall:2@500ms+300ms,churn:4@1s`.
 #pragma once
@@ -44,15 +54,30 @@
 
 namespace hyaline::lab {
 
-enum class fault_kind { stall, slow, burst, exit_thread, churn };
+enum class fault_kind { stall, slow, hot, scan, burst, exit_thread, churn };
+
+/// Stall, slow, hot and scan hold a window on one thread; the other kinds
+/// fire once.
+constexpr bool windowed(fault_kind k) {
+  return k == fault_kind::stall || k == fault_kind::slow ||
+         k == fault_kind::hot || k == fault_kind::scan;
+}
+
+/// The inline behaviour an open hot or scan window asks of a thread.
+enum class behaviour { none, hot, scan };
+
+/// The loop a plan drives. The workload loops (fig_timeline, check) have
+/// no inline behaviour to switch to. The service swarm has no retire pair
+/// to replay a burst with, and its SLO needs every window to close.
+enum class fault_loop { workload, service };
 
 struct fault_event {
   fault_kind kind = fault_kind::stall;
-  unsigned tid = 0;            ///< stall/slow/exit/churn target
+  unsigned tid = 0;            ///< every kind's target but burst's
   std::uint64_t count = 0;     ///< burst: retire-pair count
   std::uint32_t delay_us = 0;  ///< slow: injected per-op delay
   double start_ms = 0;
-  /// stall/slow window length; +infinity = never ends (stall only).
+  /// Window length; +infinity = never ends (stall only).
   double dur_ms = 0;
 
   double end_ms() const { return start_ms + dur_ms; }
@@ -67,6 +92,10 @@ struct fault_plan {
 
   /// Reject events targeting a thread id the workload will not run.
   bool validate_tids(unsigned worker_threads, std::string* err) const;
+
+  /// Reject events `loop` cannot run: hot and scan under the workload
+  /// loops; burst and never-ending windows under the service swarm.
+  bool runs_on(fault_loop loop, std::string* err) const;
 
   /// Start of the earliest event (0 when empty).
   double first_start_ms() const;
@@ -92,9 +121,9 @@ std::optional<fault_plan> parse_fault_plan(std::string_view spec,
                                            std::string* err);
 
 /// Consume a time value with an optional `us`/`ms`/`s` suffix
-/// (milliseconds when bare), advancing *p past it; false on negative or
-/// non-numeric input. Shared with the svc tenant-script and SLO grammars
-/// so every schedule spec in the suite spells time the same way.
+/// (milliseconds when bare), advancing *p past it; false on negative,
+/// infinite or non-numeric input. Shared with the svc SLO grammar so every
+/// spec in the suite spells time the same way.
 bool parse_time_ms(const char*& p, double* out);
 
 /// Executes a fault plan against one workload repetition. The director's
@@ -149,6 +178,15 @@ class fault_director {
     return ctl_[tid]->slow_us.load(std::memory_order_relaxed);
   }
 
+  /// The open hot or scan window's behaviour; hot outranks scan while
+  /// both are open.
+  behaviour behaviour_of(unsigned tid) const {
+    const std::uint32_t d =
+        ctl_[tid]->inline_depth.load(std::memory_order_relaxed);
+    if (d % kScanUnit != 0) return behaviour::hot;
+    return d != 0 ? behaviour::scan : behaviour::none;
+  }
+
   bool burst_pending() const {
     return burst_.load(std::memory_order_relaxed) != 0;
   }
@@ -158,27 +196,33 @@ class fault_director {
   std::uint64_t claim_burst(std::uint64_t max_n);
 
  private:
+  /// Open hot windows count in the low half of `inline_depth`, open scan
+  /// windows in the high half.
+  static constexpr std::uint32_t kScanUnit = 1u << 16;
+
   struct control {
     std::atomic<std::uint32_t> stall_depth{0};
     std::atomic<std::uint32_t> slow_us{0};
+    std::atomic<std::uint32_t> inline_depth{0};
     std::atomic<std::uint32_t> exit_gen{0};
   };
 
-  /// One scheduled control-word flip (a stall window expands to two).
+  /// One scheduled control-word flip (a window expands to two).
   struct action {
     double t_ms;
     fault_kind kind;
     unsigned tid;
     std::uint64_t count;
     std::uint32_t delay_us;
-    bool begin;  ///< window open vs close (stall/slow)
-    /// Applied synchronously in the constructor (t=0 stall/slow opens,
+    bool begin;  ///< window open vs close
+    /// Applied synchronously in the constructor (t=0 window opens,
     /// including the legacy permanently-stalled mode) so their effect
     /// does not wait on the clock thread being scheduled; the clock
     /// skips them.
     bool pre_applied = false;
   };
 
+  void apply(const action& a);
   void run_clock();
 
   std::vector<padded<control>> ctl_;

@@ -33,6 +33,12 @@ double latency_histogram::percentile(double q) const {
   return static_cast<double>(max_);
 }
 
+lag_percentiles lag_percentiles_of(const smr::stats_snapshot& s) {
+  const latency_histogram h =
+      latency_histogram::from_counts(s.lag_bucket, s.lag_max_ns);
+  return {h.percentile(0.50), h.percentile(0.99), s.lag_max_ns};
+}
+
 telemetry_collector::telemetry_collector(unsigned slots, unsigned sample_ms,
                                          const smr::stats* stats)
     : telemetry_collector(slots, sample_ms,

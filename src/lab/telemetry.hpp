@@ -100,6 +100,17 @@ class latency_histogram {
   std::uint64_t max_ = 0;
 };
 
+/// Retire->free lag percentiles (ns) of a stats snapshot, its lag buckets
+/// rehydrated through latency_histogram's quantile math. All zero unless
+/// obs::lag_tracking() was on for the run.
+struct lag_percentiles {
+  double p50_ns = 0;
+  double p99_ns = 0;
+  std::uint64_t max_ns = 0;
+};
+
+lag_percentiles lag_percentiles_of(const smr::stats_snapshot& s);
+
 /// Aggregates per-thread op counters and the domain's reclamation
 /// counters into a time series. Worker side is wait-free (one relaxed
 /// fetch_add per op on a thread-private cache line); the sampler thread

@@ -1,19 +1,22 @@
-// Service scenario, part 5: the swarm driver.
+// Service scenario, part 4: the swarm driver.
 //
 // run_service<D> stands up a shard_router over scheme D, prefills it,
 // and runs a tenant swarm against it for a fixed duration:
 //
-//   - every tenant is one worker thread with an open-loop pacer
-//     (svc/loadgen.hpp) drawing Zipfian keys — the simulated slice of a
-//     million-user population behind one connection;
-//   - connection churn and stall-in-guard windows are lowered into a
-//     lab::fault_plan (svc/tenant.hpp) and executed by the robustness
-//     lab's fault_director — tenants poll its control words at op
-//     boundaries exactly like the workload loops;
-//   - hot-key and scan-storm windows run inline, unpaced, against the
-//     router; a scripted tenant's latency goes to a separate histogram
-//     so its self-inflicted backlog cannot pollute the victim numbers
-//     the latency SLOs gate;
+//   - every tenant is one worker thread (one client connection) with an
+//     open-loop pacer (svc/loadgen.hpp) drawing Zipfian keys — the
+//     simulated slice of a million-user population behind one
+//     connection;
+//   - bad tenants follow a lab::fault_plan (--faults, grammar in
+//     lab/fault_plan.hpp) run by the robustness lab's fault_director:
+//     stall, slow, exit and churn as in the workload loops, plus the
+//     windows only this loop runs — hot (unpaced writes to the hottest
+//     key) and scan (unpaced scan storms), both inline against the
+//     router. A tenant a window names is scripted: its latency goes to
+//     a separate histogram so its self-inflicted backlog cannot pollute
+//     the victim numbers the latency SLOs gate;
+//   - periodic connection churn (add_churn) joins the plan as churn
+//     events over the tenants no event names;
 //   - the telemetry sampler aggregates retired/freed across all shard
 //     domains into one time series for the memory SLOs.
 //
@@ -24,9 +27,11 @@
 // (structures destroyed, domains drained).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,7 +42,6 @@
 #include "smr/stats.hpp"
 #include "svc/loadgen.hpp"
 #include "svc/shard_router.hpp"
-#include "svc/tenant.hpp"
 
 namespace hyaline::svc {
 
@@ -64,9 +68,10 @@ struct service_config {
   /// tenant hangs up and reconnects through tid_lease recycling.
   unsigned churn_period_ms = 0;
   std::size_t buckets_per_shard = 4096;
-  /// Bad-tenant script (nullptr = everyone behaves). Must be validated
-  /// against `tenants` and outlive the run.
-  const tenant_plan* script = nullptr;
+  /// Bad-tenant schedule (nullptr = everyone behaves). Must pass
+  /// validate_tids(tenants) and runs_on(fault_loop::service), and outlive
+  /// the run.
+  const lab::fault_plan* faults = nullptr;
 };
 
 constexpr bool valid_service_mix(const service_config& cfg) {
@@ -88,12 +93,63 @@ struct service_result {
   /// Domain counters summed across every shard domain after shutdown
   /// (scans/finalizes and the retire->free lag histogram).
   smr::stats_snapshot obs;
-  /// Retire->free lag percentiles (ns) over all shards; zero when lag
-  /// tracking was off.
-  double lag_p50_ns = 0;
-  double lag_p99_ns = 0;
-  std::uint64_t lag_max_ns = 0;
+  /// Retire->free lag percentiles over all shards.
+  lab::lag_percentiles lag;
 };
+
+/// True if a stall, slow, hot or scan window names `tenant`. Churn and
+/// exit events never mark a tenant as scripted.
+inline bool scripted(const lab::fault_plan& plan, unsigned tenant) {
+  return std::any_of(plan.events.begin(), plan.events.end(),
+                     [&](const lab::fault_event& e) {
+                       return lab::windowed(e.kind) && e.tid == tenant;
+                     });
+}
+
+/// The SLO disturbance window: the earliest window opening and the latest
+/// closing. {+infinity, 0} when the plan has no window, so churn alone
+/// reads as no scripted disturbance.
+struct disturbance {
+  double start_ms = std::numeric_limits<double>::infinity();
+  double end_ms = 0;
+};
+
+inline disturbance disturbance_of(const lab::fault_plan& plan) {
+  disturbance d;
+  for (const lab::fault_event& e : plan.events) {
+    if (!lab::windowed(e.kind)) continue;
+    d.start_ms = std::min(d.start_ms, e.start_ms);
+    d.end_ms = std::max(d.end_ms, e.end_ms());
+  }
+  return d;
+}
+
+/// Append periodic connection churn to `plan`: a churn event every
+/// `period_ms` (0 = none) strictly inside the run, cycling over the
+/// tenants no event of the plan names (every tenant when all are named).
+/// Bad tenants keep their windows; well-behaved connections recycle.
+inline void add_churn(lab::fault_plan& plan, unsigned tenants,
+                      unsigned period_ms, double duration_ms) {
+  if (period_ms == 0 || tenants == 0) return;
+  std::vector<unsigned> victims;
+  for (unsigned t = 0; t < tenants; ++t) {
+    const bool named = std::any_of(
+        plan.events.begin(), plan.events.end(),
+        [&](const lab::fault_event& e) {
+          return e.kind != lab::fault_kind::burst && e.tid == t;
+        });
+    if (!named) victims.push_back(t);
+  }
+  if (victims.empty()) {
+    for (unsigned t = 0; t < tenants; ++t) victims.push_back(t);
+  }
+  std::size_t next = 0;
+  for (double t = period_ms; t < duration_ms; t += period_ms) {
+    plan.events.push_back({.kind = lab::fault_kind::churn,
+                           .tid = victims[next++ % victims.size()],
+                           .start_ms = t});
+  }
+}
 
 template <class D>
 service_result run_service(const harness::scheme_params& base,
@@ -103,11 +159,9 @@ service_result run_service(const harness::scheme_params& base,
   assert(valid_service_mix(cfg) && "op-mix percentages must sum to 100");
 
   const unsigned tenants = cfg.tenants == 0 ? 1 : cfg.tenants;
-  const tenant_plan no_script;
-  const tenant_plan& script =
-      cfg.script != nullptr ? *cfg.script : no_script;
-  const lab::fault_plan plan = to_fault_plan(
-      script, tenants, cfg.churn_period_ms, cfg.duration_ms);
+  lab::fault_plan plan =
+      cfg.faults != nullptr ? *cfg.faults : lab::fault_plan{};
+  add_churn(plan, tenants, cfg.churn_period_ms, cfg.duration_ms);
 
   // Every tenant may touch every shard's domain, and churn replacements
   // transiently overlap their predecessors' leases — size each domain
@@ -144,8 +198,7 @@ service_result run_service(const harness::scheme_params& base,
     // user is a different request stream, not a replay.
     xoshiro256 rng(cfg.seed + w.tid * 1000003 + w.gen * 7919 + 1);
     pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (w.tid * 0x9e37 + w.gen));
-    const bool scripted = script.is_scripted(w.tid);
-    w.separate_latency = scripted;
+    w.separate_latency = scripted(plan, w.tid);
     bool in_window = false;
 
     auto good_op = [&](std::uint64_t key) {
@@ -169,7 +222,7 @@ service_result run_service(const harness::scheme_params& base,
       // guard pins something, and block for the window. The blast radius
       // is that shard; the others keep reclaiming. A stalled tenant is a
       // scripted tenant: its pacer backlog is the fault's doing, not the
-      // service's. Tenant scripts lower to no bursts.
+      // service's. The service plan holds no bursts (runs_on).
       if (!w.poll_faults(
               [&](auto hold) {
                 const unsigned s = w.tid % shards;
@@ -181,35 +234,29 @@ service_result run_service(const harness::scheme_params& base,
               [] {})) {
         continue;
       }
-      if (scripted) {
-        const double t_ms =
-            std::chrono::duration_cast<std::chrono::duration<double,
-                                                             std::milli>>(
-                clock::now() - w.rep_start())
-                .count();
-        if (const behavior_event* be = script.active(w.tid, t_ms)) {
-          in_window = true;
-          const auto t_op = clock::now();
-          if (be->kind == behavior_kind::hot_keys) {
-            // Hammer the hottest Zipf rank with unpaced writes: one
-            // shard's bucket chain takes the retire churn.
-            if ((w.ops() & 1) == 0) {
-              router.put(0, 0);
-            } else {
-              router.del(0);
-            }
+      if (const lab::behaviour b = w.behaviour();
+          b != lab::behaviour::none) {
+        in_window = true;
+        const auto t_op = clock::now();
+        if (b == lab::behaviour::hot) {
+          // Hammer the hottest Zipf rank with unpaced writes: one
+          // shard's bucket chain takes the retire churn.
+          if ((w.ops() & 1) == 0) {
+            router.put(0, 0);
           } else {
-            router.scan(static_cast<unsigned>(rng.below(shards)),
-                        rng.below(cfg.key_range), 256);
+            router.del(0);
           }
-          w.lat.record(intended_latency_ns(t_op, clock::now()));
-          w.after_op();
-          continue;
+        } else {
+          router.scan(static_cast<unsigned>(rng.below(shards)),
+                      rng.below(cfg.key_range), 256);
         }
-        if (in_window) {
-          in_window = false;
-          pace.reanchor();  // the window's backlog was self-inflicted
-        }
+        w.lat.record(intended_latency_ns(t_op, clock::now()));
+        w.after_op();
+        continue;
+      }
+      if (in_window) {
+        in_window = false;
+        pace.reanchor();  // the window's backlog was self-inflicted
       }
       const clock::time_point intended =
           pace.paced() ? pace.next_intended() : clock::now();
@@ -245,16 +292,11 @@ service_result run_service(const harness::scheme_params& base,
     res.freed += s.freed;
   }
   // Full counter state, summed across the shard domains (each owns its
-  // own stats block), then the lag buckets rehydrated through the shared
-  // histogram math.
+  // own stats block).
   for (const smr::stats* st : router.stats_pointers()) {
     res.obs.accumulate(st->snapshot());
   }
-  const auto lagh = lab::latency_histogram::from_counts(
-      res.obs.lag_bucket, res.obs.lag_max_ns);
-  res.lag_p50_ns = lagh.percentile(0.50);
-  res.lag_p99_ns = lagh.percentile(0.99);
-  res.lag_max_ns = res.obs.lag_max_ns;
+  res.lag = lab::lag_percentiles_of(res.obs);
   return res;
 }
 

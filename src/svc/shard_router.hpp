@@ -26,6 +26,7 @@
 
 #include "common/align.hpp"
 #include "ds/michael_hashmap.hpp"
+#include "harness/schemes.hpp"
 #include "smr/core/thread_hint.hpp"
 #include "smr/stats.hpp"
 
@@ -73,13 +74,6 @@ struct shard_totals {
 };
 
 shard_totals aggregate(const std::vector<shard_snapshot>& shards);
-
-namespace detail {
-template <class D>
-concept has_flush = requires(D d) { d.flush(); };
-template <class D>
-concept has_quiesce = requires(D d) { d.quiesce(); };
-}  // namespace detail
 
 template <class D>
 class shard_router {
@@ -166,8 +160,8 @@ class shard_router {
   /// exit, after the main thread's prefill).
   void thread_quiesce() {
     for (auto& d : doms_) {
-      if constexpr (detail::has_flush<D>) d->flush();
-      if constexpr (detail::has_quiesce<D>) d->quiesce();
+      harness::detail::flush_thread(*d);
+      harness::detail::quiesce_thread(*d);
     }
   }
 

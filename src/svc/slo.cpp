@@ -37,8 +37,7 @@ bool parse_item(std::string_view tok, slo_item* item, std::string* err) {
   const auto latency = [&](slo_kind kind) {
     item->kind = kind;
     double ms = 0;
-    if (!lab::parse_time_ms(p, &ms) || ms <= 0 || std::isinf(ms) ||
-        *p != '\0') {
+    if (!lab::parse_time_ms(p, &ms) || ms <= 0 || *p != '\0') {
       return fail(err, "bad latency bound in '" + s +
                            "' (want e.g. p99=500us)");
     }
@@ -67,8 +66,7 @@ bool parse_item(std::string_view tok, slo_item* item, std::string* err) {
   if (starts("recovery<")) {
     item->kind = slo_kind::recovery;
     double ms = 0;
-    if (!lab::parse_time_ms(p, &ms) || ms <= 0 || std::isinf(ms) ||
-        *p != '\0') {
+    if (!lab::parse_time_ms(p, &ms) || ms <= 0 || *p != '\0') {
       return fail(err, "bad recovery bound in '" + s +
                            "' (want e.g. recovery<1s)");
     }

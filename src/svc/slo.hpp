@@ -1,4 +1,4 @@
-// Service scenario, part 4: the SLO gate.
+// Service scenario, part 3: the SLO gate.
 //
 // Declarative service-level objectives evaluated over a run's victim
 // latency histogram and telemetry time series:
@@ -59,9 +59,9 @@ struct slo_spec {
 std::optional<slo_spec> parse_slo(std::string_view spec, std::string* err);
 
 /// Everything one scheme's evaluation reads. Disturbance bounds come
-/// from the tenant plan (+infinity when the swarm ran no script — the
-/// memory items then bound growth over the run's second half against its
-/// first, and recovery is unchecked).
+/// from the fault plan's windows (svc::disturbance_of; +infinity when the
+/// swarm ran none — the memory items then bound growth over the run's
+/// second half against its first, and recovery is unchecked).
 struct slo_inputs {
   const lab::latency_histogram* latency = nullptr;  ///< victim tenants
   const std::vector<lab::sample_point>* timeline = nullptr;

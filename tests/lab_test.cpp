@@ -1,9 +1,11 @@
 // Robustness-lab unit tests: the --faults spec parser (grammar,
 // overlapping windows, rejection of malformed input and out-of-range
-// tids), the log-bucketed latency histogram's bucket math and percentile
-// interpolation, the recovery check that fig_timeline turns into an
-// exit status, and every fault kind driven through every workload loop
-// shape.
+// tids, the kinds each loop runs), the director's behaviour word, the
+// service's reading of a plan (scripted tenants, the SLO disturbance
+// window, periodic churn), the log-bucketed latency histogram's bucket
+// math and percentile interpolation, the recovery check that
+// fig_timeline turns into an exit status, and every fault kind driven
+// through every workload loop shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +19,8 @@
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
 #include "smr/stats.hpp"
+#include "svc/service.hpp"
+#include "svc/slo.hpp"
 
 namespace hyaline::lab {
 namespace {
@@ -111,6 +115,167 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   expect_reject("wobble:1@0");         // unknown kind
   expect_reject("stall:1@0+10ms,");    // trailing empty event
   expect_reject("stall:1@0+10msx");    // trailing garbage
+  expect_reject("nap:1@100ms+50ms");   // unknown kind
+  expect_reject("hot@100ms+50ms");     // missing ':tid'
+  expect_reject("hot:1+50ms");         // missing '@start'
+  expect_reject("hot:1@100ms");        // hot needs a window
+  expect_reject("scan:1@100ms+0ms");   // empty window
+  expect_reject("hot:1@100ms+50msQ");  // trailing garbage
+  expect_reject("hot:x@100ms+50ms");   // unparsable tid
+  expect_reject("scan:1@abc+50ms");    // unparsable start
+  expect_reject("hot:1@0+inf");        // only stalls may be infinite
+  expect_reject("hot:1@0+INF");        // nor spelled any other way
+}
+
+TEST(FaultPlanTest, ParsesHotAndScanAmongEveryKind) {
+  const fault_plan p = parse_ok(
+      "stall:3@250ms+200ms,hot:7@300ms+200ms,scan:1@100ms+50ms,"
+      "slow:2/10@120ms+30ms,burst:64@5ms,exit:4@50ms,churn:5@900ms");
+  ASSERT_EQ(p.events.size(), 7u);
+  EXPECT_EQ(p.events[1].kind, fault_kind::hot);
+  EXPECT_EQ(p.events[1].tid, 7u);
+  EXPECT_DOUBLE_EQ(p.events[1].start_ms, 300);
+  EXPECT_DOUBLE_EQ(p.events[1].dur_ms, 200);
+  EXPECT_EQ(p.events[2].kind, fault_kind::scan);
+  EXPECT_EQ(p.events[2].tid, 1u);
+  for (const fault_event& e : p.events) {
+    EXPECT_EQ(windowed(e.kind), e.dur_ms > 0);
+  }
+  EXPECT_DOUBLE_EQ(p.first_start_ms(), 5);
+  EXPECT_DOUBLE_EQ(*p.last_end_ms(), 900);
+
+  // A tenant a window names is scripted; exit and churn mark no one.
+  for (const unsigned t : {1u, 2u, 3u, 7u}) EXPECT_TRUE(svc::scripted(p, t));
+  for (const unsigned t : {0u, 4u, 5u}) EXPECT_FALSE(svc::scripted(p, t));
+  // The SLO disturbance window spans the windows only.
+  const svc::disturbance d = svc::disturbance_of(p);
+  EXPECT_DOUBLE_EQ(d.start_ms, 100);
+  EXPECT_DOUBLE_EQ(d.end_ms, 500);
+
+  std::string err;
+  EXPECT_TRUE(p.validate_tids(8, &err)) << err;
+  EXPECT_FALSE(p.validate_tids(4, &err));  // tid 7 out of range
+  EXPECT_FALSE(err.empty());
+}
+
+TEST(FaultPlanTest, EachLoopRejectsKindsItCannotRun) {
+  std::string err;
+  // The workload loops have no inline behaviour to switch to.
+  EXPECT_FALSE(
+      parse_ok("hot:0@10ms+10ms").runs_on(fault_loop::workload, &err));
+  EXPECT_FALSE(
+      parse_ok("scan:0@10ms+10ms").runs_on(fault_loop::workload, &err));
+  EXPECT_FALSE(err.empty());
+  EXPECT_TRUE(parse_ok("stall:0@0+inf,slow:1/5@0+1ms,burst:9@1ms,"
+                       "exit:1@2ms,churn:2@3ms")
+                  .runs_on(fault_loop::workload, &err))
+      << err;
+  // The service swarm replays no burst and needs every window to close.
+  EXPECT_FALSE(parse_ok("burst:10@50ms").runs_on(fault_loop::service, &err));
+  EXPECT_FALSE(
+      parse_ok("stall:1@50ms+inf").runs_on(fault_loop::service, &err));
+  EXPECT_TRUE(parse_ok("stall:0@1ms+1ms,slow:1/5@0+1ms,hot:2@0+1ms,"
+                       "scan:3@0+1ms,exit:1@2ms,churn:2@3ms")
+                  .runs_on(fault_loop::service, &err))
+      << err;
+}
+
+TEST(FaultPlanTest, EmptyPlanReadsAsNoScriptedDisturbance) {
+  const fault_plan p;
+  EXPECT_TRUE(p.empty());
+  EXPECT_DOUBLE_EQ(p.first_start_ms(), 0);
+  EXPECT_DOUBLE_EQ(*p.last_end_ms(), 0);
+  std::string err;
+  EXPECT_TRUE(p.validate_tids(1, &err));
+  EXPECT_TRUE(p.runs_on(fault_loop::workload, &err));
+  EXPECT_TRUE(p.runs_on(fault_loop::service, &err));
+  EXPECT_FALSE(svc::scripted(p, 0));
+
+  // first_start_ms() reads 0 for an empty plan; the disturbance window
+  // opens at +infinity instead, so the SLO sees no disturbance at all.
+  const svc::disturbance d = svc::disturbance_of(p);
+  EXPECT_TRUE(std::isinf(d.start_ms));
+  EXPECT_DOUBLE_EQ(d.end_ms, 0);
+  const auto slo = svc::parse_slo("recovery<1s", &err);
+  ASSERT_TRUE(slo.has_value()) << err;
+  svc::slo_inputs in;
+  in.disturb_start_ms = d.start_ms;
+  in.disturb_end_ms = d.end_ms;
+  in.duration_ms = 1000;
+  in.robust = true;
+  const auto verdicts = svc::evaluate_slo(*slo, in);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_FALSE(verdicts[0].checked);
+  EXPECT_STREQ(verdicts[0].note, "no scripted disturbance");
+}
+
+TEST(FaultPlanTest, ChurnCyclesOverTenantsNoEventNames) {
+  fault_plan p = parse_ok("stall:1@100ms+100ms,hot:3@150ms+100ms");
+  svc::add_churn(p, 4, 150, 600.0);
+  unsigned churns = 0;
+  for (const fault_event& e : p.events) {
+    if (e.kind != fault_kind::churn) continue;
+    EXPECT_TRUE(e.tid == 0u || e.tid == 2u) << e.tid;
+    EXPECT_LT(e.start_ms, 600.0);
+    ++churns;
+  }
+  // Periods at 150, 300, 450 (600 is not strictly inside the run).
+  EXPECT_EQ(churns, 3u);
+  EXPECT_EQ(p.events.size(), 5u);
+  // Churn marks no tenant as scripted and leaves the disturbance window.
+  EXPECT_FALSE(svc::scripted(p, 0));
+  EXPECT_FALSE(svc::scripted(p, 2));
+  EXPECT_DOUBLE_EQ(svc::disturbance_of(p).start_ms, 100);
+  EXPECT_DOUBLE_EQ(svc::disturbance_of(p).end_ms, 250);
+  std::string err;
+  EXPECT_TRUE(p.validate_tids(4, &err)) << err;
+  EXPECT_TRUE(p.runs_on(fault_loop::service, &err)) << err;
+  // Each churn adds one lease of overlap headroom.
+  EXPECT_EQ(p.lease_headroom(4), 4u + 1 + 3);
+
+  // A zero period adds nothing.
+  fault_plan quiet = parse_ok("stall:1@100ms+100ms");
+  svc::add_churn(quiet, 4, 0, 600.0);
+  EXPECT_EQ(quiet.events.size(), 1u);
+
+  // With every tenant named, churn cycles over all of them.
+  fault_plan all = parse_ok("hot:0@0+10ms,scan:1@0+10ms");
+  svc::add_churn(all, 2, 100, 350.0);
+  ASSERT_EQ(all.events.size(), 5u);
+  EXPECT_EQ(all.events[2].tid, 0u);
+  EXPECT_EQ(all.events[3].tid, 1u);
+  EXPECT_EQ(all.events[4].tid, 0u);
+}
+
+TEST(FaultDirectorTest, HotWindowFlipsTheBehaviourWordOnAndOff) {
+  using clock = std::chrono::steady_clock;
+  const fault_plan plan =
+      parse_ok("hot:0@30ms+40ms,scan:1@0+40ms,hot:2@0+1s,scan:2@0+1s");
+  fault_director dir(plan, 3);
+  // Windows open at t=0 apply before the clock thread runs; hot
+  // outranks scan while both are open.
+  EXPECT_EQ(dir.behaviour_of(0), behaviour::none);
+  EXPECT_EQ(dir.behaviour_of(1), behaviour::scan);
+  EXPECT_EQ(dir.behaviour_of(2), behaviour::hot);
+
+  const auto t0 = clock::now();
+  dir.start();
+  // Poll until tid 0 shows `want` (10 s cap); the ms since t0 it took.
+  const auto wait_for = [&](behaviour want) {
+    const auto deadline = t0 + std::chrono::seconds(10);
+    while (dir.behaviour_of(0) != want && clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return std::chrono::duration<double, std::milli>(clock::now() - t0)
+        .count();
+  };
+  const double on_ms = wait_for(behaviour::hot);
+  ASSERT_EQ(dir.behaviour_of(0), behaviour::hot);
+  EXPECT_GE(on_ms, 30.0);
+  const double off_ms = wait_for(behaviour::none);
+  EXPECT_EQ(dir.behaviour_of(0), behaviour::none);
+  EXPECT_GE(off_ms, 70.0);
+  dir.stop();
 }
 
 TEST(FaultPlanTest, RejectsTidBeyondWorkerCount) {

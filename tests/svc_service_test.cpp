@@ -13,9 +13,9 @@
 
 #include "harness/registry.hpp"
 #include "harness/schemes.hpp"
+#include "lab/fault_plan.hpp"
 #include "svc/service.hpp"
 #include "svc/shard_router.hpp"
-#include "svc/tenant.hpp"
 
 namespace {
 
@@ -168,10 +168,12 @@ TEST_P(ServiceSwarm, RunsChurnAndFaultsWithoutLeaking) {
   ASSERT_NE(run, nullptr) << scheme;
 
   std::string err;
-  const auto script =
-      parse_tenant_plan("stall:1@100ms+100ms,hot:3@150ms+100ms", &err);
-  ASSERT_TRUE(script.has_value()) << err;
-  ASSERT_TRUE(script->validate(4, &err)) << err;
+  const auto faults = hyaline::lab::parse_fault_plan(
+      "stall:1@100ms+100ms,hot:3@150ms+100ms", &err);
+  ASSERT_TRUE(faults.has_value()) << err;
+  ASSERT_TRUE(faults->validate_tids(4, &err)) << err;
+  ASSERT_TRUE(faults->runs_on(hyaline::lab::fault_loop::service, &err))
+      << err;
 
   service_config cfg;
   cfg.shards = 2;
@@ -184,7 +186,7 @@ TEST_P(ServiceSwarm, RunsChurnAndFaultsWithoutLeaking) {
   cfg.sample_ms = 20;
   cfg.churn_period_ms = 100;
   cfg.buckets_per_shard = 1024;
-  cfg.script = &*script;
+  cfg.faults = &*faults;
 
   hyaline::harness::scheme_params p;
   p.ack_threshold = 128;

@@ -1,18 +1,15 @@
-// Unit tests for the SLO gate (svc/slo.hpp) and the tenant-script
-// grammar (svc/tenant.hpp): parse acceptance/rejection, the settled-tail
-// semantics of `unreclaimed<Fx`, recovery timing, robust-only gating of
-// the memory items, and the lowering of tenant scripts plus connection
-// churn into a lab::fault_plan.
+// Unit tests for the SLO gate (svc/slo.hpp): parse acceptance/rejection,
+// the settled-tail semantics of `unreclaimed<Fx`, recovery timing, and
+// robust-only gating of the memory items. The service's fault schedule
+// (hot and scan windows, churn lowering) is tested in lab_test.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "lab/telemetry.hpp"
 #include "svc/slo.hpp"
-#include "svc/tenant.hpp"
 
 namespace {
 
@@ -235,103 +232,6 @@ TEST(SloEvaluate, FormatVerdictTagsOutcomes) {
   const std::string line = format_verdict(verdicts[0]);
   EXPECT_NE(line.find("p99"), std::string::npos) << line;
   EXPECT_NE(line.find("[pass]"), std::string::npos) << line;
-}
-
-// ---------------------------------------------------------------------
-// parse_tenant_plan / to_fault_plan
-
-TEST(TenantPlan, AcceptsFullGrammar) {
-  std::string err;
-  const auto plan = parse_tenant_plan(
-      "stall:3@250ms+200ms,hot:7@300ms+200ms,scan:1@100ms+50ms", &err);
-  ASSERT_TRUE(plan.has_value()) << err;
-  ASSERT_EQ(plan->events.size(), 3u);
-  EXPECT_EQ(plan->events[0].kind, behavior_kind::stall_in_guard);
-  EXPECT_EQ(plan->events[0].tenant, 3u);
-  EXPECT_DOUBLE_EQ(plan->events[0].start_ms, 250.0);
-  EXPECT_DOUBLE_EQ(plan->events[0].dur_ms, 200.0);
-  EXPECT_EQ(plan->events[1].kind, behavior_kind::hot_keys);
-  EXPECT_EQ(plan->events[2].kind, behavior_kind::scan_storm);
-
-  EXPECT_TRUE(plan->is_scripted(3));
-  EXPECT_TRUE(plan->is_scripted(7));
-  EXPECT_FALSE(plan->is_scripted(0));
-  EXPECT_DOUBLE_EQ(plan->first_start_ms(), 100.0);
-  EXPECT_DOUBLE_EQ(plan->last_end_ms(), 500.0);
-
-  // active() covers hot/scan windows, never stalls.
-  EXPECT_NE(plan->active(7, 400.0), nullptr);
-  EXPECT_EQ(plan->active(7, 600.0), nullptr);
-  EXPECT_EQ(plan->active(3, 300.0), nullptr);  // stall: director-driven
-
-  EXPECT_TRUE(plan->validate(8, &err)) << err;
-  EXPECT_FALSE(plan->validate(4, &err));  // tenant 7 out of range
-  EXPECT_FALSE(err.empty());
-}
-
-TEST(TenantPlan, RejectsBadSpecs) {
-  const char* bad[] = {
-      "",                    // empty spec
-      "nap:1@100ms+50ms",    // unknown behavior
-      "hot@100ms+50ms",      // missing ':tenant'
-      "hot:1+50ms",          // missing '@start'
-      "hot:1@100ms",         // missing '+dur'
-      "hot:1@100ms+0ms",     // non-positive window
-      "hot:1@100ms+50msQ",   // trailing garbage
-      "hot:x@100ms+50ms",    // unparsable tenant
-      "hot:1@abc+50ms",      // unparsable start
-  };
-  for (const char* spec : bad) {
-    std::string err;
-    EXPECT_FALSE(parse_tenant_plan(spec, &err).has_value())
-        << "accepted: \"" << spec << "\"";
-    EXPECT_FALSE(err.empty()) << spec;
-  }
-}
-
-TEST(TenantPlan, EmptyPlanHelpers) {
-  tenant_plan plan;
-  EXPECT_TRUE(plan.empty());
-  EXPECT_TRUE(std::isinf(plan.first_start_ms()));
-  EXPECT_DOUBLE_EQ(plan.last_end_ms(), 0.0);
-  EXPECT_FALSE(plan.is_scripted(0));
-  std::string err;
-  EXPECT_TRUE(plan.validate(1, &err));
-}
-
-TEST(TenantPlan, LowersStallsAndChurnToFaultPlan) {
-  std::string err;
-  const auto plan =
-      parse_tenant_plan("stall:1@100ms+100ms,hot:3@150ms+100ms", &err);
-  ASSERT_TRUE(plan.has_value()) << err;
-
-  const hyaline::lab::fault_plan fp = to_fault_plan(*plan, 4, 150, 600.0);
-  unsigned stalls = 0, churns = 0;
-  for (const auto& e : fp.events) {
-    if (e.kind == hyaline::lab::fault_kind::stall) {
-      ++stalls;
-      EXPECT_EQ(e.tid, 1u);
-      EXPECT_DOUBLE_EQ(e.start_ms, 100.0);
-      EXPECT_DOUBLE_EQ(e.dur_ms, 100.0);
-    } else {
-      ASSERT_EQ(e.kind, hyaline::lab::fault_kind::churn);
-      // Churn cycles over the UNSCRIPTED tenants only (0 and 2 here).
-      EXPECT_TRUE(e.tid == 0u || e.tid == 2u) << e.tid;
-      EXPECT_LT(e.start_ms, 600.0);
-      ++churns;
-    }
-  }
-  EXPECT_EQ(stalls, 1u);
-  // Periods at 150, 300, 450 (600 is not strictly inside the run).
-  EXPECT_EQ(churns, 3u);
-  EXPECT_TRUE(fp.validate_tids(4, &err)) << err;
-  // Churned tenants need lease headroom beyond the base 4 threads.
-  EXPECT_GT(fp.lease_headroom(4), 4u);
-
-  // hot/scan behaviors never become fault events; churn 0 = none.
-  const hyaline::lab::fault_plan quiet = to_fault_plan(*plan, 4, 0, 600.0);
-  ASSERT_EQ(quiet.events.size(), 1u);
-  EXPECT_EQ(quiet.events[0].kind, hyaline::lab::fault_kind::stall);
 }
 
 }  // namespace
