@@ -213,7 +213,12 @@ class natarajan_tree {
   /// advance; R and S are permanent and need no protection. Peak: four
   /// role handles plus the child being acquired.
   void seek(guard& g, std::uint64_t key, seek_record& r) {
-  retry:
+    while (!descend(g, key, r)) {
+    }
+  }
+
+  /// One descent from the root; false = restart (met a frozen edge).
+  bool descend(guard& g, std::uint64_t key, seek_record& r) {
     r.release();
     r.ancestor = root_;
     r.successor = s_;
@@ -226,7 +231,7 @@ class natarajan_tree {
         // rightmost leaf of the left subtree is the undeletable inf0), so
         // this cannot happen in a correct execution; never descend through
         // a dirty edge regardless.
-        goto retry;
+        return false;
       }
     }
     r.leaf = untag(parent_field);
@@ -238,7 +243,7 @@ class natarajan_tree {
       tnode* cur_raw = cur_h.get();
       tnode* cur = untag(cur_raw);
       if (cur == nullptr) {
-        return;
+        return true;
       }
       const bool path_edge_clean = !has_tag(parent_field, tag_bit);
       if (path_edge_clean) {
@@ -265,7 +270,7 @@ class natarajan_tree {
           h.parent = r.leaf;
           h.leaf = cur;
           cleanup(g, key, h);
-          goto retry;
+          return false;
         }
       }
       r.parent = r.leaf;

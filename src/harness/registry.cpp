@@ -22,10 +22,6 @@
 
 namespace hyaline::harness {
 
-// The one head-policy variant no entry registers still satisfies the v2
-// facade (run_cell asserts it for every registered scheme).
-static_assert(smr::Domain<domain_s_dw>);
-
 namespace {
 
 /// Carry the domain's full counter state (ledgers, mechanism events, lag

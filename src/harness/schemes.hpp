@@ -11,6 +11,7 @@
 #include <bit>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "smr/ebr.hpp"
 #include "smr/hazard_eras.hpp"
@@ -147,87 +148,67 @@ struct scheme_traits<smr::ibr_domain> {
   }
 };
 
+/// make() for the Hyaline family: every Hyaline / Hyaline-S head variant
+/// is built from one config (basic Hyaline ignores max_slots and
+/// ack_threshold), Hyaline-1 and Hyaline-1S from one config1.
+template <class D>
+struct hyaline_make {
+  static std::unique_ptr<D> make(const scheme_params& p) {
+    if constexpr (std::is_constructible_v<D, config1>) {
+      return std::make_unique<D>(
+          config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
+    } else {
+      return std::make_unique<D>(config{.slots = default_slots(p),
+                                        .max_slots = p.max_slots,
+                                        .batch_min = p.batch_min,
+                                        .ack_threshold = p.ack_threshold,
+                                        .entry_burst = p.entry_burst});
+    }
+  }
+};
+
 template <>
-struct scheme_traits<domain> {
+struct scheme_traits<domain> : hyaline_make<domain> {
   static constexpr const char* name = "Hyaline";
   static constexpr bool core_lineup = true;
   using llsc_twin = domain_llsc;  ///< Figures 13-16 head substitution
-  static std::unique_ptr<domain> make(const scheme_params& p) {
-    return std::make_unique<domain>(config{.slots = default_slots(p),
-                                           .batch_min = p.batch_min,
-                                           .entry_burst = p.entry_burst});
-  }
 };
 
 template <>
-struct scheme_traits<domain_dw> {
+struct scheme_traits<domain_dw> : hyaline_make<domain_dw> {
   static constexpr const char* name = "Hyaline(dwcas)";
   static constexpr bool core_lineup = false;
-  static std::unique_ptr<domain_dw> make(const scheme_params& p) {
-    return std::make_unique<domain_dw>(config{.slots = default_slots(p),
-                                              .batch_min = p.batch_min,
-                                              .entry_burst = p.entry_burst});
-  }
 };
 
 template <>
-struct scheme_traits<domain_llsc> {
+struct scheme_traits<domain_llsc> : hyaline_make<domain_llsc> {
   static constexpr const char* name = "Hyaline(llsc)";
   static constexpr bool core_lineup = false;
-  static std::unique_ptr<domain_llsc> make(const scheme_params& p) {
-    return std::make_unique<domain_llsc>(
-        config{.slots = default_slots(p),
-               .batch_min = p.batch_min,
-               .entry_burst = p.entry_burst});
-  }
 };
 
 template <>
-struct scheme_traits<domain_s> {
+struct scheme_traits<domain_s> : hyaline_make<domain_s> {
   static constexpr const char* name = "Hyaline-S";
   static constexpr bool core_lineup = true;
   using llsc_twin = domain_s_llsc;  ///< Figures 13-16 head substitution
-  static std::unique_ptr<domain_s> make(const scheme_params& p) {
-    return std::make_unique<domain_s>(config{.slots = default_slots(p),
-                                             .max_slots = p.max_slots,
-                                             .batch_min = p.batch_min,
-                                             .ack_threshold = p.ack_threshold,
-                                             .entry_burst = p.entry_burst});
-  }
 };
 
 template <>
-struct scheme_traits<domain_s_llsc> {
+struct scheme_traits<domain_s_llsc> : hyaline_make<domain_s_llsc> {
   static constexpr const char* name = "Hyaline-S(llsc)";
   static constexpr bool core_lineup = false;
-  static std::unique_ptr<domain_s_llsc> make(const scheme_params& p) {
-    return std::make_unique<domain_s_llsc>(
-        config{.slots = default_slots(p),
-               .max_slots = p.max_slots,
-               .batch_min = p.batch_min,
-               .ack_threshold = p.ack_threshold,
-               .entry_burst = p.entry_burst});
-  }
 };
 
 template <>
-struct scheme_traits<domain_1> {
+struct scheme_traits<domain_1> : hyaline_make<domain_1> {
   static constexpr const char* name = "Hyaline-1";
   static constexpr bool core_lineup = true;
-  static std::unique_ptr<domain_1> make(const scheme_params& p) {
-    return std::make_unique<domain_1>(
-        config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
-  }
 };
 
 template <>
-struct scheme_traits<domain_1s> {
+struct scheme_traits<domain_1s> : hyaline_make<domain_1s> {
   static constexpr const char* name = "Hyaline-1S";
   static constexpr bool core_lineup = true;
-  static std::unique_ptr<domain_1s> make(const scheme_params& p) {
-    return std::make_unique<domain_1s>(
-        config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
-  }
 };
 
 /// An ordered list of scheme types; `for_each` calls f.template

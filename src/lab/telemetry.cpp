@@ -1,5 +1,6 @@
 #include "lab/telemetry.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/trace.hpp"
@@ -159,8 +160,7 @@ recovery_verdict check_recovery(const std::vector<sample_point>& points,
   v.post = post_sum / static_cast<double>(post_n);
   // The floor absorbs batching slack when the pre-fault window was
   // nearly idle and the baseline is a handful of nodes.
-  constexpr double kFloor = 2048;
-  v.limit = v.baseline * 2 > kFloor ? v.baseline * 2 : kFloor;
+  v.limit = std::max(v.baseline * 2, kRecoveryFloor);
   v.recovered = v.post <= v.limit;
   return v;
 }

@@ -167,10 +167,15 @@ class telemetry_collector {
   std::thread sampler_;
 };
 
+/// Floor of the recovery check's memory limit, in nodes: below it the
+/// unreclaimed count is batching slack (Hyaline batch minimums, HP scan
+/// thresholds), not a robustness signal. The service SLO uses it too.
+inline constexpr double kRecoveryFloor = 2048;
+
 /// Verdict of the post-fault recovery check (fig_timeline's checked
 /// property): after the last fault clears, a robust scheme's unreclaimed
-/// count must return to within 2x its pre-fault baseline (or an absolute
-/// floor covering batching slack, whichever is larger).
+/// count must return to within 2x its pre-fault baseline (or
+/// kRecoveryFloor, whichever is larger).
 struct recovery_verdict {
   bool checked = false;    ///< false = not enough samples to judge
   bool recovered = false;

@@ -13,11 +13,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Absolute floor for the memory limit, matching check_recovery(): below
-/// this many nodes the count is batching slack (Hyaline batch minimums,
-/// HP scan thresholds), not a robustness signal.
-constexpr double kFloor = 2048.0;
-
 bool fail(std::string* err, const std::string& msg) {
   if (err != nullptr) *err = msg;
   return false;
@@ -203,10 +198,10 @@ std::vector<slo_verdict> evaluate_slo(const slo_spec& spec,
   const memory_windows w = make_windows(in);
   double baseline = 0;
   bool have_baseline = false;
-  double limit = kFloor;
+  double limit = lab::kRecoveryFloor;
   if (in.timeline != nullptr) {
     baseline = peak_before(*in.timeline, w.baseline_until_ms, &have_baseline);
-    limit = std::max(mem_factor * baseline, kFloor);
+    limit = std::max(mem_factor * baseline, lab::kRecoveryFloor);
   }
 
   std::vector<slo_verdict> out;

@@ -20,7 +20,7 @@
 //   unreclaimed < Fx — steady-state bound: peak unreclaimed outside the
 //     disturbance window (before it starts, and after the post-
 //     disturbance settle point) stays within F times the pre-disturbance
-//     peak, floored at the batching-slack constant check_recovery uses.
+//     peak, floored at lab::kRecoveryFloor (check_recovery's floor).
 //     Growth *during* a scripted fault is expected even for robust
 //     schemes (bounded != flat); the recovery item covers the return.
 //   recovery < T — after the last scripted disturbance clears, the
