@@ -9,7 +9,8 @@
 //   directory[s], s >= 1  covers slots [2^(s-1)*Kmin, 2^s*Kmin)
 //
 // To access slot i:  s = log2(floor(i / Kmin)) + 1, with log2(0) = -1,
-// implemented with the leading-zero count (std::bit_width). The directory
+// implemented with a shift (Kmin is a power of two) and the leading-zero
+// count (std::bit_width), so slot access runs no divide. The directory
 // has at most 64 - log2(Kmin) entries on a 64-bit machine.
 #pragma once
 
@@ -29,7 +30,9 @@ class slot_directory {
   /// `kmin` must be a power of two (the Adjs arithmetic requires the total
   /// slot count to stay a power of two; growth always doubles).
   explicit slot_directory(std::size_t kmin, std::size_t kmax = max_slots_cap)
-      : kmin_(kmin), kmax_(kmax) {
+      : kmin_(kmin),
+        kmin_shift_(static_cast<unsigned>(std::countr_zero(kmin))),
+        kmax_(kmax) {
     assert(kmin >= 1 && std::has_single_bit(kmin));
     assert(kmax >= kmin && std::has_single_bit(kmax));
     dir_[0].store(new Slot[kmin], std::memory_order_release);
@@ -85,7 +88,7 @@ class slot_directory {
 
   /// Directory index for slot i (the paper's log2 formula).
   std::size_t dir_index(std::size_t i) const {
-    const std::size_t q = i / kmin_;
+    const std::size_t q = i >> kmin_shift_;
     return q == 0 ? 0 : static_cast<std::size_t>(std::bit_width(q));
   }
 
@@ -100,6 +103,7 @@ class slot_directory {
   static constexpr std::size_t dir_entries = 64;
 
   std::size_t kmin_;
+  unsigned kmin_shift_;  // log2(kmin_)
   std::size_t kmax_;
   std::atomic<std::size_t> k_{0};
   std::atomic<Slot*> dir_[dir_entries] = {};

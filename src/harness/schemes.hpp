@@ -29,8 +29,9 @@ struct scheme_params {
   unsigned max_threads = 8;   ///< active + stalled threads (the registry
                               ///< runners add headroom for the prefilling
                               ///< thread's transparent tid lease)
-  std::size_t slots = 0;      ///< Hyaline k (0 = 2*next_pow2(threads), capped
-                              ///< at 128 like the paper's evaluation)
+  std::size_t slots = 0;      ///< Hyaline k (0 = bit_ceil(max_threads),
+                              ///< capped at 128 like the paper's
+                              ///< evaluation: default_slots())
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
   std::size_t batch_min = 64;
   std::int64_t ack_threshold = 8192;  ///< Hyaline-S stalled-slot detection

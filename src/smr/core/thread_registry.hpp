@@ -17,8 +17,10 @@
 //     its guards lease from;
 //   - tls_cache<V>: per-(thread, domain) value cache used by the Hyaline
 //     variants for their thread-local batch builders;
-//   - thread_hint(), the unbounded per-thread integer for slot placement,
-//     through smr/stats.hpp: it lives below it, in core/thread_hint.hpp.
+//   - thread_hint(), the per-thread id for Hyaline slot placement and
+//     counter cells, through smr/stats.hpp: it lives below it, in
+//     core/thread_hint.hpp. Unlike a tid it has no capacity: it is the
+//     lowest id free among live threads, handed back at thread exit.
 #pragma once
 
 #include <atomic>

@@ -332,9 +332,11 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
 
   // --- core algorithm (Figure 3) --------------------------------------
 
+  /// `hint` mod k, as a mask: k is always a power of two (validated(),
+  /// and growth doubles it), so guard entry runs no divide.
   std::size_t choose_slot(unsigned hint) {
-    std::size_t k = slots_.size();
-    std::size_t s = hint % k;
+    const std::size_t k = slots_.size();
+    std::size_t s = hint & (k - 1);
     if constexpr (Robust) {
       // Fig. 5 enter: hop past slots acked-out by stalled threads.
       for (std::size_t tries = 0; tries < k; ++tries) {
@@ -342,11 +344,12 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
             cfg_.ack_threshold) {
           return s;
         }
-        s = (s + 1) % k;
+        s = (s + 1) & (k - 1);
       }
-      // Every slot looks stalled: grow the directory (§4.3) if allowed.
+      // Every slot looks stalled: grow the directory (§4.3) if allowed,
+      // and land in the first k fresh slots, [k, 2k) (grown >= 2k).
       const std::size_t grown = slots_.grow();
-      if (grown > k) return k + hint % (grown - k);
+      if (grown > k) return k + (hint & (k - 1));
       // Not adaptive: degrade gracefully (the pre-§4.3 capped behavior).
     }
     return s;

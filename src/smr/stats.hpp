@@ -19,18 +19,23 @@
 // Per-thread cells. Every alloc, retire and free of every scheme bumps a
 // ledger, so the ledgers and the lag histogram are not one shared block
 // (that line would bounce between all workers, the very traffic the
-// padded per-slot words elsewhere avoid) but an array of cells the domain
-// owns. A thread writes only cell[core::thread_hint() % cells]: its three
-// ledgers share one cache line — one hot line per thread per domain — and
-// its lag block sits on lines of its own, written only while lag tracking
-// is on. Readers sum the cells: each ledger's load(order), unreclaimed()
-// and snapshot(). Cells outlive the threads that wrote them, so the sums
-// keep exited threads' counts. Threads beyond the cell count share cells;
-// every bump stays an atomic read-modify-write, so a shared cell loses no
-// count. Once writers are quiescent the sums are the exact totals; while
-// they run, each sum a reader takes never falls below the one it took
-// before (every cell only grows). `domain_counters` sees about one bump
-// per hundred ops and stays one shared block, on a line of its own.
+// padded per-slot words elsewhere avoid) but cells the domain owns, in
+// the two banks of a `cell_banks`. A thread whose core::thread_hint() is
+// below stats_cell_count() owns cell[hint] of the first bank: no other
+// live thread writes it, so a bump is a relaxed load and store, no locked
+// instruction. Any other hint (more live threads than cells, or a bump
+// from a thread-local destructor after the thread handed its id back)
+// bumps cell[hint & (count - 1)] of the shared bank with fetch_add, so no
+// count is lost there either. A cell's three ledgers share one cache line
+// — one hot line per thread per domain — and its lag block sits on lines
+// of its own, written only while lag tracking is on. Readers sum the
+// cells: each ledger's load(order), unreclaimed() and snapshot(). Cells
+// outlive the threads that wrote them, and the next holder of a returned
+// id carries on from its count, so the sums keep exited threads' counts.
+// Once writers are quiescent the sums are the exact totals; while they
+// run, each sum a reader takes never falls below the one it took before
+// (every cell only grows). `domain_counters` sees about one bump per
+// hundred ops and stays one shared block, on a line of its own.
 #pragma once
 
 #include <algorithm>
@@ -69,6 +74,19 @@ struct domain_counters {
   }
 };
 
+/// Add `n` to one counter of the calling thread's cell: a relaxed load
+/// and store when the thread owns the cell (it is the only writer, so no
+/// locked instruction), a fetch_add in a shared one.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n,
+                 bool owned) {
+  if (owned) {
+    c.store(c.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+  } else {
+    c.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
 /// Atomic log2-bucketed histogram of retire->free lag in nanoseconds: one
 /// cell's block. Bucket geometry matches lab::latency_histogram exactly
 /// (bucket 0 holds {0}, bucket b holds [2^(b-1), 2^b - 1]) so the harness
@@ -80,9 +98,13 @@ struct alignas(cache_line_size) lag_counters {
   std::atomic<std::uint64_t> bucket[kBuckets] = {};
   std::atomic<std::uint64_t> max_ns{0};
 
-  void record(std::uint64_t ns) {
-    bucket[std::bit_width(ns)].fetch_add(1, std::memory_order_relaxed);
+  void record(std::uint64_t ns, bool owned) {
+    bump(bucket[std::bit_width(ns)], 1, owned);
     std::uint64_t m = max_ns.load(std::memory_order_relaxed);
+    if (owned) {
+      if (ns > m) max_ns.store(ns, std::memory_order_relaxed);
+      return;
+    }
     while (ns > m &&
            !max_ns.compare_exchange_weak(m, ns, std::memory_order_relaxed,
                                          std::memory_order_relaxed)) {
@@ -102,14 +124,55 @@ static_assert(alignof(stats_cell) == cache_line_size);
 static_assert(sizeof(lag_counters) + cache_line_size == sizeof(stats_cell),
               "the ledgers must fit one line ahead of the lag block");
 
-/// Cells per domain: twice the hardware threads, rounded up to a power of
-/// two (the index is a mask), between 4 and 256. Hints are handed out in
-/// order, so that many threads started together never share a cell.
+/// Cells per bank: twice the hardware threads, rounded up to a power of
+/// two (the shared bank's index is a mask), between 4 and 256. Hints are
+/// the lowest ids free among live threads, so up to that many live
+/// threads each own a cell.
 inline unsigned stats_cell_count() {
   static const unsigned n = std::bit_ceil(
       std::clamp(2 * std::thread::hardware_concurrency(), 4u, 256u));
   return n;
 }
+
+/// `groups` sets of per-thread counter cells (smr::stats keeps one, the
+/// shard router one per shard). Each set is two banks of
+/// stats_cell_count() cells: the first bank's cell[hint] belongs to the
+/// thread holding that hint, the shared bank's cell[hint & (count - 1)]
+/// takes every other hint (see the header comment). `Cell` must be
+/// cache-line aligned, so no two cells share a line.
+template <class Cell>
+class cell_banks {
+ public:
+  static_assert(alignof(Cell) >= cache_line_size);
+
+  /// The calling thread's cell, and whether it owns it.
+  struct local_cell {
+    Cell& cell;
+    bool owned;
+  };
+
+  explicit cell_banks(unsigned groups = 1)
+      : count_(stats_cell_count()),
+        cells_(std::make_unique<Cell[]>(std::size_t{groups} * 2 * count_)) {}
+
+  local_cell local(unsigned group = 0) {
+    const unsigned h = core::thread_hint();
+    Cell* g = &cells_[std::size_t{group} * 2 * count_];
+    if (h < count_) return {g[h], true};
+    return {g[count_ + (h & (count_ - 1))], false};
+  }
+
+  /// Both banks of one group, for readers to sum.
+  std::span<const Cell> group(unsigned group = 0) const {
+    return {&cells_[std::size_t{group} * 2 * count_], 2 * count_};
+  }
+
+ private:
+  // Read-only after construction, so the hot path's loads of them never
+  // miss on another thread's write.
+  const unsigned count_;
+  const std::unique_ptr<Cell[]> cells_;
+};
 
 /// Read side of one ledger: the sum of its field over every cell.
 class ledger {
@@ -166,20 +229,15 @@ struct stats_snapshot {
 
 struct stats {
   stats()
-      : mask_(stats_cell_count() - 1),
-        cells_(std::make_unique<stats_cell[]>(mask_ + 1)),
-        allocated(cells(), &stats_cell::allocated),
-        retired(cells(), &stats_cell::retired),
-        freed(cells(), &stats_cell::freed) {}
+      : allocated(cells_.group(), &stats_cell::allocated),
+        retired(cells_.group(), &stats_cell::retired),
+        freed(cells_.group(), &stats_cell::freed) {}
 
   stats(const stats&) = delete;
   stats& operator=(const stats&) = delete;
 
  private:
-  // Read-only after construction, so the hot path's loads of them never
-  // miss on another thread's write.
-  const unsigned mask_;
-  const std::unique_ptr<stats_cell[]> cells_;
+  cell_banks<stats_cell> cells_;
 
  public:
   const ledger allocated;
@@ -188,17 +246,23 @@ struct stats {
   alignas(cache_line_size) domain_counters events;
 
   void on_alloc(std::uint64_t n = 1) {
-    local().allocated.fetch_add(n, std::memory_order_relaxed);
+    const auto c = cells_.local();
+    bump(c.cell.allocated, n, c.owned);
   }
   void on_retire(std::uint64_t n = 1) {
-    local().retired.fetch_add(n, std::memory_order_relaxed);
+    const auto c = cells_.local();
+    bump(c.cell.retired, n, c.owned);
   }
   void on_free(std::uint64_t n = 1) {
-    local().freed.fetch_add(n, std::memory_order_relaxed);
+    const auto c = cells_.local();
+    bump(c.cell.freed, n, c.owned);
   }
   /// One retire->free lag sample; free_node feeds it while lag tracking
   /// is on.
-  void on_lag(std::uint64_t ns) { local().lag.record(ns); }
+  void on_lag(std::uint64_t ns) {
+    const auto c = cells_.local();
+    c.cell.lag.record(ns, c.owned);
+  }
 
   /// Retire-path half of lag tracking: stamp the node with the current
   /// tick count. One relaxed load + predicted branch when tracking is off.
@@ -227,7 +291,7 @@ struct stats {
   /// statistical sample, momentary inconsistencies are fine.
   std::uint64_t unreclaimed() const {
     std::uint64_t r = 0, f = 0;
-    for (const stats_cell& c : cells()) {
+    for (const stats_cell& c : cells_.group()) {
       r += c.retired.load(std::memory_order_relaxed);
       f += c.freed.load(std::memory_order_relaxed);
     }
@@ -237,7 +301,7 @@ struct stats {
   /// Relaxed copy-out of every counter (see stats_snapshot).
   stats_snapshot snapshot() const {
     stats_snapshot s;
-    for (const stats_cell& c : cells()) {
+    for (const stats_cell& c : cells_.group()) {
       s.allocated += c.allocated.load(std::memory_order_relaxed);
       s.retired += c.retired.load(std::memory_order_relaxed);
       s.freed += c.freed.load(std::memory_order_relaxed);
@@ -255,12 +319,6 @@ struct stats {
     s.tid_acquires = events.tid_acquires.load(std::memory_order_relaxed);
     return s;
   }
-
- private:
-  std::span<const stats_cell> cells() const {
-    return {cells_.get(), mask_ + 1};
-  }
-  stats_cell& local() { return cells_[core::thread_hint() & mask_]; }
 };
 
 using padded_stats = hyaline::padded<stats>;

@@ -11,12 +11,13 @@
 //
 // Per-shard op/hit counters (relaxed — statistics, not synchronization)
 // let the SLO report show routing balance and where a hot-key hammer
-// actually landed. They sit in per-thread cells, as smr::stats' ledgers
-// do: a thread bumps only its own padded cell of a shard
-// (core::thread_hint() masked to smr::stats_cell_count() cells), so no
-// request touches a counter line another tenant writes; snapshot() sums
-// the cells. Threads beyond the cell count share cells, and every bump
-// stays an atomic read-modify-write, so no count is lost.
+// actually landed. They sit in per-thread cells, the smr::cell_banks
+// smr::stats keeps its ledgers in, one set per shard: a thread whose
+// core::thread_hint() is below smr::stats_cell_count() owns its padded
+// cell of a shard and bumps it with a relaxed load and store, so no
+// request touches a counter line another tenant writes or runs a locked
+// instruction; any other hint bumps the shared bank with fetch_add, so no
+// count is lost. snapshot() sums both banks.
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,6 @@
 #include "common/align.hpp"
 #include "ds/michael_hashmap.hpp"
 #include "harness/schemes.hpp"
-#include "smr/core/thread_hint.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::svc {
@@ -87,8 +87,7 @@ class shard_router {
   template <class Factory>
   shard_router(unsigned shards, Factory&& make_domain,
                std::size_t buckets_per_shard)
-      : cells_(smr::stats_cell_count()),
-        counters_((shards == 0 ? 1 : shards) * cells_) {
+      : counters_(shards == 0 ? 1 : shards) {
     const unsigned n = shards == 0 ? 1 : shards;
     doms_.reserve(n);
     maps_.reserve(n);
@@ -110,24 +109,27 @@ class shard_router {
 
   bool get(std::uint64_t key, std::uint64_t& out) {
     const unsigned s = shard_of(key);
-    local(s).gets.fetch_add(1, std::memory_order_relaxed);
+    const auto c = counters_.local(s);
+    smr::bump(c.cell.gets, 1, c.owned);
     guard g(*doms_[s]);
     const bool ok = maps_[s]->get(g, key, out);
-    if (ok) local(s).hits.fetch_add(1, std::memory_order_relaxed);
+    if (ok) smr::bump(c.cell.hits, 1, c.owned);
     return ok;
   }
 
   /// Miss-fill: inserts `key` if absent (false when already cached).
   bool put(std::uint64_t key, std::uint64_t value) {
     const unsigned s = shard_of(key);
-    local(s).puts.fetch_add(1, std::memory_order_relaxed);
+    const auto c = counters_.local(s);
+    smr::bump(c.cell.puts, 1, c.owned);
     guard g(*doms_[s]);
     return maps_[s]->insert(g, key, value);
   }
 
   bool del(std::uint64_t key) {
     const unsigned s = shard_of(key);
-    local(s).dels.fetch_add(1, std::memory_order_relaxed);
+    const auto c = counters_.local(s);
+    smr::bump(c.cell.dels, 1, c.owned);
     guard g(*doms_[s]);
     return maps_[s]->remove(g, key);
   }
@@ -137,7 +139,8 @@ class shard_router {
   /// bucket walk per probe, the bad-tenant behavior that pressures
   /// guard-lifetime reclamation. Counts as one scan op.
   void scan(unsigned shard, std::uint64_t start_key, std::uint64_t len) {
-    local(shard).scans.fetch_add(1, std::memory_order_relaxed);
+    const auto c = counters_.local(shard);
+    smr::bump(c.cell.scans, 1, c.owned);
     guard g(*doms_[shard]);
     for (std::uint64_t i = 0; i < len; ++i) {
       (void)maps_[shard]->contains(g, start_key + i);
@@ -179,8 +182,7 @@ class shard_router {
     out.reserve(doms_.size());
     for (unsigned i = 0; i < doms_.size(); ++i) {
       shard_snapshot s;
-      for (unsigned cell = 0; cell < cells_; ++cell) {
-        const shard_counters& k = *counters_[i * cells_ + cell];
+      for (const shard_counters& k : counters_.group(i)) {
         s.gets += k.gets.load(std::memory_order_relaxed);
         s.hits += k.hits.load(std::memory_order_relaxed);
         s.puts += k.puts.load(std::memory_order_relaxed);
@@ -205,7 +207,7 @@ class shard_router {
   }
 
  private:
-  struct shard_counters {
+  struct alignas(cache_line_size) shard_counters {
     std::atomic<std::uint64_t> gets{0};
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> puts{0};
@@ -213,16 +215,9 @@ class shard_router {
     std::atomic<std::uint64_t> scans{0};
   };
 
-  /// The calling thread's cell of `shard`'s counters.
-  shard_counters& local(unsigned shard) {
-    return *counters_[shard * cells_ +
-                      (smr::core::thread_hint() & (cells_ - 1))];
-  }
-
   std::vector<std::unique_ptr<D>> doms_;
   std::vector<std::unique_ptr<ds::michael_hashmap<D>>> maps_;
-  const unsigned cells_;  // per shard; a power of two
-  std::vector<padded<shard_counters>> counters_;  // [shard * cells_ + cell]
+  smr::cell_banks<shard_counters> counters_;  // one group per shard
 };
 
 }  // namespace hyaline::svc

@@ -2,12 +2,16 @@
 // baseline schemes are composed from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "smr/core/era_clock.hpp"
@@ -253,6 +257,46 @@ TEST(ThreadHint, DistinctPerThreadStableWithin) {
   EXPECT_NE(theirs, mine);
 }
 
+// Hints are the lowest ids free among live threads. Three threads take
+// theirs one after another and stay live: each gets a higher id than the
+// last, none shares one with another live thread. When the middle one
+// exits, the next new thread gets its id.
+TEST(ThreadHint, ExitedThreadsIdGoesToTheNextNewThread) {
+  const unsigned mine = thread_hint();
+  constexpr unsigned kLive = 3;
+  std::vector<unsigned> ids(kLive);
+  std::atomic<unsigned> taken{0};
+  std::atomic<bool> middle_may_exit{false};
+  std::atomic<bool> all_may_exit{false};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kLive; ++t) {
+    ts.emplace_back([&, t] {
+      ids[t] = thread_hint();
+      taken.fetch_add(1, std::memory_order_release);
+      const std::atomic<bool>& may_exit =
+          t == 1 ? middle_may_exit : all_may_exit;
+      while (!may_exit.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    while (taken.load(std::memory_order_acquire) <= t) {
+      std::this_thread::yield();
+    }
+  }
+  for (unsigned t = 0; t < kLive; ++t) {
+    EXPECT_NE(ids[t], mine) << "thread " << t;
+    if (t + 1 < kLive) EXPECT_LT(ids[t], ids[t + 1]) << "thread " << t;
+  }
+  middle_may_exit.store(true, std::memory_order_release);
+  ts[1].join();
+  unsigned next = 0;
+  std::thread([&] { next = thread_hint(); }).join();
+  EXPECT_EQ(next, ids[1]) << "the exited thread's id is the lowest free";
+  all_may_exit.store(true, std::memory_order_release);
+  ts[0].join();
+  ts[2].join();
+}
+
 // -------------------------------------------------------------- tls_cache --
 
 TEST(TlsCache, PerThreadInstancesVisitedByForEach) {
@@ -286,61 +330,36 @@ TEST(TlsCache, OwnersAreIsolated) {
 
 // ---------------------------------------------------------- stats cells --
 
-// More threads than cells, arranged so that cells are shared by threads
-// running at the same time: two racers take hints, cells - 2 short-lived
-// writers take the hints after them and exit, and two more racers then
-// wrap around onto the first racers' cells. Once every writer has exited,
-// each ledger, the lag count and every log2 bucket hold the exact totals
-// (the exited writers' counts included), and the lag maximum is the
-// largest sample any thread recorded.
-TEST(StatsCells, SharedCellsKeepExactTotalsAfterWritersExit) {
-  smr::stats st;
-  const unsigned cells = smr::stats_cell_count();
-  constexpr unsigned kPairs = 2;
-  constexpr std::uint64_t kIters = 50000;  // per racer
-  constexpr std::uint64_t kFillIters = 1000;  // per short-lived writer
-  // One tight loop per instrument, so racers sharing a cell hit the same
-  // word at the same time. Every writer records its own range of lags,
-  // together 0 .. total - 1.
-  auto bump = [&st](std::uint64_t first_lag, std::uint64_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) st.on_alloc();
-    for (std::uint64_t i = 0; i < n; ++i) st.on_retire();
-    for (std::uint64_t i = 0; i < n; ++i) st.on_lag(first_lag + i);
-    for (std::uint64_t i = 0; i < n; ++i) st.on_free();
-  };
-  std::atomic<bool> go{false};
-  std::atomic<unsigned> hinted{0};
-  std::vector<unsigned> cell_of(2 * kPairs);
-  std::vector<std::thread> racers;
-  // A racer takes its hint before the next thread starts, so hints follow
-  // the start order.
-  auto start_racer = [&](unsigned r) {
-    racers.emplace_back([&, r] {
-      cell_of[r] = thread_hint() % cells;
-      hinted.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      bump(r * kIters, kIters);
-    });
-    while (hinted.load(std::memory_order_acquire) <= r) {
-      std::this_thread::yield();
-    }
-  };
-  for (unsigned r = 0; r < kPairs; ++r) start_racer(r);
-  for (unsigned f = 0; f + kPairs < cells; ++f) {
-    std::thread([&, f] {
-      bump(2 * kPairs * kIters + f * kFillIters, kFillIters);
-    }).join();
-  }
-  for (unsigned r = kPairs; r < 2 * kPairs; ++r) start_racer(r);
-  go.store(true, std::memory_order_release);
-  for (std::thread& t : racers) t.join();
-  for (unsigned r = 0; r < kPairs; ++r) {
-    ASSERT_EQ(cell_of[r], cell_of[r + kPairs])
-        << "racers " << r << " and " << r + kPairs << " must share a cell";
-  }
+// Every writer records its own range of lags, [first_lag, first_lag + n),
+// one tight loop per instrument, so writers sharing a cell hit the same
+// word at the same time.
+void bump_after_alloc(smr::stats& st, std::uint64_t first_lag,
+                      std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) st.on_retire();
+  for (std::uint64_t i = 0; i < n; ++i) st.on_lag(first_lag + i);
+  for (std::uint64_t i = 0; i < n; ++i) st.on_free();
+}
 
-  const std::uint64_t total =
-      2 * kPairs * kIters + (cells - kPairs) * kFillIters;
+void bump_all(smr::stats& st, std::uint64_t first_lag, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) st.on_alloc();
+  bump_after_alloc(st, first_lag, n);
+}
+
+// Once the writers are done, each ledger, the lag count and every log2
+// bucket hold the exact totals of the lag ranges {first, n} the writers
+// recorded, and the lag maximum is the largest lag of all.
+void expect_exact_totals(
+    const smr::stats& st,
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges) {
+  std::uint64_t total = 0, max = 0;
+  std::vector<std::uint64_t> want(smr::lag_counters::kBuckets, 0);
+  for (const auto& [first, n] : ranges) {
+    total += n;
+    for (std::uint64_t ns = first; ns < first + n; ++ns) {
+      ++want[std::bit_width(ns)];
+    }
+    if (n != 0) max = std::max(max, first + n - 1);
+  }
   EXPECT_EQ(st.allocated.load(std::memory_order_relaxed), total);
   EXPECT_EQ(st.retired.load(std::memory_order_relaxed), total);
   EXPECT_EQ(st.freed.load(std::memory_order_relaxed), total);
@@ -350,12 +369,143 @@ TEST(StatsCells, SharedCellsKeepExactTotalsAfterWritersExit) {
   EXPECT_EQ(s.retired, total);
   EXPECT_EQ(s.freed, total);
   EXPECT_EQ(s.lag_count, total);
-  EXPECT_EQ(s.lag_max_ns, total - 1);
-  std::vector<std::uint64_t> want(smr::lag_counters::kBuckets, 0);
-  for (std::uint64_t ns = 0; ns < total; ++ns) ++want[std::bit_width(ns)];
+  EXPECT_EQ(s.lag_max_ns, max);
   for (unsigned b = 0; b < smr::lag_counters::kBuckets; ++b) {
     EXPECT_EQ(s.lag_bucket[b], want[b]) << "bucket " << b;
   }
+}
+
+// More live threads than cells: 2 * cells + 2 threads take hints and stay
+// live, so the ids run past the cell count. Each writes a little, owners
+// to their own cells and the rest to the shared bank. Then two pairs of
+// threads whose hints land on one shared cell each (ids h and h + cells,
+// both at or past the count) race on it, while the other threads hold
+// their ids off the CPU: 30 ms on `allocated`, long enough to run at once
+// on any scheduler, then as many bumps of each other instrument. Totals,
+// lag buckets and the lag maximum stay exact.
+TEST(StatsCells, SharedBankKeepsExactTotalsWithMoreLiveThreadsThanCells) {
+  smr::stats st;
+  const unsigned cells = smr::stats_cell_count();
+  const unsigned threads = 2 * cells + 2;
+  constexpr unsigned kRacingCells = 2;
+  constexpr std::uint64_t kHold = 1000;  // per thread, before the race
+  constexpr std::uint64_t kRaceLag = std::uint64_t{1} << 32;
+  (void)thread_hint();  // this thread keeps its id throughout
+  std::vector<unsigned> hint_of(threads);
+  std::vector<bool> races(threads, false);
+  std::vector<std::uint64_t> raced(threads, 0);
+  unsigned racers = 0;
+  std::atomic<unsigned> ready{0};
+  std::atomic<unsigned> at_start{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> race_over{false};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < threads; ++t) {
+    ts.emplace_back([&, t] {
+      hint_of[t] = thread_hint();
+      bump_all(st, t * kHold, kHold);
+      ready.fetch_add(1, std::memory_order_release);
+      go.wait(false, std::memory_order_acquire);
+      if (!races[t]) {
+        race_over.wait(false, std::memory_order_acquire);
+        return;
+      }
+      at_start.fetch_add(1, std::memory_order_acq_rel);
+      while (at_start.load(std::memory_order_acquire) < racers) {
+        std::this_thread::yield();
+      }
+      std::uint64_t n = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int i = 0; i < 256; ++i) st.on_alloc();
+        n += 256;
+      }
+      bump_after_alloc(st, kRaceLag * (t + 1), n);
+      raced[t] = n;
+    });
+  }
+  while (ready.load(std::memory_order_acquire) < threads) {
+    std::this_thread::yield();
+  }
+  // Group the shared-bank threads by cell; the first pairs race.
+  std::vector<std::vector<unsigned>> on_shared_cell(cells);
+  for (unsigned t = 0; t < threads; ++t) {
+    if (hint_of[t] >= cells) {
+      on_shared_cell[hint_of[t] & (cells - 1)].push_back(t);
+    }
+  }
+  for (const std::vector<unsigned>& group : on_shared_cell) {
+    if (group.size() < 2 || racers == 2 * kRacingCells) continue;
+    races[group[0]] = races[group[1]] = true;
+    racers += 2;
+  }
+  go.store(true, std::memory_order_release);
+  go.notify_all();
+  while (at_start.load(std::memory_order_acquire) < racers) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  stop.store(true, std::memory_order_relaxed);
+  for (unsigned t = 0; t < threads; ++t) {
+    if (races[t]) ts[t].join();
+  }
+  race_over.store(true, std::memory_order_release);
+  race_over.notify_all();
+  for (std::thread& t : ts) {
+    if (t.joinable()) t.join();
+  }
+  ASSERT_EQ(racers, 2 * kRacingCells)
+      << "live threads must share shared-bank cells";
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (unsigned t = 0; t < threads; ++t) {
+    ranges.emplace_back(t * kHold, kHold);
+    if (races[t]) ranges.emplace_back(kRaceLag * (t + 1), raced[t]);
+  }
+  expect_exact_totals(st, ranges);
+}
+
+// A thread-local destructor that runs after its thread handed its id back
+// still counts, in the shared bank: the id's next holder, which owns the
+// cell by then, bumps it at the same time, and no count is lost.
+TEST(StatsCells, BumpAfterTheIdWasHandedBackKeepsExactTotals) {
+  smr::stats st;
+  constexpr std::uint64_t kIters = 100000;
+  std::atomic<bool> handed_back{false};
+  std::atomic<bool> next_holder_ready{false};
+  unsigned exited_id = 0, late_hint = 0, next_id = 0;
+  struct at_thread_exit {
+    std::function<void()> run;
+    ~at_thread_exit() { run(); }
+  };
+  std::thread exiting([&] {
+    // Built before this thread's first thread_hint(), so destroyed after
+    // the thread's id is handed back.
+    thread_local at_thread_exit late;
+    late.run = [&] {
+      late_hint = thread_hint();
+      handed_back.store(true, std::memory_order_release);
+      while (!next_holder_ready.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      bump_all(st, kIters, kIters);
+    };
+    exited_id = thread_hint();
+    bump_all(st, 0, kIters);
+  });
+  std::thread next_holder([&] {
+    while (!handed_back.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    next_id = thread_hint();
+    next_holder_ready.store(true, std::memory_order_release);
+    bump_all(st, 2 * kIters, kIters);
+  });
+  exiting.join();
+  next_holder.join();
+  EXPECT_EQ(next_id, exited_id) << "the handed-back id goes to the next thread";
+  EXPECT_EQ(late_hint, exited_id | kHintReturned);
+  EXPECT_GE(late_hint, smr::stats_cell_count());
+  expect_exact_totals(st, {{0, 3 * kIters}});
 }
 
 // A reader polling snapshot() while writers bump every ledger never sees

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -93,14 +94,20 @@ TEST(ShardRouter, BasicOpsAndSnapshot) {
   EXPECT_GT(totals.imbalance, 0.0);
 }
 
-// The router's counters live in per-thread cells. One thread more than
-// there are cells makes two threads share a cell; after the join every
-// total must still be exact.
+// The router's counters live in per-thread cells. First `cells` threads
+// run one after another, each taking the id the last one handed back and
+// owning its cell. Then 2 * cells + 2 threads take their ids and stay
+// live before any op, so ids run past the cell count into the shared
+// bank, where the threads with ids h and h + cells bump one cell. After
+// the joins every total must still be exact.
 TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
   using D = hyaline::smr::ebr_domain;
-  const unsigned threads = hyaline::smr::stats_cell_count() + 1;
+  using hyaline::smr::core::thread_hint;
+  const unsigned cells = hyaline::smr::stats_cell_count();
+  const unsigned live = 2 * cells + 2;
+  const unsigned threads = cells + live;
   hyaline::harness::scheme_params p;
-  p.max_threads = threads + 1;
+  p.max_threads = live + 1;
   shard_router<D> router(
       4, [&] { return hyaline::harness::scheme_traits<D>::make(p); }, 256);
 
@@ -109,23 +116,48 @@ TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
   constexpr std::uint64_t kKeys = 200;
   constexpr std::uint64_t kScans = 5;
   std::vector<std::uint64_t> hits(threads, 0);
+  std::vector<unsigned> hint_of(threads);
+  auto work = [&](unsigned t) {
+    hint_of[t] = thread_hint();
+    const std::uint64_t base = std::uint64_t{t} * 1000;
+    for (std::uint64_t k = 0; k < kKeys; ++k) router.put(base + k, k);
+    std::uint64_t out = 0;
+    for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
+      if (router.get(base + k, out)) ++hits[t];
+    }
+    for (std::uint64_t k = 0; k < kKeys; k += 2) router.del(base + k);
+    for (std::uint64_t i = 0; i < kScans; ++i) {
+      router.scan(t % router.shards(), base, 16);
+    }
+    router.thread_quiesce();
+  };
+  (void)thread_hint();  // this thread keeps its id throughout
+  for (unsigned t = 0; t < cells; ++t) std::thread(work, t).join();
+  for (unsigned t = 1; t < cells; ++t) {
+    EXPECT_EQ(hint_of[t], hint_of[0]) << "thread " << t << " reuses the id";
+  }
+  EXPECT_LT(hint_of[0], cells) << "a lone thread owns its cell";
+
+  std::atomic<unsigned> hinted{0};
   std::vector<std::thread> workers;
-  for (unsigned t = 0; t < threads; ++t) {
+  for (unsigned t = cells; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      const std::uint64_t base = std::uint64_t{t} * 1000;
-      for (std::uint64_t k = 0; k < kKeys; ++k) router.put(base + k, k);
-      std::uint64_t out = 0;
-      for (std::uint64_t k = 0; k < 2 * kKeys; ++k) {
-        if (router.get(base + k, out)) ++hits[t];
+      (void)thread_hint();
+      hinted.fetch_add(1, std::memory_order_acq_rel);
+      while (hinted.load(std::memory_order_acquire) < live) {
+        std::this_thread::yield();
       }
-      for (std::uint64_t k = 0; k < kKeys; k += 2) router.del(base + k);
-      for (std::uint64_t i = 0; i < kScans; ++i) {
-        router.scan(t % router.shards(), base, 16);
-      }
-      router.thread_quiesce();
+      work(t);
     });
   }
   for (std::thread& w : workers) w.join();
+  std::vector<unsigned> on_shared_cell(cells, 0);
+  for (unsigned t = cells; t < threads; ++t) {
+    if (hint_of[t] >= cells) ++on_shared_cell[hint_of[t] & (cells - 1)];
+  }
+  EXPECT_GE(*std::max_element(on_shared_cell.begin(), on_shared_cell.end()),
+            2u)
+      << "live threads must share a shared-bank cell";
 
   std::uint64_t hit_sum = 0;
   for (std::uint64_t h : hits) hit_sum += h;
