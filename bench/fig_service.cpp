@@ -3,7 +3,7 @@
 //
 // Each scheme in the line-up gets a fresh shard_router (one SMR domain
 // per shard) driven by an open-loop tenant swarm (svc/service.hpp):
-// Zipfian keys, Poisson or fixed arrivals, coordinated-omission-safe
+// Zipfian keys, Poisson arrivals, coordinated-omission-safe
 // latency, optional connection churn, and --faults for bad tenants
 // (lab/fault_plan.hpp: stall, slow, exit, churn, and the hot-key and
 // scan-storm windows only this loop runs; burst and never-ending
@@ -78,14 +78,13 @@ bool write_json(const std::string& path, const harness::cli_options& o,
   std::fprintf(
       f,
       "  \"config\": {\"shards\": %u, \"tenants\": %u, \"rate_ops_s\": "
-      "%.0f, \"arrival\": \"%s\", \"zipf_theta\": %.3f, \"key_range\": "
+      "%.0f, \"arrival\": \"poisson\", \"zipf_theta\": %.3f, \"key_range\": "
       "%llu, \"prefill\": %zu, \"mix\": {\"insert\": %u, \"remove\": %u, "
       "\"get\": %u}, \"duration_ms\": %u, \"sample_ms\": %u, "
       "\"churn_ms\": %u, \"faults\": \"%s\", \"slo\": \"%s\", "
       "\"seed\": %llu, %s},\n",
-      cfg.shards, cfg.tenants, cfg.rate_ops_s,
-      cfg.arrival == arrival_kind::fixed ? "fixed" : "poisson",
-      cfg.zipf_theta, static_cast<unsigned long long>(cfg.key_range),
+      cfg.shards, cfg.tenants, cfg.rate_ops_s, cfg.zipf_theta,
+      static_cast<unsigned long long>(cfg.key_range),
       cfg.prefill, cfg.insert_pct, cfg.remove_pct, cfg.get_pct,
       cfg.duration_ms, cfg.sample_ms, cfg.churn_period_ms, o.faults.c_str(),
       slo.text.c_str(), static_cast<unsigned long long>(o.seed),
@@ -152,19 +151,11 @@ bool write_json(const std::string& path, const harness::cli_options& o,
     std::fprintf(f, "],\n     \"slo\": [");
     for (std::size_t i = 0; i < rep.verdicts.size(); ++i) {
       const slo_verdict& v = rep.verdicts[i];
-      const char* kind = "";
-      switch (v.item.kind) {
-        case slo_kind::p50: kind = "p50"; break;
-        case slo_kind::p90: kind = "p90"; break;
-        case slo_kind::p99: kind = "p99"; break;
-        case slo_kind::max_latency: kind = "max"; break;
-        case slo_kind::unreclaimed: kind = "unreclaimed"; break;
-        case slo_kind::recovery: kind = "recovery"; break;
-      }
       std::fprintf(f,
                    "%s{\"item\": \"%s\", \"gated\": %s, \"checked\": %s, "
                    "\"pass\": %s, \"measured\": %.1f, \"limit\": %.1f}",
-                   i == 0 ? "" : ", ", kind, v.gated ? "true" : "false",
+                   i == 0 ? "" : ", ", kind_name(v.item.kind),
+                   v.gated ? "true" : "false",
                    v.checked ? "true" : "false", v.pass ? "true" : "false",
                    std::isinf(v.measured) ? -1.0 : v.measured, v.limit);
     }
@@ -187,7 +178,6 @@ bool write_json(const std::string& path, const harness::cli_options& o,
 int main(int argc, char** argv) {
   harness::cli_options defaults;
   defaults.duration_ms = 2000;
-  defaults.sample_ms = 20;
   const harness::cli_options o =
       harness::parse_cli(argc, argv, defaults, harness::kServiceFlags);
 
@@ -198,18 +188,9 @@ int main(int argc, char** argv) {
   // meaningful sample count, low enough that CI boxes are not saturated.
   cfg.rate_ops_s =
       o.rate_ops_s >= 0 ? o.rate_ops_s : 3000.0 * cfg.tenants;
-  cfg.arrival =
-      o.arrival == "fixed" ? arrival_kind::fixed : arrival_kind::poisson;
-  cfg.zipf_theta = o.skew >= 0 ? o.skew : 0.99;
   cfg.key_range = o.key_range;
   cfg.prefill = o.prefill;
-  if (!o.mix.empty()) {  // default: service_config's read-mostly mix
-    cfg.insert_pct = o.mix[0];
-    cfg.remove_pct = o.mix[1];
-    cfg.get_pct = o.mix[2];
-  }
   cfg.duration_ms = o.duration_ms;
-  cfg.sample_ms = o.sample_ms;
   cfg.seed = o.seed;
   cfg.churn_period_ms = o.churn_ms;
 

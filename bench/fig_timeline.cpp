@@ -1,6 +1,6 @@
 // Robustness lab timeline: one structure under a scripted fault schedule
 // (--faults, grammar in lab/fault_plan.hpp), sampled into a time series
-// every --sample-ms. Where the paper's Figure 10a shows one end-of-run
+// every 10 ms. Where the paper's Figure 10a shows one end-of-run
 // scalar per stalled-thread count, this shows the whole trajectory — the
 // spike while a transient stall pins memory, and (for robust schemes)
 // the return to baseline once it clears. Recovery is a checked property:
@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
                      .remove_pct = 50,
                      .get_pct = 0,
                      .default_threads = {4},
-                     .default_sample_ms = 10,
                      // Long enough that a few-hundred-ms transient fault
                      // leaves a measurable fault-free tail.
                      .default_duration_ms = 1000},

@@ -1,9 +1,8 @@
 // CI validator for the observability artifacts:
 //
-//   trace_check TRACE.json TIMELINE.json [--spike-scheme Epoch]
-//               [--bounded-scheme Hyaline-1S] [--ratio 2]
-//               [--min-ms 25] [--min-max-ms 75] [--tail-ms 32]
-//               [--min-tail 0.01]
+//   trace_check TRACE.json TIMELINE.json
+//
+// It takes no flags; the thresholds are the named constants below.
 //
 // TRACE.json is a `--trace` export from fig_timeline: it must parse as
 // Chrome trace-event JSON (the dialect Perfetto loads), carry a
@@ -15,14 +14,15 @@
 // property is the paper's robustness story measured in time units, via
 // three assertions chosen for stability (a gate that cries wolf gets
 // deleted):
-//   1. The spike scheme's lag MAX reaches --min-max-ms: some node
+//   1. The spike scheme's lag MAX reaches kMinMaxMs: some node
 //      demonstrably waited out the stall, so the fault is visible in the
 //      lag attribution at all (fault-free runs sit far below this).
-//   2. The spike scheme's lag p99 clears --min-ms: the tail is populated,
-//      so a dead lag pipeline (all-zero histograms) cannot pass.
+//   2. The spike scheme's lag p99 clears kMinP99Ms: the tail is
+//      populated, so a dead lag pipeline (all-zero histograms) cannot
+//      pass.
 //   3. Tail MASS contrast: the fraction of frees that lagged past
-//      --tail-ms must be >= --min-tail for the spike scheme and >=
-//      --ratio x the bounded scheme's fraction. Mass, not a percentile:
+//      kTailMs must be >= kMinTail for the spike scheme and >= kRatio x
+//      the bounded scheme's fraction. Mass, not a percentile:
 //      a robust scheme bounds HOW MANY nodes a stall can delay, not how
 //      long the unlucky ones wait, so its p99 rides a rank cliff (the
 //      bounded backlog is a run-varying ~1% of total frees) while its
@@ -31,8 +31,6 @@
 // Exit codes: 0 = all checks pass, 1 = a check failed, 2 = usage/load.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,14 +40,15 @@ namespace {
 
 namespace json = hyaline::harness::json;
 
-[[noreturn]] void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s TRACE.json TIMELINE.json [--spike-scheme s]\n"
-               "          [--bounded-scheme s] [--ratio x] [--min-ms x]\n"
-               "          [--min-max-ms x] [--tail-ms x] [--min-tail x]\n",
-               prog);
-  std::exit(2);
-}
+/// The non-robust scheme whose lag must spike under the stall, and the
+/// robust one whose tail mass must stay a fraction of it.
+constexpr const char* kSpikeScheme = "Epoch";
+constexpr const char* kBoundedScheme = "Hyaline-1S";
+constexpr double kRatio = 2.0;       ///< spike tail mass >= kRatio x bounded
+constexpr double kMinP99Ms = 25.0;   ///< spike lag p99 floor
+constexpr double kMinMaxMs = 75.0;   ///< spike lag max floor
+constexpr double kTailMs = 32.0;     ///< a free past this lag is in the tail
+constexpr double kMinTail = 0.01;    ///< spike tail-mass floor (fraction)
 
 bool check_trace(const std::string& path) {
   json::jvalue root;
@@ -169,50 +168,12 @@ double tail_frac(const lag_point& lp, double min_ns) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path, timeline_path;
-  std::string spike = "Epoch";
-  std::string bounded = "Hyaline-1S";
-  double ratio = 2.0;
-  double min_ms = 25.0;
-  double min_max_ms = 75.0;
-  double tail_ms = 32.0;
-  double min_tail = 0.01;
-  for (int i = 1; i < argc; ++i) {
-    auto need_val = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        usage(argv[0]);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--spike-scheme") == 0) {
-      spike = need_val("--spike-scheme");
-    } else if (std::strcmp(argv[i], "--bounded-scheme") == 0) {
-      bounded = need_val("--bounded-scheme");
-    } else if (std::strcmp(argv[i], "--ratio") == 0) {
-      ratio = std::strtod(need_val("--ratio"), nullptr);
-    } else if (std::strcmp(argv[i], "--min-ms") == 0) {
-      min_ms = std::strtod(need_val("--min-ms"), nullptr);
-    } else if (std::strcmp(argv[i], "--min-max-ms") == 0) {
-      min_max_ms = std::strtod(need_val("--min-max-ms"), nullptr);
-    } else if (std::strcmp(argv[i], "--tail-ms") == 0) {
-      tail_ms = std::strtod(need_val("--tail-ms"), nullptr);
-    } else if (std::strcmp(argv[i], "--min-tail") == 0) {
-      min_tail = std::strtod(need_val("--min-tail"), nullptr);
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      usage(argv[0]);
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      usage(argv[0]);
-    } else if (trace_path.empty()) {
-      trace_path = argv[i];
-    } else if (timeline_path.empty()) {
-      timeline_path = argv[i];
-    } else {
-      usage(argv[0]);
-    }
+  if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
+    std::fprintf(stderr, "usage: %s TRACE.json TIMELINE.json\n", argv[0]);
+    return 2;
   }
-  if (trace_path.empty() || timeline_path.empty()) usage(argv[0]);
+  const std::string trace_path = argv[1];
+  const std::string timeline_path = argv[2];
 
   bool ok = check_trace(trace_path);
 
@@ -223,54 +184,53 @@ int main(int argc, char** argv) {
     return 2;
   }
   lag_point spike_lag, bounded_lag;
-  if (!lag_of(root, spike.c_str(), &spike_lag)) {
+  if (!lag_of(root, kSpikeScheme, &spike_lag)) {
     std::fprintf(stderr,
                  "timeline: %s: no lag point for scheme '%s'\n",
-                 timeline_path.c_str(), spike.c_str());
+                 timeline_path.c_str(), kSpikeScheme);
     return 2;
   }
-  if (!lag_of(root, bounded.c_str(), &bounded_lag)) {
+  if (!lag_of(root, kBoundedScheme, &bounded_lag)) {
     std::fprintf(stderr,
                  "timeline: %s: no lag point for scheme '%s'\n",
-                 timeline_path.c_str(), bounded.c_str());
+                 timeline_path.c_str(), kBoundedScheme);
     return 2;
   }
-  const double spike_frac = tail_frac(spike_lag, tail_ms * 1e6);
-  const double bounded_frac = tail_frac(bounded_lag, tail_ms * 1e6);
+  const double spike_frac = tail_frac(spike_lag, kTailMs * 1e6);
+  const double bounded_frac = tail_frac(bounded_lag, kTailMs * 1e6);
   std::printf("lag: %s p99 %.2f ms max %.2f ms tail>=%.0fms %.2f%% | "
               "%s p99 %.2f ms max %.2f ms tail>=%.0fms %.2f%%\n",
-              spike.c_str(), spike_lag.p99 / 1e6, spike_lag.max / 1e6,
-              tail_ms, spike_frac * 100, bounded.c_str(),
-              bounded_lag.p99 / 1e6, bounded_lag.max / 1e6, tail_ms,
+              kSpikeScheme, spike_lag.p99 / 1e6, spike_lag.max / 1e6,
+              kTailMs, spike_frac * 100, kBoundedScheme,
+              bounded_lag.p99 / 1e6, bounded_lag.max / 1e6, kTailMs,
               bounded_frac * 100);
-  if (spike_lag.max < min_max_ms * 1e6) {
+  if (spike_lag.max < kMinMaxMs * 1e6) {
     std::fprintf(stderr,
                  "FAIL: %s lag max %.2f ms < %.0f ms — no node waited "
                  "out the stall, so the fault never reached the lag "
                  "attribution\n",
-                 spike.c_str(), spike_lag.max / 1e6, min_max_ms);
+                 kSpikeScheme, spike_lag.max / 1e6, kMinMaxMs);
     ok = false;
   }
-  if (spike_lag.p99 < min_ms * 1e6) {
+  if (spike_lag.p99 < kMinP99Ms * 1e6) {
     std::fprintf(stderr,
                  "FAIL: %s lag p99 %.2f ms < %.0f ms — the lag tail is "
                  "unpopulated (dead histogram plumbing?)\n",
-                 spike.c_str(), spike_lag.p99 / 1e6, min_ms);
+                 kSpikeScheme, spike_lag.p99 / 1e6, kMinP99Ms);
     ok = false;
   }
-  if (spike_frac < min_tail) {
+  if (spike_frac < kMinTail) {
     std::fprintf(stderr,
                  "FAIL: only %.3f%% of %s frees lagged past %.0f ms "
                  "(want >= %.1f%%) — the stall barely registered\n",
-                 spike_frac * 100, spike.c_str(), tail_ms,
-                 min_tail * 100);
+                 spike_frac * 100, kSpikeScheme, kTailMs, kMinTail * 100);
     ok = false;
   }
-  if (spike_frac < ratio * bounded_frac) {
+  if (spike_frac < kRatio * bounded_frac) {
     std::fprintf(stderr,
                  "FAIL: %s tail mass (%.3f%%) is not %.1fx %s's "
                  "(%.3f%%) — the robust/non-robust contrast is gone\n",
-                 spike.c_str(), spike_frac * 100, ratio, bounded.c_str(),
+                 kSpikeScheme, spike_frac * 100, kRatio, kBoundedScheme,
                  bounded_frac * 100);
     ok = false;
   }

@@ -113,17 +113,11 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
         // Prefill must fit the key space with room for inserts to land.
         cfg.prefill =
             std::min<std::size_t>(o.prefill, cfg.key_range / 2);
-        if (!o.mix.empty()) {
-          cfg.insert_pct = o.mix[0];
-          cfg.remove_pct = o.mix[1];
-          cfg.get_pct = o.mix[2];
-        } else {
-          // Contention default: enough gets that stale reads are
-          // observable, enough mutation that states keep flipping.
-          cfg.insert_pct = 40;
-          cfg.remove_pct = 40;
-          cfg.get_pct = 20;
-        }
+        // Contention mix: enough gets that stale reads are observable,
+        // enough mutation that states keep flipping.
+        cfg.insert_pct = 40;
+        cfg.remove_pct = 40;
+        cfg.get_pct = 20;
       }
       harness::scheme_params p;
       p.max_threads = plan.lease_headroom(threads);
@@ -231,25 +225,25 @@ int run_check(int argc, char** argv) {
   if (!o.mutate.empty()) {
     using harness::flag;
     if (o.given.any({flag::faults, flag::structure, flag::schemes,
-                     flag::thread_count, flag::range, flag::mix})) {
+                     flag::thread_count, flag::range})) {
       std::fprintf(stderr,
                    "--mutate is a fixed self-test (2p/2c over one mutant "
                    "container); --faults/--structure/--schemes/--threads/"
-                   "--range/--mix do not compose with it\n");
+                   "--range do not compose with it\n");
       return kExitCli;
     }
     return run_mutation(o);
   }
 
-  // A --structure filter naming a container makes the set-only knobs
-  // dead; reject them rather than silently ignoring (the figure
-  // binaries' convention for exactly this flag class).
+  // A --structure filter naming a container makes --range dead; reject
+  // it rather than silently ignoring (the figure binaries' convention
+  // for exactly this flag class).
   if (!o.structure.empty() &&
       harness::scheme_registry::instance().kind_of(o.structure) ==
           harness::structure_kind::container &&
-      (o.given.has(harness::flag::range) || !o.mix.empty())) {
+      o.given.has(harness::flag::range)) {
     std::fprintf(stderr,
-                 "--mix/--range are set-structure options; '%s' is a "
+                 "--range is a set-structure option; '%s' is a "
                  "container\n",
                  o.structure.c_str());
     return kExitCli;

@@ -82,8 +82,8 @@ class xoshiro256 {
 /// test's property), at the cost of 8n bytes of table; with service key
 /// ranges in the 1e5 class and ONE shared const instance serving every
 /// worker thread (draws are stateless), that is noise. theta = 0
-/// degenerates to the exact uniform distribution (the svc load
-/// generator's --skew 0), theta -> 1 approaches classic Zipf.
+/// degenerates to the exact uniform distribution, theta -> 1
+/// approaches classic Zipf.
 class zipf_generator {
  public:
   zipf_generator(std::uint64_t n, double theta)

@@ -49,9 +49,6 @@ class slot_directory {
   /// Current number of usable slots (always a power of two).
   std::size_t size() const { return k_.load(std::memory_order_acquire); }
 
-  std::size_t kmin() const { return kmin_; }
-  std::size_t kmax() const { return kmax_; }
-
   /// Access slot `i` (must be < size() at some point in the past; slots
   /// never disappear).
   Slot& at(std::size_t i) {

@@ -1,7 +1,6 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -119,17 +118,6 @@ constexpr flag_row kFlags[] = {
        o.schemes = parse_names(v);
        return true;
      }},
-    // A mix that does not sum to 100 would silently skew the op
-    // distribution (the dice remainder falls through to get). Summed in
-    // 64 bits so huge values cannot wrap back to 100.
-    {flag::mix, "--mix", "i,r,g",
-     "op-mix percentages insert,remove,get, summing to 100",
-     [](O& o, const char* v) {
-       std::uint64_t sum = 0;
-       if (!to_list(v, &o.mix)) return false;
-       for (unsigned pct : o.mix) sum += pct;
-       return o.mix.size() == 3 && sum == 100;
-     }},
     {flag::producers, "--producers", "a,b,...",
      "producer-thread counts, zipped with --consumers",
      set_list<&O::producers>},
@@ -142,17 +130,8 @@ constexpr flag_row kFlags[] = {
      [](O& o, const char* v) { return to_uint(v, &o.seed, 0, 0); }},
     {flag::faults, "--faults", "spec",
      "fault schedule (grammar in lab/fault_plan.hpp)", set_text<&O::faults>},
-    {flag::sample_ms, "--sample-ms", "ms", "telemetry cadence (>= 1)",
-     set_uint<&O::sample_ms, 1>},
     {flag::structure, "--structure", "name", "drive one registered structure",
      set_text<&O::structure>},
-    // A power of two keeps the per-op modulo a mask and makes the
-    // sampled-op spacing exact; 0 would divide by zero.
-    {flag::lat_sample, "--lat-sample", "n",
-     "time one in n operations (a power of two; default 32)",
-     [](O& o, const char* v) {
-       return to_uint(v, &o.lat_sample) && std::has_single_bit(o.lat_sample);
-     }},
     {flag::trace, "--trace", "path",
      "export SMR-internals events as Chrome trace-event JSON",
      set_text<&O::trace>},
@@ -176,17 +155,6 @@ constexpr flag_row kFlags[] = {
      "total offered load over the tenants (0 = closed loop)",
      [](O& o, const char* v) {
        return to_double(v, &o.rate_ops_s) && o.rate_ops_s >= 0;
-     }},
-    // theta = 1 makes the Zipf normalization's alpha = 1/(1-theta)
-    // diverge; the YCSB-style generator is defined on [0, 1).
-    {flag::skew, "--skew", "theta", "Zipfian skew in [0, 1)",
-     [](O& o, const char* v) {
-       return to_double(v, &o.skew) && o.skew >= 0 && o.skew < 1;
-     }},
-    {flag::arrival, "--arrival", "fixed|poisson", "tenant arrival process",
-     [](O& o, const char* v) {
-       o.arrival = v;
-       return o.arrival == "fixed" || o.arrival == "poisson";
      }},
     {flag::slo, "--slo", "spec",
      "SLO assertions (grammar in svc/slo.hpp); a gated violation exits 6",

@@ -40,9 +40,9 @@ inline constexpr const char* kCsvColumns[] = {
 /// run one thread count.
 enum class flag : unsigned {
   threads, thread_count, stalled, duration, repeats, prefill, range,
-  schemes, mix, producers, consumers, seed, faults, sample_ms,
-  structure, lat_sample, trace, json, mutate, counterexample,
-  svc_shards, tenants, rate, skew, arrival, slo, churn, full, out, iters,
+  schemes, producers, consumers, seed, faults, structure, trace, json,
+  mutate, counterexample, svc_shards, tenants, rate, slo, churn, full,
+  out, iters,
 };
 
 /// A set of flags, one bit each.
@@ -72,42 +72,35 @@ class flag_set {
 /// fig8_9_write, fig11_12_read, fig13_14_llsc_write, fig15_16_llsc_read,
 /// fig10b_trim.
 inline constexpr flag_set kFigureFlags = {
-    flag::threads, flag::duration,   flag::repeats, flag::prefill,
-    flag::range,   flag::schemes,    flag::mix,     flag::seed,
-    flag::lat_sample, flag::trace,   flag::json,    flag::full};
+    flag::threads, flag::duration, flag::repeats, flag::prefill,
+    flag::range,   flag::schemes,  flag::seed,    flag::trace,
+    flag::json,    flag::full};
 /// fig10a_robustness: one active-thread count, a stalled-thread sweep.
 inline constexpr flag_set kRobustnessFlags = {
-    flag::thread_count, flag::stalled,    flag::duration, flag::repeats,
-    flag::prefill,      flag::range,      flag::schemes,  flag::mix,
-    flag::seed,         flag::lat_sample, flag::trace,    flag::json,
-    flag::full};
+    flag::thread_count, flag::stalled, flag::duration, flag::repeats,
+    flag::prefill,      flag::range,   flag::schemes,  flag::seed,
+    flag::trace,        flag::json,    flag::full};
 /// fig_queue: the producer/consumer split instead of the set-only knobs.
 inline constexpr flag_set kContainerFlags = {
-    flag::producers, flag::consumers,  flag::duration, flag::repeats,
-    flag::prefill,   flag::schemes,    flag::seed,     flag::lat_sample,
-    flag::trace,     flag::json,       flag::full};
+    flag::producers, flag::consumers, flag::duration, flag::repeats,
+    flag::prefill,   flag::schemes,   flag::seed,     flag::trace,
+    flag::json,      flag::full};
 /// fig_timeline: one thread count, one repetition, scripted faults.
 inline constexpr flag_set kTimelineFlags = {
-    flag::thread_count, flag::duration,   flag::prefill, flag::range,
-    flag::mix,          flag::schemes,    flag::seed,    flag::lat_sample,
-    flag::trace,        flag::json,       flag::faults,  flag::sample_ms,
-    flag::structure};
+    flag::thread_count, flag::duration, flag::prefill, flag::range,
+    flag::schemes,      flag::seed,     flag::trace,   flag::json,
+    flag::faults,       flag::structure};
 /// fig_service: sized by tenants; every paced op is timed.
 inline constexpr flag_set kServiceFlags = {
-    flag::duration,  flag::prefill,   flag::range,      flag::mix,
-    flag::schemes,   flag::seed,      flag::trace,      flag::json,
-    flag::faults,    flag::sample_ms, flag::svc_shards, flag::tenants,
-    flag::rate,      flag::skew,      flag::arrival,    flag::slo,
+    flag::duration,   flag::prefill, flag::range, flag::schemes,
+    flag::seed,       flag::trace,   flag::json,  flag::faults,
+    flag::svc_shards, flag::tenants, flag::rate,  flag::slo,
     flag::churn};
 /// check: the linearizability oracle.
 inline constexpr flag_set kCheckFlags = {
-    flag::thread_count, flag::duration, flag::prefill,   flag::range,
-    flag::mix,          flag::schemes,  flag::seed,      flag::faults,
-    flag::structure,    flag::mutate,   flag::counterexample};
-/// ablation_hyaline: a fixed Hyaline variant line-up over the hash map.
-inline constexpr flag_set kAblationFlags = {
-    flag::threads, flag::duration, flag::repeats,    flag::prefill,
-    flag::range,   flag::seed,     flag::lat_sample, flag::full};
+    flag::thread_count, flag::duration, flag::prefill, flag::range,
+    flag::schemes,      flag::seed,     flag::faults,  flag::structure,
+    flag::mutate,       flag::counterexample};
 /// sweep: the pinned trajectory line-up.
 inline constexpr flag_set kSweepFlags = {
     flag::out,  flag::thread_count, flag::duration, flag::repeats,
@@ -124,9 +117,6 @@ struct cli_options {
   std::uint64_t key_range = 100000;
   std::size_t prefill = 50000;
   std::vector<std::string> schemes;  // empty = all
-  /// Op-mix override {insert,remove,get}; empty = the figure's default.
-  /// parse_cli guarantees: empty, or exactly 3 values summing to 100.
-  std::vector<unsigned> mix;
   /// Producer/consumer sweep lists (container figures). Empty = the
   /// figure's defaults; the figure driver zips them pairwise.
   std::vector<unsigned> producers;
@@ -137,11 +127,7 @@ struct cli_options {
   /// Robustness-lab knobs. `faults` is the raw spec text — parsed and
   /// validated by load_fault_plan, which knows the thread count.
   std::string faults;
-  unsigned sample_ms = 0;
   std::string structure;
-  /// Latency-sampling period: one in `lat_sample` operations is timed.
-  /// parse_cli guarantees a power of two >= 1.
-  std::uint64_t lat_sample = 32;
   /// Path for the Chrome trace-event JSON export of the SMR-internals
   /// event rings (empty = tracing stays off).
   std::string trace;
@@ -154,12 +140,10 @@ struct cli_options {
   std::string counterexample;
   /// Service-scenario knobs. Sentinels mark "unset" so the driver can
   /// apply its own defaults: 0 for the counts/periods, negative for the
-  /// rates, empty for the specs.
+  /// rate, empty for the spec.
   unsigned svc_shards = 0;    ///< cache shards (each owns a domain)
   unsigned tenants = 0;       ///< swarm size (worker threads)
   double rate_ops_s = -1;     ///< total offered load; 0 = closed loop
-  double skew = -1;           ///< Zipfian theta in [0, 1); 0 = uniform
-  std::string arrival;        ///< fixed | poisson
   std::string slo;            ///< SLO spec (svc/slo.hpp)
   unsigned churn_ms = 0;      ///< connection-churn period; 0 = none
   /// Trajectory knobs (sweep, fig_opcost): the output file and the

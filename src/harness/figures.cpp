@@ -16,20 +16,22 @@
 namespace hyaline::harness {
 namespace {
 
+/// Timeline figures' telemetry cadence.
+constexpr unsigned kTimelineSampleMs = 10;
+
 /// Collects every data point of a figure run and mirrors it to the CSV
 /// stream, so the same run can be written out as a machine-readable JSON
 /// trajectory file (--json): per-(structure, scheme) series of throughput
 /// and unreclaimed-node counts.
 class figure_sink {
  public:
-  figure_sink(const char* figure, std::uint64_t seed,
-              std::uint64_t lat_sample)
-      : figure_(figure), seed_(seed), lat_sample_(lat_sample) {}
+  figure_sink(const char* figure, std::uint64_t seed)
+      : figure_(figure), seed_(seed) {}
 
   /// Emit the CSV header. Called by the figure runners only after the
   /// --schemes filter validated, so a rejected filter produces no stdout
   /// (scripts may capture stdout straight into a .csv).
-  void header() { print_csv_header(figure_, seed_, lat_sample_); }
+  void header() { print_csv_header(figure_, seed_, detail::kLatencyEvery); }
 
   void row(const char* structure, const char* scheme, unsigned threads,
            unsigned stalled, unsigned producers, unsigned consumers,
@@ -148,7 +150,6 @@ class figure_sink {
 
   const char* figure_;
   std::uint64_t seed_;
-  std::uint64_t lat_sample_;
   std::string config_;
   std::vector<row_t> rows_;
 };
@@ -178,25 +179,17 @@ void scale_for_list(cli_options& o) {
   if (o.prefill > 1024) o.prefill = 1024;
 }
 
-/// Workload shaped by the spec's mix (or the --mix override) and the
-/// shared CLI knobs.
+/// Workload shaped by the spec's mix and the shared CLI knobs.
 workload_config base_cfg(const figure_spec& spec, const cli_options& o) {
   workload_config cfg;
-  if (!o.mix.empty()) {
-    cfg.insert_pct = o.mix[0];
-    cfg.remove_pct = o.mix[1];
-    cfg.get_pct = o.mix[2];
-  } else {
-    cfg.insert_pct = spec.insert_pct;
-    cfg.remove_pct = spec.remove_pct;
-    cfg.get_pct = spec.get_pct;
-  }
+  cfg.insert_pct = spec.insert_pct;
+  cfg.remove_pct = spec.remove_pct;
+  cfg.get_pct = spec.get_pct;
   cfg.duration_ms = o.duration_ms;
   cfg.repeats = o.repeats;
   cfg.key_range = o.key_range;
   cfg.prefill = o.prefill;
   cfg.seed = o.seed;
-  cfg.lat_sample = o.lat_sample;
   return cfg;
 }
 
@@ -439,9 +432,9 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
     return 2;
   }
   const bool container = *kind == structure_kind::container;
-  if (container && (!o.mix.empty() || o.given.has(flag::range))) {
+  if (container && o.given.has(flag::range)) {
     std::fprintf(stderr,
-                 "--mix/--range are set-structure options; '%s' is a "
+                 "--range is a set-structure option; '%s' is a "
                  "container\n",
                  structure.c_str());
     return 2;
@@ -474,7 +467,7 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
     if (!o.scheme_enabled(scheme)) continue;
     workload_config cfg = base_cfg(spec, o);
     cfg.threads = threads;
-    cfg.sample_ms = o.sample_ms;
+    cfg.sample_ms = kTimelineSampleMs;
     cfg.faults = plan.empty() ? nullptr : &plan;
     scheme_params p;
     p.max_threads = plan.lease_headroom(threads);
@@ -602,7 +595,7 @@ std::string config_json(const figure_spec& spec, const cli_options& o) {
     s += "\"threads\": " +
          std::to_string(o.threads.empty() ? 4 : o.threads[0]) + ", ";
     s += "\"faults\": \"" + o.faults + "\", ";
-    s += "\"sample_ms\": " + std::to_string(o.sample_ms) + ", ";
+    s += "\"sample_ms\": " + std::to_string(kTimelineSampleMs) + ", ";
   } else if (container) {
     s += "\"structure_kind\": \"container\", ";
     append_list(s, "producers", o.producers);
@@ -632,7 +625,7 @@ std::string config_json(const figure_spec& spec, const cli_options& o) {
   s += "\"duration_ms\": " + std::to_string(base.duration_ms) + ", ";
   s += "\"repeats\": " + std::to_string(base.repeats) + ", ";
   s += "\"sample_every\": " + std::to_string(kSampleEvery) + ", ";
-  s += "\"lat_sample\": " + std::to_string(base.lat_sample) + ", ";
+  s += "\"lat_sample\": " + std::to_string(detail::kLatencyEvery) + ", ";
   s += "\"seed\": " + std::to_string(base.seed) + ", ";
   // Build/machine stamp: revision, compiler, CPU — the fields that decide
   // whether two trajectory files are comparable at all.
@@ -679,7 +672,6 @@ int run_figure(const figure_spec& spec, int argc, char** argv) {
   cli_options defaults;
   defaults.threads = spec.default_threads;
   defaults.stalled = spec.default_stalled;
-  defaults.sample_ms = spec.default_sample_ms;
   if (spec.default_duration_ms != 0) {
     defaults.duration_ms = spec.default_duration_ms;
   }
@@ -688,7 +680,7 @@ int run_figure(const figure_spec& spec, int argc, char** argv) {
       !resolve_container_pairs(spec, o)) {
     return 2;
   }
-  figure_sink sink(spec.name, o.seed, o.lat_sample);
+  figure_sink sink(spec.name, o.seed);
   sink.set_config(config_json(spec, o));
   // Tracing flips on before any domain exists and exports after the last
   // worker joined — the rings are only ever read quiescent.

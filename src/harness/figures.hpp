@@ -33,7 +33,7 @@ enum class figure_kind {
   /// Robustness lab (fig_timeline): one structure (--structure, set or
   /// container), single thread count, single repetition, scheme line-up,
   /// with a scripted fault schedule (--faults) and time-series telemetry
-  /// (--sample-ms). Each robust scheme's series is recovery-checked —
+  /// (every 10 ms). Each robust scheme's series is recovery-checked —
   /// unreclaimed must return to its pre-fault baseline after the last
   /// fault clears, or the binary exits non-zero.
   timeline,
@@ -42,8 +42,8 @@ enum class figure_kind {
 struct figure_spec {
   const char* name;  ///< CSV header tag, e.g. "fig8-9-write"
   figure_kind kind = figure_kind::matrix;
-  /// Op-mix percentages (overridable with --mix). Paper: write = {50,50,0},
-  /// read-mostly = {5,5,90}.
+  /// Op-mix percentages. Paper: write = {50,50,0}, read-mostly =
+  /// {5,5,90}.
   unsigned insert_pct = 50;
   unsigned remove_pct = 50;
   unsigned get_pct = 0;
@@ -59,10 +59,9 @@ struct figure_spec {
   /// broadcasts against the other).
   std::vector<unsigned> default_producers = {1, 2, 4};
   std::vector<unsigned> default_consumers = {1, 2, 4};
-  /// Timeline figures: telemetry cadence and the run length (0 = keep the
-  /// CLI default; fig_timeline needs a longer default so a transient
-  /// fault leaves a measurable fault-free tail).
-  unsigned default_sample_ms = 10;
+  /// Timeline figures: the run length (0 = keep the CLI default;
+  /// fig_timeline needs a longer default so a transient fault leaves a
+  /// measurable fault-free tail).
   unsigned default_duration_ms = 0;
 };
 

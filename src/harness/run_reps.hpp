@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,11 +32,12 @@
 namespace hyaline::harness {
 
 namespace detail {
-/// Default latency-sampling period: one in this many operations is timed.
+/// Latency-sampling period: one in this many operations is timed.
 /// Sampling keeps the two clock reads off the common path so the histogram
-/// does not perturb the throughput it is measured alongside. Overridable
-/// per run via workload_config::lat_sample (the --lat-sample flag).
+/// does not perturb the throughput it is measured alongside. A power of
+/// two, so the per-op test is a mask.
 inline constexpr std::uint64_t kLatencyEvery = 32;
+static_assert(std::has_single_bit(kLatencyEvery));
 }  // namespace detail
 
 /// Every worker reads the unreclaimed count once per this many of its
@@ -54,7 +56,6 @@ struct rep_spec {
   /// Per-worker op budget (0 = none); a repetition ends as soon as every
   /// worker has spent it.
   std::uint64_t op_limit = 0;
-  std::uint64_t lat_sample = detail::kLatencyEvery;  ///< timed_op period
   unsigned sample_ms = 0;  ///< telemetry cadence; 0 = no timeline
   /// Null or empty = fault-free. Validated against `workers`; outlives
   /// the run.
@@ -176,12 +177,12 @@ class worker_ctx {
     return true;
   }
 
-  /// Run one op — timed, all of `op`, once in lat_sample ops — then
+  /// Run one op — timed, all of `op`, once in kLatencyEvery ops — then
   /// after_op().
   template <class Op>
   void timed_op(Op&& op) {
     using clock = std::chrono::steady_clock;
-    const bool timed = ops_ % st_.spec.lat_sample == 0;
+    const bool timed = ops_ % detail::kLatencyEvery == 0;
     const auto t = timed ? clock::now() : clock::time_point{};
     op();
     if (timed) {

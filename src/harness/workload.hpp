@@ -57,10 +57,6 @@ struct workload_config {
   unsigned remove_pct = 50;
   unsigned get_pct = 0;
   bool use_trim = false;
-  /// Latency-sampling period: one in `lat_sample` operations is timed
-  /// around its guard + operation. Must be a power of two (the CLI
-  /// validates); 1 times every op (max detail, max perturbation).
-  std::uint64_t lat_sample = detail::kLatencyEvery;
   std::uint64_t seed = 0x5eed;
   /// Container workloads only: the producer/consumer thread split. Both
   /// zero means "derive from `threads`" (see container_split). Set drivers
@@ -102,8 +98,8 @@ struct workload_result {
   std::uint64_t unreclaimed_peak = 0;
   std::uint64_t total_ops = 0;  ///< operations completed across all threads
   /// Per-op latency percentiles (ns) over the sampled operations (one in
-  /// `lat_sample` ops is timed around guard + operation), and the exact
-  /// maximum among them.
+  /// detail::kLatencyEvery ops is timed around guard + operation), and the
+  /// exact maximum among them.
   double p50_ns = 0;
   double p90_ns = 0;
   double p99_ns = 0;
@@ -183,7 +179,6 @@ inline rep_spec rep_spec_of(const workload_config& cfg, unsigned threads,
           .repeats = cfg.repeats,
           .duration_ms = cfg.duration_ms,
           .op_limit = cfg.op_limit,
-          .lat_sample = cfg.lat_sample,
           .sample_ms = cfg.sample_ms,
           .faults = &plan,
           .stats = {&counters}};

@@ -187,10 +187,6 @@ class fault_director {
     return d != 0 ? behaviour::scan : behaviour::none;
   }
 
-  bool burst_pending() const {
-    return burst_.load(std::memory_order_relaxed) != 0;
-  }
-
   /// Claim up to `max_n` units of pending burst work (retire pairs the
   /// caller performs). Chunked so concurrent workers share a burst.
   std::uint64_t claim_burst(std::uint64_t max_n);

@@ -62,8 +62,10 @@ class era_clock {
 
   /// Per-thread allocation tick: advance once every `freq` calls. The
   /// caller supplies its own (thread-local or per-builder) counter.
+  /// `freq` is a power of two (every config validates it), so the test
+  /// is a mask rather than a divide on each allocation.
   void tick(std::uint64_t& counter, std::uint64_t freq) {
-    if (++counter % freq == 0) advance();
+    if ((++counter & (freq - 1)) == 0) advance();
   }
 
  private:

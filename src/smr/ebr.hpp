@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -28,7 +29,8 @@ namespace hyaline::smr {
 /// Tuning knobs for the EBR domain.
 struct ebr_config {
   unsigned max_threads = 144;
-  /// Attempt a global-epoch advance every `advance_freq` retires.
+  /// Attempt a global-epoch advance every `advance_freq` retires (a
+  /// power of two).
   std::uint64_t advance_freq = 64;
   /// Amortized guard entry: leave the epoch reservation published for up to
   /// this many consecutive guards on one thread. A lingering reservation is
@@ -176,8 +178,9 @@ class ebr_domain {
     if (cfg.max_threads == 0) {
       throw std::invalid_argument("ebr_config: max_threads must be nonzero");
     }
-    if (cfg.advance_freq == 0) {
-      throw std::invalid_argument("ebr_config: advance_freq must be nonzero");
+    if (!std::has_single_bit(cfg.advance_freq)) {
+      throw std::invalid_argument(
+          "ebr_config: advance_freq must be a power of two");
     }
     return cfg;
   }
@@ -200,7 +203,7 @@ class ebr_domain {
     // wait for it) — a real use-after-free, so this stays strong.
     n->retire_epoch = epoch_.load(std::memory_order_seq_cst);
     r.limbo.push_back(n);
-    if (++r.retire_count % cfg_.advance_freq == 0) {
+    if ((++r.retire_count & (cfg_.advance_freq - 1)) == 0) {
       try_advance();
     }
     reclaim(tid);

@@ -57,7 +57,7 @@ struct config {
   std::size_t batch_min = 64;
 
   /// Hyaline-S: global era clock increment frequency (one bump per
-  /// `era_freq` allocations, Fig. 5 line 18).
+  /// `era_freq` allocations, Fig. 5 line 18; a power of two).
   std::uint64_t era_freq = 64;
 
   /// Hyaline-S: Ack threshold above which a slot is presumed occupied by
@@ -316,9 +316,9 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
           "hyaline::config: max_slots must be >= slots (it caps the "
           "adaptive slot-directory growth of §4.3)");
     }
-    if (Robust && cfg.era_freq == 0) {
+    if (Robust && !std::has_single_bit(cfg.era_freq)) {
       throw std::invalid_argument(
-          "hyaline::config: era_freq must be nonzero");
+          "hyaline::config: era_freq must be a power of two");
     }
     return cfg;
   }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -44,7 +45,7 @@ struct config1 {
   /// Minimum batch size; effective size is max(batch_min, max_threads+1).
   std::size_t batch_min = 64;
 
-  /// Hyaline-1S: era clock increment frequency.
+  /// Hyaline-1S: era clock increment frequency (a power of two).
   std::uint64_t era_freq = 64;
 };
 
@@ -160,9 +161,9 @@ class basic_domain1
           "hyaline::config1: max_threads must be nonzero (it is the slot "
           "count of the 1:1 thread-to-slot mapping)");
     }
-    if (Robust && cfg.era_freq == 0) {
+    if (Robust && !std::has_single_bit(cfg.era_freq)) {
       throw std::invalid_argument(
-          "hyaline::config1: era_freq must be nonzero");
+          "hyaline::config1: era_freq must be a power of two");
     }
     return cfg;
   }

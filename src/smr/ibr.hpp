@@ -9,6 +9,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -27,7 +28,8 @@ namespace hyaline::smr {
 /// Tuning knobs for the IBR domain.
 struct ibr_config {
   unsigned max_threads = 144;
-  /// Bump the global era clock every `era_freq` allocations.
+  /// Bump the global era clock every `era_freq` allocations (a power of
+  /// two).
   std::uint64_t era_freq = 64;
   /// Scan this thread's retired list at this size (0 = auto).
   std::size_t scan_threshold = 0;
@@ -195,10 +197,6 @@ class ibr_domain {
     for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
   }
 
-  std::uint64_t debug_era() const {
-    return era_.load(std::memory_order_relaxed);
-  }
-
  private:
   static constexpr std::uint64_t inactive = ~std::uint64_t{0};
 
@@ -206,8 +204,9 @@ class ibr_domain {
     if (cfg.max_threads == 0) {
       throw std::invalid_argument("ibr_config: max_threads must be nonzero");
     }
-    if (cfg.era_freq == 0) {
-      throw std::invalid_argument("ibr_config: era_freq must be nonzero");
+    if (!std::has_single_bit(cfg.era_freq)) {
+      throw std::invalid_argument(
+          "ibr_config: era_freq must be a power of two");
     }
     return cfg;
   }

@@ -49,10 +49,9 @@ struct service_config {
   unsigned shards = 4;
   unsigned tenants = 16;
   /// Total offered load across the swarm, ops/s, split evenly over the
-  /// tenants; 0 = closed-loop (no pacing, latency CO-unsafe — only for
-  /// saturation probes).
+  /// tenants, in Poisson arrivals; 0 = closed-loop (no pacing, latency
+  /// CO-unsafe — only for saturation probes).
   double rate_ops_s = 0;
-  arrival_kind arrival = arrival_kind::poisson;
   /// Zipfian skew over [0, key_range); 0 = uniform, 0.99 = YCSB default.
   double zipf_theta = 0.99;
   std::uint64_t key_range = 100000;
@@ -197,7 +196,8 @@ service_result run_service(const harness::scheme_params& base,
     // Churn replacements (gen > 0) get fresh randomness: a reconnecting
     // user is a different request stream, not a replay.
     xoshiro256 rng(cfg.seed + w.tid * 1000003 + w.gen * 7919 + 1);
-    pacer pace(cfg.arrival, tenant_rate, cfg.seed ^ (w.tid * 0x9e37 + w.gen));
+    pacer pace(arrival_kind::poisson, tenant_rate,
+               cfg.seed ^ (w.tid * 0x9e37 + w.gen));
     w.separate_latency = scripted(plan, w.tid);
     bool in_window = false;
 

@@ -29,8 +29,8 @@ bool parse_item(std::string_view tok, slo_item* item, std::string* err) {
     return true;
   };
 
-  const auto latency = [&](slo_kind kind) {
-    item->kind = kind;
+  if (starts("p99=")) {
+    item->kind = slo_kind::p99;
     double ms = 0;
     if (!lab::parse_time_ms(p, &ms) || ms <= 0 || *p != '\0') {
       return fail(err, "bad latency bound in '" + s +
@@ -38,12 +38,7 @@ bool parse_item(std::string_view tok, slo_item* item, std::string* err) {
     }
     item->bound = ms * 1e6;  // ns
     return true;
-  };
-
-  if (starts("p50=")) return latency(slo_kind::p50);
-  if (starts("p90=")) return latency(slo_kind::p90);
-  if (starts("p99=")) return latency(slo_kind::p99);
-  if (starts("max=")) return latency(slo_kind::max_latency);
+  }
   if (starts("unreclaimed<")) {
     item->kind = slo_kind::unreclaimed;
     char* end = nullptr;
@@ -69,20 +64,7 @@ bool parse_item(std::string_view tok, slo_item* item, std::string* err) {
     return true;
   }
   return fail(err, "unknown SLO item '" + s +
-                       "' (want p50= | p90= | p99= | max= | "
-                       "unreclaimed< | recovery<)");
-}
-
-const char* kind_name(slo_kind k) {
-  switch (k) {
-    case slo_kind::p50: return "p50";
-    case slo_kind::p90: return "p90";
-    case slo_kind::p99: return "p99";
-    case slo_kind::max_latency: return "max";
-    case slo_kind::unreclaimed: return "unreclaimed";
-    case slo_kind::recovery: return "recovery";
-  }
-  return "?";
+                       "' (want p99= | unreclaimed< | recovery<)");
 }
 
 std::string fmt_time_ns(double ns) {
@@ -151,10 +133,19 @@ double peak_from(const std::vector<lab::sample_point>& pts, double t_ms,
 
 }  // namespace
 
+const char* kind_name(slo_kind k) {
+  switch (k) {
+    case slo_kind::p99: return "p99";
+    case slo_kind::unreclaimed: return "unreclaimed";
+    case slo_kind::recovery: return "recovery";
+  }
+  return "?";
+}
+
 std::optional<slo_spec> parse_slo(std::string_view spec, std::string* err) {
   slo_spec out;
   out.text = std::string(spec);
-  bool seen[6] = {};
+  bool seen[3] = {};
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -210,10 +201,7 @@ std::vector<slo_verdict> evaluate_slo(const slo_spec& spec,
     slo_verdict v;
     v.item = item;
     switch (item.kind) {
-      case slo_kind::p50:
-      case slo_kind::p90:
-      case slo_kind::p99:
-      case slo_kind::max_latency: {
+      case slo_kind::p99: {
         v.gated = true;
         v.limit = item.bound;
         if (in.latency == nullptr || in.latency->total() == 0) {
@@ -221,12 +209,7 @@ std::vector<slo_verdict> evaluate_slo(const slo_spec& spec,
           break;
         }
         v.checked = true;
-        switch (item.kind) {
-          case slo_kind::p50: v.measured = in.latency->percentile(0.50); break;
-          case slo_kind::p90: v.measured = in.latency->percentile(0.90); break;
-          case slo_kind::p99: v.measured = in.latency->percentile(0.99); break;
-          default: v.measured = static_cast<double>(in.latency->max()); break;
-        }
+        v.measured = in.latency->percentile(0.99);
         v.pass = v.measured <= v.limit;
         break;
       }
@@ -305,10 +288,7 @@ std::string format_verdict(const slo_verdict& v) {
   out += ": ";
   char buf[96];
   switch (v.item.kind) {
-    case slo_kind::p50:
-    case slo_kind::p90:
     case slo_kind::p99:
-    case slo_kind::max_latency:
       out += fmt_time_ns(v.measured) + " <= " + fmt_time_ns(v.limit);
       break;
     case slo_kind::unreclaimed:

@@ -4,16 +4,16 @@
 // latency histogram and telemetry time series:
 //
 //   spec  := item (',' item)*
-//   item  := ('p50' | 'p90' | 'p99' | 'max') '=' time     latency bound
-//          | 'unreclaimed' '<' factor 'x'                 memory bound
-//          | 'recovery' '<' time                          recovery bound
+//   item  := 'p99' '=' time                  latency bound
+//          | 'unreclaimed' '<' factor 'x'    memory bound
+//          | 'recovery' '<' time             recovery bound
 //
 // Times use the fault-plan syntax (ms default, ns/us/ms/s suffixes),
 // e.g.
 // `p99=500us,unreclaimed<2x,recovery<1s`.
 //
-// Latency items gate EVERY scheme over the victim (unscripted) tenants'
-// CO-safe histogram. The memory items take the fig_timeline stance:
+// The latency item gates EVERY scheme over the victim (unscripted)
+// tenants' CO-safe histogram. The memory items take the fig_timeline stance:
 // robustness is the paper's promise, so they *gate* robust schemes only
 // (non-robust schemes are still measured and reported, ungated):
 //
@@ -37,12 +37,14 @@
 
 namespace hyaline::svc {
 
-enum class slo_kind { p50, p90, p99, max_latency, unreclaimed, recovery };
+enum class slo_kind { p99, unreclaimed, recovery };
+
+/// The item's name in the grammar ("p99", "unreclaimed", "recovery").
+const char* kind_name(slo_kind k);
 
 struct slo_item {
   slo_kind kind = slo_kind::p99;
-  /// Latency kinds: bound in ns. unreclaimed: the factor F. recovery:
-  /// bound in ms.
+  /// p99: bound in ns. unreclaimed: the factor F. recovery: bound in ms.
   double bound = 0;
 };
 

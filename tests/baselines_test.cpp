@@ -279,6 +279,19 @@ TEST(ConfigValidation, ZeroMaxThreadsIsRejected) {
   EXPECT_THROW(ibr_domain(ibr_config{0, 64, 0}), std::invalid_argument);
 }
 
+// Each cadence is a power of two, so the per-op test is a mask.
+TEST(ConfigValidation, EbrAdvanceFreqMustBeAPowerOfTwo) {
+  EXPECT_THROW(ebr_domain(ebr_config{2, 48}), std::invalid_argument);
+}
+
+TEST(ConfigValidation, HeEraFreqMustBeAPowerOfTwo) {
+  EXPECT_THROW(he_domain(he_config{2, 48, 0}), std::invalid_argument);
+}
+
+TEST(ConfigValidation, IbrEraFreqMustBeAPowerOfTwo) {
+  EXPECT_THROW(ibr_domain(ibr_config{2, 48, 0}), std::invalid_argument);
+}
+
 TEST(ConfigValidation, PoolExhaustionThrowsInsteadOfCorrupting) {
   ebr_domain dom(ebr_config{2, 64});
   ebr_domain::guard g0(dom);

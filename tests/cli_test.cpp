@@ -93,7 +93,6 @@ TEST(CliTest, ProducerConsumerListsParse) {
   EXPECT_EQ(o.producers, (std::vector<unsigned>{1, 2, 4}));
   EXPECT_EQ(o.consumers, (std::vector<unsigned>{4}));
   // Set-only flags stay untouched defaults.
-  EXPECT_TRUE(o.mix.empty());
   EXPECT_FALSE(o.given.has(flag::range));
 }
 
@@ -101,11 +100,6 @@ TEST(CliTest, RangeFlagIsTracked) {
   const cli_options o = parse(kFigureFlags, {"--range", "1024"});
   EXPECT_EQ(o.key_range, 1024u);
   EXPECT_TRUE(o.given.has(flag::range));
-}
-
-TEST(CliTest, MixParsesWhenSummingToHundred) {
-  const cli_options o = parse(kFigureFlags, {"--mix", "30,20,50"});
-  EXPECT_EQ(o.mix, (std::vector<unsigned>{30, 20, 50}));
 }
 
 TEST(CliTest, FullOverridesDurationAndRepeats) {
@@ -123,18 +117,15 @@ TEST(CliTest, SeedParsesDecimalAndHex) {
 
 TEST(CliTest, LabFlagsParse) {
   const cli_options o =
-      parse(kTimelineFlags, {"--faults", "stall:2@500ms+300ms",
-                             "--sample-ms", "25", "--structure", "msqueue"});
+      parse(kTimelineFlags,
+            {"--faults", "stall:2@500ms+300ms", "--structure", "msqueue"});
   EXPECT_EQ(o.faults, "stall:2@500ms+300ms");
-  EXPECT_EQ(o.sample_ms, 25u);
-  EXPECT_TRUE(o.given.has(flag::sample_ms));
   EXPECT_EQ(o.structure, "msqueue");
 }
 
 TEST(CliTest, LabFlagsDefaultToUnset) {
   const cli_options o = parse(kTimelineFlags, {"--duration", "100"});
   EXPECT_TRUE(o.faults.empty());
-  EXPECT_FALSE(o.given.has(flag::sample_ms));
   EXPECT_TRUE(o.structure.empty());
 }
 
@@ -144,14 +135,13 @@ TEST(CliTest, SingleThreadCountParsesOneValue) {
   EXPECT_TRUE(o.given.has(flag::thread_count));
 }
 
-// Each binary's whole accepted set, as listed by its --help: 12 flags on
-// each of the five set figures, then 13, 11, 13, 17, 11, 8, 6 and 3 —
-// 142 (binary, flag) pairs.
+// Each binary's whole accepted set, as listed by its --help: 10 flags on
+// each of the five set figures, then 11, 10, 10, 13, 10, 6 and 3 — 113
+// (binary, flag) pairs.
 TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   const std::set<std::string> set_figure = {
-      "--threads",    "--duration", "--repeats", "--prefill",
-      "--range",      "--schemes",  "--mix",     "--seed",
-      "--lat-sample", "--trace",    "--json",    "--full"};
+      "--threads", "--duration", "--repeats", "--prefill", "--range",
+      "--schemes", "--seed",     "--trace",   "--json",    "--full"};
   std::set<std::string> robustness = set_figure;
   robustness.insert("--stalled");
   EXPECT_EQ(listed(figure_flags(figure_kind::matrix)), set_figure);
@@ -160,29 +150,23 @@ TEST(CliTest, HelpListsExactlyEachBinarysFlags) {
   EXPECT_EQ(listed(figure_flags(figure_kind::container)),
             (std::set<std::string>{"--producers", "--consumers", "--duration",
                                    "--repeats", "--prefill", "--schemes",
-                                   "--seed", "--lat-sample", "--trace",
-                                   "--json", "--full"}));
+                                   "--seed", "--trace", "--json",
+                                   "--full"}));
   EXPECT_EQ(listed(figure_flags(figure_kind::timeline)),
             (std::set<std::string>{"--threads", "--duration", "--prefill",
-                                   "--range", "--mix", "--schemes",
-                                   "--seed", "--lat-sample", "--trace",
-                                   "--json", "--faults", "--sample-ms",
+                                   "--range", "--schemes", "--seed",
+                                   "--trace", "--json", "--faults",
                                    "--structure"}));
   EXPECT_EQ(listed(kServiceFlags),
             (std::set<std::string>{
-                "--duration", "--prefill", "--range", "--mix", "--schemes",
-                "--seed", "--trace", "--json", "--faults",
-                "--sample-ms", "--svc-shards", "--tenants", "--rate",
-                "--skew", "--arrival", "--slo", "--churn"}));
+                "--duration", "--prefill", "--range", "--schemes", "--seed",
+                "--trace", "--json", "--faults", "--svc-shards",
+                "--tenants", "--rate", "--slo", "--churn"}));
   EXPECT_EQ(listed(kCheckFlags),
             (std::set<std::string>{"--threads", "--duration", "--prefill",
-                                   "--range", "--mix", "--schemes",
-                                   "--seed", "--faults", "--structure",
-                                   "--mutate", "--counterexample"}));
-  EXPECT_EQ(listed(kAblationFlags),
-            (std::set<std::string>{"--threads", "--duration", "--repeats",
-                                   "--prefill", "--range", "--seed",
-                                   "--lat-sample", "--full"}));
+                                   "--range", "--schemes", "--seed",
+                                   "--faults", "--structure", "--mutate",
+                                   "--counterexample"}));
   EXPECT_EQ(listed(kSweepFlags),
             (std::set<std::string>{"--out", "--threads", "--duration",
                                    "--repeats", "--seed", "--schemes"}));
@@ -211,15 +195,8 @@ TEST_F(CliDeathTest, CheckRejectsFlagsItDoesNotHonour) {
               ExitedWithCode(2), "unknown flag .*--trace");
   EXPECT_EXIT(check_main({"--duration", "1", "--tenants", "2"}),
               ExitedWithCode(2), "unknown flag .*--tenants");
-  EXPECT_EXIT(check_main({"--duration", "1", "--lat-sample", "8"}),
-              ExitedWithCode(2), "unknown flag .*--lat-sample");
-}
-
-TEST_F(CliDeathTest, AblationRejectsFlagsItDoesNotHonour) {
-  EXPECT_EXIT(parse(kAblationFlags, {"--json", "a.json"}), ExitedWithCode(2),
-              "unknown flag .*--json");
-  EXPECT_EXIT(parse(kAblationFlags, {"--schemes", "Epoch"}),
-              ExitedWithCode(2), "unknown flag .*--schemes");
+  EXPECT_EXIT(check_main({"--duration", "1", "--lat" "-sample", "8"}),
+              ExitedWithCode(2), "unknown flag .*--lat" "-sample");
 }
 
 // Hot and scan windows run only in the service swarm's loop; the
@@ -235,7 +212,10 @@ TEST_F(CliDeathTest, WorkloadLoopsRejectServiceOnlyFaults) {
 }
 
 // Removed flags exit 2 as unknown: the service's own schedule grammar
-// (now --faults), the Prometheus export, and the fast-path switch. Each
+// (now --faults), the Prometheus export, the fast-path switch, and the
+// knobs nothing set to other than their built-in values — the op mix,
+// the latency-sampling period, the telemetry cadence, the Zipf skew and
+// the arrival process — on every binary that used to accept them. Each
 // removed name is spelled in two literals so that a search of the tree
 // for the removed names comes up empty.
 TEST_F(CliDeathTest, RemovedFlagsAreUnknown) {
@@ -247,6 +227,26 @@ TEST_F(CliDeathTest, RemovedFlagsAreUnknown) {
               ExitedWithCode(2), "unknown flag .*--fast");
   EXPECT_EXIT(parse(kOpcostFlags, {"--fast" "path", "on"}),
               ExitedWithCode(2), "unknown flag .*--fast");
+  const struct {
+    const char* flag;
+    const char* value;
+    std::vector<flag_set> accepted_before;
+  } removed[] = {
+      {"--m" "ix", "5,5,90",
+       {kFigureFlags, kRobustnessFlags, kTimelineFlags, kServiceFlags,
+        kCheckFlags}},
+      {"--lat" "-sample", "32",
+       {kFigureFlags, kRobustnessFlags, kContainerFlags, kTimelineFlags}},
+      {"--sample" "-ms", "10", {kTimelineFlags, kServiceFlags}},
+      {"--sk" "ew", "0.99", {kServiceFlags}},
+      {"--arr" "ival", "poisson", {kServiceFlags}},
+  };
+  for (const auto& r : removed) {
+    for (const flag_set accepted : r.accepted_before) {
+      EXPECT_EXIT(parse(accepted, {r.flag, r.value}), ExitedWithCode(2),
+                  std::string("unknown flag .*") + r.flag);
+    }
+  }
 }
 
 TEST_F(CliDeathTest, SetFiguresRejectStalled) {

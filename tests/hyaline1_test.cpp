@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -165,6 +166,12 @@ TEST(Hyaline1S, EraAdvancesAndSlotErasTrack) {
     EXPECT_EQ(dom.debug_access_era(g.slot()), dom.debug_alloc_era());
   }
   for (auto* n : nodes) delete n;
+}
+
+TEST(Hyaline1S, RejectsNonPowerOfTwoEraFreq) {
+  EXPECT_THROW(domain_1s{cfg1(2, 1, 48)}, std::invalid_argument);
+  // Non-robust Hyaline-1 ignores era_freq (no era clock to tick).
+  EXPECT_NO_THROW(domain_1{cfg1(2, 1, 48)});
 }
 
 TEST(Hyaline1S, StalledThreadWithStaleEraIsSkipped) {

@@ -475,6 +475,14 @@ TEST(HyalineConfig, RejectsMaxSlotsBelowSlots) {
   EXPECT_NO_THROW(domain{c});
 }
 
+TEST(HyalineConfig, RejectsNonPowerOfTwoEraFreq) {
+  config c;
+  c.era_freq = 48;
+  EXPECT_THROW(domain_s{c}, std::invalid_argument);
+  // Non-robust Hyaline ignores era_freq (no era clock to tick).
+  EXPECT_NO_THROW(domain{c});
+}
+
 TYPED_TEST(HyalineTest, MultipleDomainsAreIsolated) {
   TypeParam a(this->small_cfg());
   TypeParam b(this->small_cfg());

@@ -36,22 +36,13 @@ TEST(SloParse, AcceptsFullGrammar) {
   EXPECT_EQ(spec->text, "p99=500us,unreclaimed<2x,recovery<1s");
 }
 
-TEST(SloParse, AcceptsEveryLatencyKind) {
-  std::string err;
-  const auto spec = parse_slo("p50=1ms,p90=2ms,p99=3ms,max=4ms", &err);
-  ASSERT_TRUE(spec.has_value()) << err;
-  ASSERT_EQ(spec->items.size(), 4u);
-  EXPECT_EQ(spec->items[0].kind, slo_kind::p50);
-  EXPECT_EQ(spec->items[1].kind, slo_kind::p90);
-  EXPECT_EQ(spec->items[2].kind, slo_kind::p99);
-  EXPECT_EQ(spec->items[3].kind, slo_kind::max_latency);
-  EXPECT_DOUBLE_EQ(spec->items[3].bound, 4e6);
-}
-
 TEST(SloParse, RejectsBadSpecs) {
   const char* bad[] = {
       "",                        // empty spec
       "p95=1ms",                 // unknown item
+      "p50=1ms",                 // p99 is the one latency item
+      "p90=1ms",
+      "max=1ms",
       "p99",                     // missing '='
       "p99=",                    // missing bound
       "p99=banana",              // unparsable time
