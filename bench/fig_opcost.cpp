@@ -66,7 +66,7 @@ bool measure(const cli_options& o, std::vector<row>& rows) {
   const char* name = scheme_traits<D>::name;
 
   scheme_params p;
-  p.max_threads = 4;
+  p.slot_threads = 4;  // Hyaline's k = 4: a small multi-thread domain
   auto dom = scheme_traits<D>::make(p);
   using guard_t = typename D::guard;
   struct pnode : D::node {

@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   bool violated = false;
   for (const std::string& name : lineup) {
     harness::scheme_params p;
-    p.ack_threshold = 512;  // scaled to short runs, as in fig10a
+    p.ack_threshold = harness::kShortRunAckThreshold;
     const harness::scheme_registry::entry* e = reg.find(name);
     scheme_report rep;
     rep.scheme = name;

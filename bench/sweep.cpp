@@ -166,8 +166,8 @@ int main(int argc, char** argv) {
       }
 
       scheme_params p;
-      p.max_threads = plan.lease_headroom(threads);
-      p.ack_threshold = 512;  // scaled to short runs, as in fig10a
+      p.slot_threads = threads + 1;  // + this thread, which prefills
+      p.ack_threshold = harness::kShortRunAckThreshold;
 
       const workload_result r = run(p, cfg);
       // A broken ledger keeps the point but fails the run: the numbers

@@ -81,7 +81,7 @@ void demo(const char* name, MakeDom make_dom) {
 int main() {
   std::puts("one stalled reader, two writers, 1 second of churn:");
   demo<hyaline::smr::ebr_domain>("Epoch", [] {
-    return std::make_unique<hyaline::smr::ebr_domain>(8u);
+    return std::make_unique<hyaline::smr::ebr_domain>();
   });
   demo<hyaline::domain_s>("Hyaline-S", [] {
     return std::make_unique<hyaline::domain_s>(

@@ -120,8 +120,8 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
         cfg.get_pct = 20;
       }
       harness::scheme_params p;
-      p.max_threads = plan.lease_headroom(threads);
-      p.ack_threshold = 512;  // scaled to short runs, as in fig10a
+      p.slot_threads = threads + 1;  // + this thread, which prefills
+      p.ack_threshold = harness::kShortRunAckThreshold;
       const auto t0 = std::chrono::steady_clock::now();
       const harness::workload_result r = cell.run(p, cfg);
       auto history = rec.collect();
@@ -166,7 +166,7 @@ int run_matrix(const cli_options& o, const lab::fault_plan& plan,
 /// caught (the healthy outcome); 0 = the oracle missed an injected bug.
 int run_mutation(const cli_options& o) {
   const bool skip_protect = o.mutate == "skip-protect";
-  smr::ebr_domain dom(16);
+  smr::ebr_domain dom;
   history_recorder rec;
   workload_config cfg;
   cfg.producers = 2;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -227,6 +228,9 @@ std::string usage_text(const char* prog, flag_set accepted) {
 
 cli_options parse_cli(int argc, char** argv, cli_options defaults,
                       flag_set accepted) {
+  // Output to a closed pipe fails (EPIPE) instead of killing the process;
+  // nothing checks it, so the exit status stays the run's own.
+  std::signal(SIGPIPE, SIG_IGN);
   cli_options o = std::move(defaults);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) usage(argv[0], accepted);

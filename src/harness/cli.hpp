@@ -161,7 +161,10 @@ struct cli_options {
 
 /// Parse argv over `defaults`, accepting only the flags in `accepted`.
 /// Exits 2 with a message and the usage text on a flag outside the set
-/// or a malformed value.
+/// or a malformed value. Also ignores SIGPIPE: a reader that closes
+/// stdout early (`| head`) then costs only the lines it did not read,
+/// while the binary runs on to write its --json, --trace, --out or
+/// --counterexample file and exits with the status it would have had.
 cli_options parse_cli(int argc, char** argv, cli_options defaults,
                       flag_set accepted);
 

@@ -236,7 +236,8 @@ int run_matrix(const figure_spec& spec, const cli_options& o,
       if (run == nullptr) continue;  // HP/HE × bonsai, as in the paper
       for (unsigned t : so.threads) {
         scheme_params p;
-        p.max_threads = t + base.stalled_threads;
+        // The workers, the stalled threads and this one, which prefills.
+        p.slot_threads = t + base.stalled_threads + 1;
         workload_config cfg = base;
         cfg.threads = t;
         cfg.key_range = so.key_range;
@@ -289,10 +290,9 @@ int run_robustness(const figure_spec& spec, const cli_options& o,
       cfg.threads = active;
       cfg.stalled_threads = stalled;
       scheme_params p;
-      p.max_threads = active + stalled;
       p.slots = fixed_slots;
       p.max_slots = row.max_slots;   // 0 = capped; §4.3 growth otherwise
-      p.ack_threshold = 512;  // scaled to short runs (paper: 8192 over 10 s)
+      p.ack_threshold = kShortRunAckThreshold;
       runner_fn run = reg.runner(row.scheme, "hashmap");
       if (run == nullptr) {  // stale row table vs registry rename
         std::fprintf(stderr, "skipping %s: no hashmap runner registered\n",
@@ -337,7 +337,6 @@ int run_trim(const figure_spec& spec, const cli_options& o,
       cfg.threads = t;
       cfg.use_trim = row.use_trim;
       scheme_params p;
-      p.max_threads = t;
       p.slots = spec.slot_cap;
       runner_fn run = reg.runner(row.scheme, "hashmap");
       if (run == nullptr) {  // stale row table vs registry rename
@@ -388,7 +387,7 @@ int run_container(const figure_spec& spec, const cli_options& o,
         cfg.consumers = o.consumers[i];
         cfg.threads = cfg.producers + cfg.consumers;
         scheme_params p;
-        p.max_threads = cfg.threads;
+        p.slot_threads = cfg.threads + 1;  // + this thread, which prefills
         const workload_result r = run(p, cfg);
         const std::string where = scheme + " x " + structure + " (" +
                                   std::to_string(cfg.producers) + "p/" +
@@ -470,8 +469,8 @@ int run_timeline(const figure_spec& spec, const cli_options& o,
     cfg.sample_ms = kTimelineSampleMs;
     cfg.faults = plan.empty() ? nullptr : &plan;
     scheme_params p;
-    p.max_threads = plan.lease_headroom(threads);
-    p.ack_threshold = 512;  // scaled to short runs, as in fig10a
+    p.slot_threads = threads + 1;  // + this thread, which prefills
+    p.ack_threshold = kShortRunAckThreshold;
     const workload_result r =
         reg.runner(scheme, structure)(p, cfg);
     const thread_split split =

@@ -51,15 +51,7 @@ workload_result run_cell(const scheme_params& params,
   static_assert(smr::Domain<D>);
   constexpr bool container = requires(S<D> s, typename D::guard g,
                                       std::uint64_t v) { s.try_pop(g, v); };
-  // Transparent thread identity (API v2) leases tids first-come: the
-  // calling thread prefills (and drains), so the pool must cover it
-  // alongside the workers and stalled threads.
-  const unsigned workers =
-      (container ? container_split(cfg).total() : cfg.threads) +
-      cfg.stalled_threads;
-  scheme_params p = params;
-  p.max_threads = std::max(p.max_threads, workers + 1);
-  auto dom = scheme_traits<D>::make(p);
+  auto dom = scheme_traits<D>::make(params);
   workload_result r;
   {
     S<D> s(*dom);

@@ -26,10 +26,11 @@ namespace hyaline::harness {
 
 /// Knobs shared by all scheme factories for one benchmark data point.
 struct scheme_params {
-  unsigned max_threads = 8;   ///< active + stalled threads (the registry
-                              ///< runners add headroom for the prefilling
-                              ///< thread's transparent tid lease)
-  std::size_t slots = 0;      ///< Hyaline k (0 = bit_ceil(max_threads),
+  /// The threads Hyaline and Hyaline-S place on their k slots, counting
+  /// the one that prefills: the input of k in default_slots(). No other
+  /// scheme reads it; they claim a record per thread as threads arrive.
+  unsigned slot_threads = 8;
+  std::size_t slots = 0;      ///< Hyaline k (0 = bit_ceil(slot_threads),
                               ///< capped at 128 like the paper's
                               ///< evaluation: default_slots())
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
@@ -43,9 +44,15 @@ struct scheme_params {
   std::uint32_t entry_burst = 64;
 };
 
+/// Hyaline-S's Ack threshold for runs of tens to hundreds of ms (the
+/// figures, the oracle, the sweep and the service): the paper's 8192
+/// (scheme_params' default) is tuned for 10 s runs (§6), in which a
+/// stalled slot is marked within the run; 512 keeps that so at this scale.
+inline constexpr std::int64_t kShortRunAckThreshold = 512;
+
 inline std::size_t default_slots(const scheme_params& p) {
   if (p.slots != 0) return p.slots;
-  std::size_t k = std::bit_ceil(std::size_t{p.max_threads});
+  std::size_t k = std::bit_ceil(std::size_t{p.slot_threads});
   if (k > 128) k = 128;  // paper §6: k capped at 128
   return k;
 }
@@ -94,16 +101,16 @@ template <>
 struct scheme_traits<smr::leaky_domain> {
   static constexpr const char* name = "Leaky";
   static constexpr bool core_lineup = true;
-  static std::unique_ptr<smr::leaky_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::leaky_domain>(p.max_threads);
+  static std::unique_ptr<smr::leaky_domain> make(const scheme_params&) {
+    return std::make_unique<smr::leaky_domain>();
   }
 };
 
 template <>
 struct scheme_traits<smr::immediate_domain> {
   static constexpr const char* name = "Mutex";
-  static std::unique_ptr<smr::immediate_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::immediate_domain>(p.max_threads);
+  static std::unique_ptr<smr::immediate_domain> make(const scheme_params&) {
+    return std::make_unique<smr::immediate_domain>();
   }
 };
 
@@ -113,8 +120,7 @@ struct scheme_traits<smr::ebr_domain> {
   static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::ebr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ebr_domain>(
-        smr::ebr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst});
+        smr::ebr_config{.entry_burst = p.entry_burst});
   }
 };
 
@@ -122,9 +128,8 @@ template <>
 struct scheme_traits<smr::hp_domain> {
   static constexpr const char* name = "HP";
   static constexpr bool core_lineup = true;
-  static std::unique_ptr<smr::hp_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::hp_domain>(
-        smr::hp_config{.max_threads = p.max_threads});
+  static std::unique_ptr<smr::hp_domain> make(const scheme_params&) {
+    return std::make_unique<smr::hp_domain>();
   }
 };
 
@@ -132,9 +137,8 @@ template <>
 struct scheme_traits<smr::he_domain> {
   static constexpr const char* name = "HE";
   static constexpr bool core_lineup = true;
-  static std::unique_ptr<smr::he_domain> make(const scheme_params& p) {
-    return std::make_unique<smr::he_domain>(
-        smr::he_config{.max_threads = p.max_threads});
+  static std::unique_ptr<smr::he_domain> make(const scheme_params&) {
+    return std::make_unique<smr::he_domain>();
   }
 };
 
@@ -144,8 +148,7 @@ struct scheme_traits<smr::ibr_domain> {
   static constexpr bool core_lineup = true;
   static std::unique_ptr<smr::ibr_domain> make(const scheme_params& p) {
     return std::make_unique<smr::ibr_domain>(
-        smr::ibr_config{.max_threads = p.max_threads,
-                        .entry_burst = p.entry_burst});
+        smr::ibr_config{.entry_burst = p.entry_burst});
   }
 };
 
@@ -156,8 +159,7 @@ template <class D>
 struct hyaline_make {
   static std::unique_ptr<D> make(const scheme_params& p) {
     if constexpr (std::is_constructible_v<D, config1>) {
-      return std::make_unique<D>(
-          config1{.max_threads = p.max_threads, .batch_min = p.batch_min});
+      return std::make_unique<D>(config1{.batch_min = p.batch_min});
     } else {
       return std::make_unique<D>(config{.slots = default_slots(p),
                                         .max_slots = p.max_slots,

@@ -194,14 +194,6 @@ std::optional<double> fault_plan::last_end_ms() const {
   return t;
 }
 
-unsigned fault_plan::lease_headroom(unsigned worker_threads) const {
-  unsigned churn = 0;
-  for (const fault_event& e : events) {
-    if (e.kind == fault_kind::churn) ++churn;
-  }
-  return worker_threads + 1 + churn;
-}
-
 std::optional<fault_plan> parse_fault_plan(std::string_view spec,
                                            std::string* err) {
   fault_plan plan;

@@ -103,15 +103,6 @@ struct fault_plan {
   /// When the last fault clears, or nullopt if any event never ends —
   /// the recovery check needs a fault-free tail to measure.
   std::optional<double> last_end_ms() const;
-
-  /// Scheme max_threads headroom for a run driving `worker_threads`
-  /// workers under this plan: the workers, the main thread's transparent
-  /// tid lease (it prefills/drains), and one lease of transient overlap
-  /// per churn event — a replacement worker leases its thread identity
-  /// before its predecessor's lease returns. The one formula both the
-  /// timeline figure and the linearizability check driver size their
-  /// domains with.
-  unsigned lease_headroom(unsigned worker_threads) const;
 };
 
 /// Parse a --faults spec. Returns nullopt with a message in *err on any

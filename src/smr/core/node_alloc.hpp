@@ -23,9 +23,9 @@
 // The hooks are read on every node allocation; install them once, at
 // startup, before any node exists, so allocate/free pairs always agree.
 // When no hook is installed the per-thread slab allocator serves the
-// request if enabled (see core/slab_alloc.hpp) — routing priority is
-// debug hook > slab > global heap, and the slab's enabled flag follows the
-// same install-before-any-node-exists contract as the hooks.
+// request, except under AddressSanitizer (slab::kRoutesNodes, see
+// core/slab_alloc.hpp) — routing priority is debug hook > slab > global
+// heap.
 #pragma once
 
 #include <cassert>
@@ -50,16 +50,13 @@ inline node_free_fn node_free_hook = nullptr;    // null = ::operator delete
 struct hooked_alloc {
   static void* operator new(std::size_t n) {
     if (node_alloc_hook != nullptr) return node_alloc_hook(n);
-    if (slab::enabled()) return slab::allocate(n);
+    if constexpr (slab::kRoutesNodes) return slab::allocate(n);
     return ::operator new(n);
   }
   static void operator delete(void* p) {
     if (node_free_hook != nullptr) {
       node_free_hook(p);
-    } else if (slab::enabled()) {
-      assert(slab::owns(p) &&
-             "slab enabled after nodes were already heap-allocated "
-             "(set_enabled must precede the first node allocation)");
+    } else if constexpr (slab::kRoutesNodes) {
       slab::deallocate(p);
     } else {
       ::operator delete(p);

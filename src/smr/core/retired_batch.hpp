@@ -11,10 +11,10 @@
 // All are intrusive over the scheme's node type, which must expose a
 // `Node* next` member.
 //
-// Observability: every container can be attached to a domain's
-// `smr::domain_counters` (attach()); scans and rearms are then counted
-// here, in the primitive, so every scheme built on these containers
-// reports them uniformly. Scan passes also emit
+// Observability: scans and rearms take the owning domain's
+// `smr::domain_counters` and are counted here, in the primitive, so every
+// scheme built on these containers reports them uniformly, whichever
+// record the list sits in. Scan passes also emit
 // scan_begin/scan_end trace events (obs/trace.hpp) — both seams cost one
 // relaxed load + predicted branch when observability is off.
 #pragma once
@@ -44,9 +44,9 @@ class retired_list {
   /// keeps the rest (list order is reversed, which is irrelevant — kept
   /// nodes are re-examined wholesale on the next scan).
   template <class CanFree, class DoFree>
-  void scan(CanFree&& can_free, DoFree&& do_free) {
+  void scan(domain_counters& ctrs, CanFree&& can_free, DoFree&& do_free) {
     obs::emit(obs::event::scan_begin, count_);
-    if (ctrs_ != nullptr) ctrs_->on_scan();
+    ctrs.on_scan();
     Node* keep = nullptr;
     std::size_t kept = 0;
     std::size_t freed = 0;
@@ -71,13 +71,10 @@ class retired_list {
   /// Geometric growth of the rescan point: the next scan happens only after
   /// the list doubles (plus a floor of `threshold`), so nodes pinned by
   /// long-lived reservations are not rescanned on a fixed period.
-  void rearm(std::size_t threshold) {
+  void rearm(domain_counters& ctrs, std::size_t threshold) {
     scan_at_ = 2 * count_ + threshold;
-    if (ctrs_ != nullptr) ctrs_->on_rearm();
+    ctrs.on_rearm();
   }
-
-  /// Attach the owning domain's event counters (see smr/stats.hpp).
-  void attach(domain_counters* c) { ctrs_ = c; }
 
   std::size_t size() const { return count_; }
   bool empty() const { return head_ == nullptr; }
@@ -86,7 +83,6 @@ class retired_list {
   Node* head_ = nullptr;
   std::size_t count_ = 0;
   std::size_t scan_at_ = 0;  // adaptive: kept + threshold after each scan
-  domain_counters* ctrs_ = nullptr;
 };
 
 /// Owner-thread-private FIFO limbo list (EBR: FIFO by retire epoch, so
@@ -108,10 +104,10 @@ class limbo_queue {
   /// frees at least one node counts as a scan (EBR's limbo reclamation is
   /// this loop; an empty-handed probe is not a reclamation pass).
   template <class Ready, class DoFree>
-  void reclaim_ready(Ready&& ready, DoFree&& do_free) {
+  void reclaim_ready(domain_counters& ctrs, Ready&& ready, DoFree&& do_free) {
     if (head_ == nullptr || !ready(head_)) return;
     obs::emit(obs::event::scan_begin, 0);
-    if (ctrs_ != nullptr) ctrs_->on_scan();
+    ctrs.on_scan();
     std::size_t freed = 0;
     while (head_ != nullptr && ready(head_)) {
       Node* n = head_;
@@ -123,15 +119,11 @@ class limbo_queue {
     obs::emit(obs::event::scan_end, freed);
   }
 
-  /// Attach the owning domain's event counters (see smr/stats.hpp).
-  void attach(domain_counters* c) { ctrs_ = c; }
-
   bool empty() const { return head_ == nullptr; }
 
  private:
   Node* head_ = nullptr;
   Node* tail_ = nullptr;
-  domain_counters* ctrs_ = nullptr;
 };
 
 /// Concurrent LIFO (Treiber) stack of retired nodes.

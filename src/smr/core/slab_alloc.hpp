@@ -1,7 +1,8 @@
 // Per-thread slab allocator for SMR nodes.
 //
-// Sits behind the `hooked_alloc` seam in node_alloc.hpp: when enabled, every
-// node allocation that is not intercepted by a debug hook is served from a
+// Sits behind the `hooked_alloc` seam in node_alloc.hpp: in every build but
+// AddressSanitizer's (kRoutesNodes), each node allocation that is not
+// intercepted by a debug hook is served from a
 // thread-local size-class cache instead of the global heap. The design is a
 // small tcmalloc-style front end specialized for the allocation profile of
 // lock-free structures (many small fixed-size nodes, freed by *other*
@@ -26,12 +27,11 @@
 //     process lives, so a stale `owner` pointer in a block header can never
 //     dangle.
 //
-// Contract: `set_enabled` must not be flipped while any slab-allocated node
-// is live — the deallocation path must see the same routing decision the
-// allocation path made. The harness enables it once at startup (tests drain
-// every domain before toggling). Under AddressSanitizer the slab defaults to
-// *off* (block recycling would mask use-after-free, the very bug class the
-// debug hooks exist to catch); the slab's own tests opt back in explicitly.
+// The routing is a build-time constant, so the allocation and the
+// deallocation of a node always take the same path. Under AddressSanitizer
+// nodes bypass the slab (block recycling would mask use-after-free, the
+// very bug class the debug hooks exist to catch); the slab's own tests
+// call allocate/deallocate directly in every build.
 #pragma once
 
 #include <atomic>
@@ -56,6 +56,19 @@ inline constexpr std::uint32_t kMagic = 0x51ab51ab;
 inline constexpr std::size_t kRemoteBatch = 32;
 /// Destination caches a single thread buffers remote frees for at once.
 inline constexpr std::size_t kRemoteBuffers = 4;
+
+/// Whether hooked_alloc routes nodes here: off under AddressSanitizer.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kRoutesNodes = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kRoutesNodes = false;
+#else
+inline constexpr bool kRoutesNodes = true;
+#endif
+#else
+inline constexpr bool kRoutesNodes = true;
+#endif
 
 struct tcache;
 
@@ -131,20 +144,6 @@ inline arena& the_arena() {
                    // parked caches are already chained when this dies.
   return a;
 }
-
-#if defined(__SANITIZE_ADDRESS__)
-inline constexpr bool kAsanDefault = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-inline constexpr bool kAsanDefault = true;
-#else
-inline constexpr bool kAsanDefault = false;
-#endif
-#else
-inline constexpr bool kAsanDefault = false;
-#endif
-
-inline std::atomic<bool> enabled{!kAsanDefault};
 
 inline std::size_t class_of(std::size_t bytes) {
   return (bytes + kGranule - 1) / kGranule - 1;
@@ -318,15 +317,6 @@ inline void remote_free(tcache* me, tcache* dest, void* payload) {
 
 }  // namespace detail
 
-/// Runtime switch. Must only change while no slab-allocated node is live.
-inline void set_enabled(bool on) {
-  detail::enabled.store(on, std::memory_order_relaxed);
-}
-
-inline bool enabled() {
-  return detail::enabled.load(std::memory_order_relaxed);
-}
-
 /// Arena cap in bytes (default 1 GiB). Test hook for the exhaustion path.
 inline void set_limit_bytes(std::size_t bytes) {
   detail::the_arena().limit_bytes = bytes;
@@ -385,10 +375,7 @@ inline void deallocate(void* payload) {
 }
 
 /// True when `payload` was produced by `allocate` (slab or fallback): the
-/// header magic survives in both paths. Used by node_alloc.hpp to route
-/// frees of nodes allocated before the slab was enabled (there are none
-/// under the documented contract, but the check keeps the debug build loud
-/// instead of corrupting the heap).
+/// header magic survives in both paths.
 inline bool owns(void* payload) {
   auto* h = reinterpret_cast<block_header*>(static_cast<std::byte*>(payload) -
                                             kHeaderBytes);

@@ -1,4 +1,5 @@
-// A small dense per-thread integer shared by every domain in the process.
+// A small dense per-thread integer shared by every domain in the process,
+// and the lowest-free id allocator it shares with the thread registry.
 //
 // Two users: the multi-list Hyaline variants place a thread on a slot by
 // it (§3.2: "a thread chooses randomly or based on its ID"), and the
@@ -7,18 +8,66 @@
 // among live threads when the thread first asks, and the thread hands it
 // back when it exits: no two live threads hold the same id, and ids stay
 // dense however many threads a long-lived process starts and joins. That
-// is what lets a counter cell have exactly one writer. Neither user needs
-// a capacity-bounded lease (core/thread_registry.hpp): any number of
-// threads may share a slot, and hints past the cells share a second bank.
-// It sits below stats.hpp, which the thread registry itself includes.
+// is what lets a counter cell have exactly one writer. A hint is
+// process-wide; the per-domain record leases of EBR, IBR, HP, HE and
+// Hyaline-1 (core/thread_registry.hpp) take their ids from a
+// lowest_free_ids of their own. It sits below stats.hpp, which the
+// thread registry itself includes.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <vector>
 
 namespace hyaline::smr::core {
+
+/// Hands out the lowest id not currently taken: ids given back wait in a
+/// min-heap below count(), which only grows.
+class lowest_free_ids {
+ public:
+  /// The lowest free id. When no id this large was handed out before,
+  /// `fresh(id)` runs under the lock before count() admits it.
+  template <class Fresh>
+  unsigned take(Fresh&& fresh) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (returned_.empty()) {
+      const unsigned id = count_.load(std::memory_order_relaxed);
+      fresh(id);
+      // seq_cst: a scan that reads the old count must precede, in the
+      // single total order, every seq_cst store the new holder makes
+      // through this id (see thread_registry::size()).
+      count_.store(id + 1, std::memory_order_seq_cst);
+      return id;
+    }
+    std::pop_heap(returned_.begin(), returned_.end(), std::greater<>{});
+    const unsigned id = returned_.back();
+    returned_.pop_back();
+    return id;
+  }
+
+  unsigned take() {
+    return take([](unsigned) {});
+  }
+
+  void give_back(unsigned id) {
+    std::lock_guard<std::mutex> lk(mu_);
+    returned_.push_back(id);
+    std::push_heap(returned_.begin(), returned_.end(), std::greater<>{});
+  }
+
+  /// One past the highest id ever taken: the peak number held at once.
+  unsigned count() const {
+    // seq_cst: the scan-side half of the pairing in take().
+    return count_.load(std::memory_order_seq_cst);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<unsigned> returned_;
+  std::atomic<unsigned> count_{0};
+};
 
 /// Set in the hint a thread reads after handing its id back: a
 /// thread-local destructor that runs later still gets a hint, with the
@@ -36,47 +85,23 @@ inline unsigned& hint_word() {
   return hint;
 }
 
-/// Hands out the lowest free id: a min-heap of returned ids below `next_`.
-class hint_ids {
- public:
-  unsigned take() {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (returned_.empty()) return next_++;
-    std::pop_heap(returned_.begin(), returned_.end(), std::greater<>{});
-    const unsigned id = returned_.back();
-    returned_.pop_back();
-    return id;
-  }
+/// Never destroyed: a thread may hand its id back after static
+/// destructors ran.
+inline lowest_free_ids& hint_ids() {
+  static lowest_free_ids* const ids = new lowest_free_ids;
+  return *ids;
+}
 
-  void give_back(unsigned id) {
-    std::lock_guard<std::mutex> lk(mu_);
-    returned_.push_back(id);
-    std::push_heap(returned_.begin(), returned_.end(), std::greater<>{});
-  }
-
-  /// Never destroyed: a thread may hand its id back after static
-  /// destructors ran.
-  static hint_ids& instance() {
-    static hint_ids* const ids = new hint_ids;
-    return *ids;
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<unsigned> returned_;
-  unsigned next_ = 0;
-};
-
-/// The calling thread's id, held until the thread exits. The mutex in
-/// hint_ids orders everything the old holder wrote to its cells before
-/// the next holder's first bump.
+/// The calling thread's id, held until the thread exits. The allocator's
+/// mutex orders everything the old holder wrote to its cells before the
+/// next holder's first bump.
 struct hint_lease {
-  const unsigned id = hint_ids::instance().take();
+  const unsigned id = hint_ids().take();
 
   hint_lease() { hint_word() = id; }
   ~hint_lease() {
     hint_word() = id | kHintReturned;
-    hint_ids::instance().give_back(id);
+    hint_ids().give_back(id);
   }
 };
 

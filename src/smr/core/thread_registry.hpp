@@ -2,116 +2,73 @@
 //
 // API v1 required every call site to hand-thread a `tid` into each guard.
 // API v2 makes thread identity an implementation detail: a guard leases a
-// thread id (or slot) from its domain's `tid_pool` through a thread-local
-// cache, so the first guard a thread takes against a domain pays one
-// mutex-protected pool acquire and every later guard is a small TLS scan.
-// A lease is checked in when its guard dies but stays *cached* by the
-// owning thread for instant reuse; the pool gets it back only when the
-// thread exits. Nested guards on one thread check out distinct tids, which
-// preserves the "one reservation per record" invariant of the baseline
-// schemes (EBR/IBR/HP/HE) and the 1:1 slot mapping of Hyaline-1.
+// per-thread record from its domain's `thread_registry` through a
+// thread-local cache, so the first guard a thread takes against a domain
+// pays one mutex-protected claim and every later guard is a small TLS
+// scan. A lease is checked in when its guard dies but stays *cached* by
+// the owning thread for instant reuse; the registry gets its id back only
+// when the thread exits. Nested guards on one thread check out distinct
+// records, which preserves the "one reservation per record" invariant of
+// EBR/IBR/HP/HE and the 1:1 slot mapping of Hyaline-1.
 //
-// Also here:
-//   - thread_registry<Rec>: the per-thread record array those schemes scan
-//     (one reservation word / hazard array per tid), now owning the pool
-//     its guards lease from;
-//   - tls_cache<V>: per-(thread, domain) value cache used by the Hyaline
-//     variants for their thread-local batch builders;
-//   - thread_hint(), the per-thread id for Hyaline slot placement and
-//     counter cells, through smr/stats.hpp: it lives below it, in
-//     core/thread_hint.hpp. Unlike a tid it has no capacity: it is the
-//     lowest id free among live threads, handed back at thread exit.
+// The registry has no capacity: nobody declares how many threads will
+// come. A claim takes the lowest free id (core::lowest_free_ids, the
+// allocator thread_hint() uses too); an id no thread held before gets a
+// fresh record, made under the same mutex in a slot_directory that grows
+// by doubling, so a record never moves and a lease holds a plain pointer
+// to it. Because ids are lowest-free, size() (one past the highest id
+// ever leased) is the peak number of records in use at once, and each
+// scan reads it once and walks only those records.
+//
+// Also here: tls_cache<V>, the per-(thread, domain) value cache the
+// Hyaline variants keep their batch builders in.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
+#include "common/slot_directory.hpp"
+#include "smr/core/thread_hint.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::smr::core {
 
-/// Process-unique id source shared by pools, domains, and TLS caches.
+/// Process-unique id source shared by registries and TLS caches.
 inline std::uint64_t next_unique_id() {
   static std::atomic<std::uint64_t> ids{1};
   return ids.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Fixed-capacity pool of thread ids. Hands out the lowest free id so unit
-/// tests see deterministic assignment. Throws (instead of corrupting a
-/// neighbour's record) when the capacity is exhausted.
-class tid_pool {
- public:
-  explicit tid_pool(unsigned capacity)
-      : id_(next_unique_id()), used_(capacity, false) {}
-
-  tid_pool(const tid_pool&) = delete;
-  tid_pool& operator=(const tid_pool&) = delete;
-
-  std::uint64_t id() const { return id_; }
-  unsigned capacity() const { return static_cast<unsigned>(used_.size()); }
-
-  /// Attach the owning domain's event counters: every slow-path checkout
-  /// (pool acquire, as opposed to a TLS cache hit) is counted.
-  void attach(domain_counters* c) { ctrs_ = c; }
-
-  unsigned acquire() {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (unsigned i = 0; i < used_.size(); ++i) {
-      if (!used_[i]) {
-        used_[i] = true;
-        if (ctrs_ != nullptr) ctrs_->on_tid_acquire();
-        return i;
-      }
-    }
-    throw std::runtime_error(
-        "smr: thread id pool exhausted (capacity " +
-        std::to_string(used_.size()) +
-        "): ids are leased per (live thread, domain) — each live thread "
-        "that ever held a guard keeps its id cached until it exits, and "
-        "nested guards lease one id each — so max_threads must cover "
-        "every such thread, not just the concurrently active ones");
-  }
-
-  void release(unsigned tid) noexcept {
-    std::lock_guard<std::mutex> lk(mu_);
-    used_[tid] = false;
-  }
-
-  /// The owning domain is going away: lets the per-thread lease caches
-  /// prune their entries for this pool instead of holding them (and this
-  /// object, via shared_ptr) until thread exit.
-  void close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
- private:
-  const std::uint64_t id_;
-  std::mutex mu_;
-  std::vector<bool> used_;
-  std::atomic<bool> closed_{false};
-  domain_counters* ctrs_ = nullptr;
-};
-
 namespace detail {
 
-struct cached_lease {
-  std::uint64_t pool_id;
-  unsigned tid;
-  bool in_use;
-  std::shared_ptr<tid_pool> pool;  // keeps the pool alive past its domain
+/// What a thread's lease cache may outlive its domain with: the ids, so a
+/// thread that exits later can still hand its own back.
+struct id_pool {
+  const std::uint64_t uid = next_unique_id();
+  lowest_free_ids ids;
+  /// The domain is gone: lease caches prune their entries for it instead
+  /// of holding them (and this object) until thread exit.
+  std::atomic<bool> closed{false};
 };
 
-/// Per-thread lease table; the destructor returns every cached tid to its
-/// pool when the thread exits, so short-lived threads recycle ids.
+struct cached_lease {
+  std::uint64_t pool_uid;
+  unsigned id;
+  bool in_use;
+  void* rec;  // the id's record; valid while the domain lives
+  std::shared_ptr<id_pool> pool;
+};
+
+/// Per-thread lease table; the destructor returns every cached id when
+/// the thread exits, so short-lived threads recycle ids.
 struct lease_table {
   std::vector<cached_lease> leases;
 
   ~lease_table() {
-    for (const cached_lease& l : leases) l.pool->release(l.tid);
+    for (const cached_lease& l : leases) l.pool->ids.give_back(l.id);
   }
 };
 
@@ -119,98 +76,120 @@ inline thread_local lease_table tls_leases;
 
 }  // namespace detail
 
-/// Visit every tid the *calling thread* has cached against `pool`,
-/// including ids currently checked out by live guards. Used by the schemes'
-/// quiesce() paths to clear lingering burst-entry reservations: iterating
-/// the cache (instead of leasing a fresh id) touches only ids this thread
-/// actually used and can never exhaust the pool.
-template <class F>
-inline void for_each_cached_tid(const std::shared_ptr<tid_pool>& pool,
-                                F&& f) {
-  const std::uint64_t pool_id = pool->id();
-  for (const detail::cached_lease& l : detail::tls_leases.leases) {
-    if (l.pool_id == pool_id) f(l.tid);
-  }
-}
+/// Records in a registry's first segment; each growth doubles the total.
+inline constexpr unsigned kFirstSegmentRecords = 4;
 
-/// RAII checkout of the calling thread's tid for one pool. Guards hold one
-/// of these for their lifetime; nesting (two live guards, one thread, one
-/// domain) checks out a second tid.
-class tid_lease {
- public:
-  explicit tid_lease(const std::shared_ptr<tid_pool>& pool)
-      : pool_id_(pool->id()) {
-    for (detail::cached_lease& l : detail::tls_leases.leases) {
-      if (l.pool_id == pool_id_ && !l.in_use) {
-        l.in_use = true;
-        tid_ = l.tid;
-        return;
-      }
-    }
-    // Miss (first guard against this domain, or a nested guard): before
-    // acquiring a fresh id, prune entries whose domain died — a thread
-    // touching many short-lived domains must not retain their pools (or
-    // scan their entries) forever. Off the cached-hit hot path.
-    std::erase_if(detail::tls_leases.leases,
-                  [](const detail::cached_lease& l) {
-                    return !l.in_use && l.pool->closed();
-                  });
-    tid_ = pool->acquire();
-    detail::tls_leases.leases.push_back({pool_id_, tid_, true, pool});
-  }
-
-  ~tid_lease() {
-    for (detail::cached_lease& l : detail::tls_leases.leases) {
-      if (l.pool_id == pool_id_ && l.tid == tid_) {
-        l.in_use = false;
-        return;
-      }
-    }
-  }
-
-  tid_lease(const tid_lease&) = delete;
-  tid_lease& operator=(const tid_lease&) = delete;
-
-  unsigned tid() const { return tid_; }
-
- private:
-  std::uint64_t pool_id_;
-  unsigned tid_;
-};
-
-/// Owns `n` default-constructed records indexed by thread id, plus the pool
-/// guards lease those ids from. The record type is supplied by the scheme
-/// and must be default-constructible and cache-line aligned
-/// (`alignas(cache_line_size)` on the record) so adjacent threads never
-/// false-share.
+/// The per-thread records a scheme scans (one reservation word, hazard
+/// array or Hyaline-1 slot per id), and the ids guards lease them by.
+/// `Rec` must be default-constructible (that is its unused state) and
+/// cache-line aligned (`alignas(cache_line_size)`) so adjacent threads
+/// never false-share.
 template <class Rec>
 class thread_registry {
  public:
-  explicit thread_registry(unsigned n)
-      : n_(n), recs_(new Rec[n]), pool_(std::make_shared<tid_pool>(n)) {}
+  /// `ctrs` counts every claim that misses the calling thread's cache.
+  explicit thread_registry(domain_counters& ctrs) : ctrs_(ctrs) {}
 
-  ~thread_registry() { pool_->close(); }
+  ~thread_registry() { pool_->closed.store(true, std::memory_order_release); }
 
   thread_registry(const thread_registry&) = delete;
   thread_registry& operator=(const thread_registry&) = delete;
 
-  unsigned size() const { return n_; }
+  /// Records claimed so far: every id a lease holds is below it. A scan
+  /// reads it once. Missing a record claimed after that read is safe:
+  /// the count is loaded and stored seq_cst, so the read precedes every
+  /// seq_cst store the new holder makes in it, as if the scan had read
+  /// the record and found it unused.
+  unsigned size() const { return pool_->ids.count(); }
 
-  /// The lease pool guards check their tid out of.
-  const std::shared_ptr<tid_pool>& pool() const { return pool_; }
+  Rec& operator[](unsigned id) { return recs_.at(id); }
+  const Rec& operator[](unsigned id) const { return recs_.at(id); }
 
-  Rec& operator[](unsigned tid) { return recs_[tid]; }
-  const Rec& operator[](unsigned tid) const { return recs_[tid]; }
+  /// Call `f` on every claimed record (size() read once).
+  template <class F>
+  void for_each(F&& f) {
+    for (unsigned i = 0, n = size(); i < n; ++i) f(recs_.at(i));
+  }
 
-  Rec* begin() { return recs_.get(); }
-  Rec* end() { return recs_.get() + n_; }
-  const Rec* begin() const { return recs_.get(); }
-  const Rec* end() const { return recs_.get() + n_; }
+  /// Whether `pred` holds for every claimed record (size() read once);
+  /// stops at the first that fails.
+  template <class F>
+  bool all_of(F&& pred) const {
+    for (unsigned i = 0, n = size(); i < n; ++i) {
+      if (!pred(recs_.at(i))) return false;
+    }
+    return true;
+  }
+
+  /// RAII checkout of one record for the calling thread. Guards hold one
+  /// for their lifetime; nesting (two live guards, one thread, one
+  /// domain) checks out a second record.
+  class lease {
+   public:
+    explicit lease(thread_registry& reg) : pool_uid_(reg.pool_->uid) {
+      std::vector<detail::cached_lease>& leases = detail::tls_leases.leases;
+      for (detail::cached_lease& l : leases) {
+        if (l.pool_uid == pool_uid_ && !l.in_use) {
+          l.in_use = true;
+          id_ = l.id;
+          rec_ = static_cast<Rec*>(l.rec);
+          return;
+        }
+      }
+      // Miss (first guard against this domain, or a nested guard): before
+      // claiming, prune entries whose domain died — a thread touching many
+      // short-lived domains must not retain their ids (or scan their
+      // entries) forever. Off the cached-hit hot path.
+      std::erase_if(leases, [](const detail::cached_lease& l) {
+        return !l.in_use && l.pool->closed.load(std::memory_order_acquire);
+      });
+      id_ = reg.pool_->ids.take([&reg](unsigned fresh) {
+        if (fresh == reg.recs_.size()) reg.recs_.grow();
+      });
+      rec_ = &reg.recs_.at(id_);
+      reg.ctrs_.on_tid_acquire();
+      leases.push_back({pool_uid_, id_, true, rec_, reg.pool_});
+    }
+
+    ~lease() {
+      for (detail::cached_lease& l : detail::tls_leases.leases) {
+        if (l.pool_uid == pool_uid_ && l.id == id_) {
+          l.in_use = false;
+          return;
+        }
+      }
+    }
+
+    lease(const lease&) = delete;
+    lease& operator=(const lease&) = delete;
+
+    unsigned id() const { return id_; }
+    Rec& rec() const { return *rec_; }
+
+   private:
+    std::uint64_t pool_uid_;
+    unsigned id_;
+    Rec* rec_;
+  };
+
+  /// Visit every record the *calling thread* has cached here, including
+  /// ones live guards hold. The schemes' quiesce() paths clear lingering
+  /// burst-entry reservations this way: only records this thread used,
+  /// and no claim.
+  template <class F>
+  void for_each_cached(F&& f) {
+    for (const detail::cached_lease& l : detail::tls_leases.leases) {
+      if (l.pool_uid == pool_->uid) f(*static_cast<Rec*>(l.rec));
+    }
+  }
 
  private:
-  unsigned n_;
-  std::unique_ptr<Rec[]> recs_;
-  std::shared_ptr<tid_pool> pool_;
+  domain_counters& ctrs_;
+  /// Room for every unsigned id; each segment after the first is made by
+  /// the claim that needs it.
+  slot_directory<Rec> recs_{kFirstSegmentRecords, std::size_t{1} << 32};
+  const std::shared_ptr<detail::id_pool> pool_ =
+      std::make_shared<detail::id_pool>();
 };
 
 /// Per-(thread, owner) value cache: `local()` returns the calling thread's

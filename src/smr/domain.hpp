@@ -12,7 +12,7 @@
 //     class guard {                          // RAII enter/leave
 //       explicit guard(D& dom);              // transparent thread identity:
 //                                            //   the guard leases its
-//                                            //   tid/slot internally
+//                                            //   record/slot internally
 //       ~guard();                            // leave
 //       template <class T>
 //       protected_ptr<T> protect(const std::atomic<T*>& src);
@@ -41,7 +41,10 @@
 //   - guards take no tid: thread identity is leased from a thread-local
 //     cache (core/thread_registry.hpp). The paper's transparency property
 //     — threads use reclamation without registration ceremony — now holds
-//     for every scheme's public API, not just Hyaline's.
+//     for every scheme's public API, not just Hyaline's. Nor does any
+//     scheme take a thread capacity: the per-thread records of EBR, IBR,
+//     HP, HE and Hyaline-1 are claimed as threads arrive, and each scan
+//     walks the records claimed so far.
 //   - informal restrictions (HP/HE can't run Bonsai, robust schemes can't
 //     run Harris's original list, clean-edge traversal) are `D::caps`
 //     fields consumed by the registry, the structures, and this concept.

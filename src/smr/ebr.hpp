@@ -28,7 +28,6 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the EBR domain.
 struct ebr_config {
-  unsigned max_threads = 144;
   /// Attempt a global-epoch advance every `advance_freq` retires (a
   /// power of two).
   std::uint64_t advance_freq = 64;
@@ -43,6 +42,8 @@ struct ebr_config {
 };
 
 class ebr_domain {
+  struct rec;  // one thread's reservation and limbo list (below)
+
  public:
   static constexpr smr::caps caps{.burst_entry = true};
 
@@ -54,15 +55,9 @@ class ebr_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit ebr_domain(ebr_config cfg = {})
-      : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
+  explicit ebr_domain(ebr_config cfg = {}) : cfg_(validated(cfg)) {
     epoch_.attach(&stats_->events);
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.limbo.attach(&stats_->events);
   }
-
-  explicit ebr_domain(unsigned max_threads)
-      : ebr_domain(ebr_config{max_threads, 64}) {}
 
   ~ebr_domain() { drain(); }
 
@@ -75,9 +70,9 @@ class ebr_domain {
 
   class guard {
    public:
-    explicit guard(ebr_domain& dom) : dom_(dom), lease_(dom.recs_.pool()) {
-      obs::emit(obs::event::guard_enter, lease_.tid());
-      rec& r = dom_.recs_[lease_.tid()];
+    explicit guard(ebr_domain& dom) : dom_(dom), lease_(dom.recs_) {
+      obs::emit(obs::event::guard_enter, lease_.id());
+      rec& r = lease_.rec();
       // Audit(ebr-entry-load): acquire, not seq_cst. Reading a stale-low
       // epoch publishes an older reservation, which only pins the epoch
       // longer (conservative); the three-epoch grace period tolerates one
@@ -100,8 +95,8 @@ class ebr_domain {
     }
 
     ~guard() {
-      obs::emit(obs::event::guard_exit, lease_.tid());
-      rec& r = dom_.recs_[lease_.tid()];
+      obs::emit(obs::event::guard_exit, lease_.id());
+      rec& r = lease_.rec();
       if (r.burst_left > 1) {
         // Burst fast path: leave the reservation published for the next
         // guard. Bounded by entry_burst, after which we genuinely leave so
@@ -129,12 +124,12 @@ class ebr_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.retire(lease_.tid(), static_cast<node*>(n));
+      dom_.retire(lease_.rec(), static_cast<node*>(n));
     }
 
    private:
     ebr_domain& dom_;
-    core::tid_lease lease_;
+    core::thread_registry<rec>::lease lease_;
   };
 
   /// Burst-entry cleanup for the *calling thread*: clear any reservation
@@ -143,12 +138,7 @@ class ebr_domain {
   /// thread; no-op when burst entry is off.
   void quiesce() {
     if (cfg_.entry_burst == 0) return;
-    core::for_each_cached_tid(recs_.pool(), [this](unsigned tid) {
-      rec& r = recs_[tid];
-      r.burst_left = 0;
-      // Audit(ebr-exit-clear): release, same argument as the guard dtor.
-      r.reservation.store(inactive, std::memory_order_release);
-    });
+    recs_.for_each_cached(leave_burst);
   }
 
   /// Quiescent-state cleanup: with every reservation inactive, advancing
@@ -157,14 +147,10 @@ class ebr_domain {
     if (cfg_.entry_burst != 0) {
       // Quiescent by contract: no guard is live anywhere, so any published
       // reservation is a burst leftover of an idle or exited thread.
-      for (rec& r : recs_) {
-        r.burst_left = 0;
-        // Audit(ebr-exit-clear): release, same argument as the guard dtor.
-        r.reservation.store(inactive, std::memory_order_release);
-      }
+      recs_.for_each(leave_burst);
     }
     for (int i = 0; i < 3; ++i) try_advance();
-    for (unsigned t = 0; t < recs_.size(); ++t) reclaim(t);
+    recs_.for_each([this](rec& r) { reclaim(r); });
   }
 
   std::uint64_t debug_epoch() const {
@@ -175,9 +161,6 @@ class ebr_domain {
   static constexpr std::uint64_t inactive = ~std::uint64_t{0};
 
   static ebr_config validated(ebr_config cfg) {
-    if (cfg.max_threads == 0) {
-      throw std::invalid_argument("ebr_config: max_threads must be nonzero");
-    }
     if (!std::has_single_bit(cfg.advance_freq)) {
       throw std::invalid_argument(
           "ebr_config: advance_freq must be a power of two");
@@ -193,10 +176,17 @@ class ebr_domain {
     std::uint32_t burst_left = 0;
   };
 
-  void retire(unsigned tid, node* n) {
+  /// End a lingering burst: clear the reservation the amortized guard
+  /// exit left published.
+  static void leave_burst(rec& r) {
+    r.burst_left = 0;
+    // Audit(ebr-exit-clear): release, same argument as the guard dtor.
+    r.reservation.store(inactive, std::memory_order_release);
+  }
+
+  void retire(rec& r, node* n) {
     stats_->stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
-    rec& r = recs_[tid];
     // seq_cst: the retire stamp must not read stale-low. A stamp one
     // behind the true epoch frees at stamp+2 while a reader reserved at
     // the true epoch can still be live (the advance that frees does not
@@ -206,7 +196,7 @@ class ebr_domain {
     if ((++r.retire_count & (cfg_.advance_freq - 1)) == 0) {
       try_advance();
     }
-    reclaim(tid);
+    reclaim(r);
   }
 
   /// Advance the global epoch if every active thread has observed it.
@@ -216,35 +206,36 @@ class ebr_domain {
     // try_advance(e) (which validates `e` against the real clock), or
     // returns early — both conservative.
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    for (const rec& r : recs_) {
+    const bool all_current = recs_.all_of([e](const rec& r) {
       // seq_cst: Dekker pairing with guard-entry publication. An acquire
       // load here could be ordered before a concurrent entry store and
       // miss a reservation that the advance must wait for.
       const std::uint64_t res =
           r.reservation.load(std::memory_order_seq_cst);
-      if (res != inactive && res < e) return;  // straggler (or stalled)
-    }
-    epoch_.try_advance(e);
+      return res == inactive || res >= e;  // else a straggler (or stalled)
+    });
+    if (all_current) epoch_.try_advance(e);
   }
 
   /// Free this thread's limbo nodes at least two epochs old. The limbo
   /// list is FIFO by retire epoch, so we pop from the head.
-  void reclaim(unsigned tid) {
+  void reclaim(rec& r) {
     // Audit(ebr-reclaim-load): acquire, not seq_cst. Any epoch value read
     // was genuinely reached, and reading it acquire completes the chain
     // leaver-release-clear -> advance CAS -> this load, so the departed
     // readers' accesses happen-before the frees below. Stale-low only
     // delays frees.
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    recs_[tid].limbo.reclaim_ready(
+    r.limbo.reclaim_ready(
+        stats_->events,
         [e](const node* n) { return n->retire_epoch + 2 <= e; },
         [this](node* n) { stats_->free_node(n); });
   }
 
-  const ebr_config cfg_;
-  core::thread_registry<rec> recs_;
-  core::era_clock epoch_{2};
   padded_stats stats_;
+  const ebr_config cfg_;
+  core::thread_registry<rec> recs_{stats_->events};
+  core::era_clock epoch_{2};
 };
 
 }  // namespace hyaline::smr

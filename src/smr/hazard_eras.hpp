@@ -27,15 +27,17 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the HE domain.
 struct he_config {
-  unsigned max_threads = 144;
   /// Bump the global era clock every `era_freq` allocations (a power of
   /// two).
   std::uint64_t era_freq = 64;
-  /// Scan this thread's retired list at this size (0 = auto).
+  /// Scan this thread's retired list at this size (0 = auto:
+  /// 2 * claimed records * max_hazards).
   std::size_t scan_threshold = 0;
 };
 
 class he_domain {
+  struct rec;  // one thread's era slots and retired list (below)
+
  public:
   /// Same per-access reservation discipline as HP: a published era only
   /// protects nodes not yet retired at publication time, so traversals must
@@ -58,18 +60,9 @@ class he_domain {
   template <class T>
   using protected_ptr = slot_handle<guard, T>;
 
-  explicit he_domain(he_config cfg = {})
-      : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
-    if (cfg_.scan_threshold == 0) {
-      cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads} * max_hazards;
-    }
+  explicit he_domain(he_config cfg = {}) : cfg_(validated(cfg)) {
     era_.attach(&stats_->events);
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.retired.attach(&stats_->events);
   }
-
-  explicit he_domain(unsigned max_threads)
-      : he_domain(he_config{max_threads, 64, 0}) {}
 
   ~he_domain() { drain(); }
 
@@ -91,17 +84,17 @@ class he_domain {
 
   class guard {
    public:
-    explicit guard(he_domain& dom) : dom_(dom), lease_(dom.recs_.pool()) {
-      obs::emit(obs::event::guard_enter, lease_.tid());
+    explicit guard(he_domain& dom) : dom_(dom), lease_(dom.recs_) {
+      obs::emit(obs::event::guard_enter, lease_.id());
     }
 
     ~guard() {
-      obs::emit(obs::event::guard_exit, lease_.tid());
+      obs::emit(obs::event::guard_exit, lease_.id());
       // Clear still-leased era slots only; handles self-clear on release,
       // so the common guard exit writes nothing (see hp_domain::~guard).
       unsigned mask = slots_.leased_mask();
       if (mask == 0) return;
-      rec& r = dom_.recs_[lease_.tid()];
+      rec& r = lease_.rec();
       do {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         r.eras[i].store(0, std::memory_order_release);
@@ -117,7 +110,7 @@ class he_domain {
     template <class T>
     slot_handle<guard, T> protect(const std::atomic<T*>& src) {
       const unsigned idx = slots_.lease("he_domain");
-      std::atomic<std::uint64_t>& he = dom_.recs_[lease_.tid()].eras[idx];
+      std::atomic<std::uint64_t>& he = lease_.rec().eras[idx];
       T* p = core::protect_with_era(
           src, dom_.era_, he.load(std::memory_order_relaxed),
           [&he](std::uint64_t e) {
@@ -133,31 +126,27 @@ class he_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.retire(lease_.tid(), static_cast<node*>(n));
+      dom_.retire(lease_.rec(), static_cast<node*>(n));
     }
 
     /// Internal: slot_handle check-in (clear the era, return the slot).
     void release_protection_slot(unsigned idx) {
-      dom_.recs_[lease_.tid()].eras[idx].store(0,
-                                               std::memory_order_release);
+      lease_.rec().eras[idx].store(0, std::memory_order_release);
       slots_.unlease(idx);
     }
 
    private:
     he_domain& dom_;
-    core::tid_lease lease_;
+    core::thread_registry<rec>::lease lease_;
     slot_allocator<max_hazards> slots_;
   };
 
   void drain() {
-    for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
+    recs_.for_each([this](rec& r) { scan(r); });
   }
 
  private:
   static he_config validated(he_config cfg) {
-    if (cfg.max_threads == 0) {
-      throw std::invalid_argument("he_config: max_threads must be nonzero");
-    }
     if (!std::has_single_bit(cfg.era_freq)) {
       throw std::invalid_argument(
           "he_config: era_freq must be a power of two");
@@ -170,22 +159,27 @@ class he_domain {
     core::retired_list<node> retired;  // owner-thread private
   };
 
-  void retire(unsigned tid, node* n) {
+  std::size_t scan_threshold() const {
+    return cfg_.scan_threshold != 0
+               ? cfg_.scan_threshold
+               : 2 * std::size_t{recs_.size()} * max_hazards;
+  }
+
+  void retire(rec& r, node* n) {
     stats_->stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     // seq_cst: a stale-low retire stamp shrinks [birth, retire] and lets
     // can_free miss a published era that still covers the node — early
     // free, so this read stays in the total order.
     n->retire_era = era_.load(std::memory_order_seq_cst);
-    rec& r = recs_[tid];
-    if (r.retired.push(n, cfg_.scan_threshold)) {
-      scan(tid);
-      r.retired.rearm(cfg_.scan_threshold);
+    if (r.retired.push(n, scan_threshold())) {
+      scan(r);
+      r.retired.rearm(stats_->events, scan_threshold());
     }
   }
 
   bool can_free(const node* n) const {
-    for (const rec& r : recs_) {
+    return recs_.all_of([n](const rec& r) {
       for (unsigned i = 0; i < max_hazards; ++i) {
         // seq_cst: Dekker pairing with the protect() era publication — a
         // weaker load could be ordered before a concurrent publish and
@@ -193,20 +187,20 @@ class he_domain {
         const std::uint64_t e = r.eras[i].load(std::memory_order_seq_cst);
         if (e != 0 && n->birth_era <= e && e <= n->retire_era) return false;
       }
-    }
-    return true;
+      return true;
+    });
   }
 
-  void scan(unsigned tid) {
-    recs_[tid].retired.scan(
-        [this](const node* n) { return can_free(n); },
+  void scan(rec& r) {
+    r.retired.scan(
+        stats_->events, [this](const node* n) { return can_free(n); },
         [this](node* n) { stats_->free_node(n); });
   }
 
-  he_config cfg_;
-  core::thread_registry<rec> recs_;
-  core::era_clock era_{1};
   padded_stats stats_;
+  const he_config cfg_;
+  core::thread_registry<rec> recs_{stats_->events};
+  core::era_clock era_{1};
 };
 
 }  // namespace hyaline::smr

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "common/align.hpp"
@@ -31,13 +30,14 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the HP domain.
 struct hp_config {
-  unsigned max_threads = 144;
   /// Scan when a thread's retired list reaches this size (0 = auto:
-  /// 2 * max_threads * max_hazards, the classic H·R rule).
+  /// 2 * claimed records * max_hazards, the classic H·R rule).
   std::size_t scan_threshold = 0;
 };
 
 class hp_domain {
+  struct rec;  // one thread's hazards and retired list (below)
+
  public:
   /// protect() publishes per-access reservations: data structures must only
   /// traverse edges whose re-read value is clean (untagged) — a frozen
@@ -60,17 +60,7 @@ class hp_domain {
   template <class T>
   using protected_ptr = slot_handle<guard, T>;
 
-  explicit hp_domain(hp_config cfg = {})
-      : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
-    if (cfg_.scan_threshold == 0) {
-      cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads} * max_hazards;
-    }
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.retired.attach(&stats_->events);
-  }
-
-  explicit hp_domain(unsigned max_threads)
-      : hp_domain(hp_config{max_threads, 0}) {}
+  explicit hp_domain(hp_config cfg = {}) : cfg_(cfg) {}
 
   ~hp_domain() { drain(); }
 
@@ -83,18 +73,18 @@ class hp_domain {
 
   class guard {
    public:
-    explicit guard(hp_domain& dom) : dom_(dom), lease_(dom.recs_.pool()) {
-      obs::emit(obs::event::guard_enter, lease_.tid());
+    explicit guard(hp_domain& dom) : dom_(dom), lease_(dom.recs_) {
+      obs::emit(obs::event::guard_enter, lease_.id());
     }
 
     ~guard() {
-      obs::emit(obs::event::guard_exit, lease_.tid());
+      obs::emit(obs::event::guard_exit, lease_.id());
       // Clear still-leased hazards (leave). Handles self-clear their slot
       // on release, so the leased mask — and this loop — is normally
       // empty: the common guard exit writes nothing to the hazard array.
       unsigned mask = slots_.leased_mask();
       if (mask == 0) return;
-      rec& r = dom_.recs_[lease_.tid()];
+      rec& r = lease_.rec();
       do {
         const unsigned i = static_cast<unsigned>(std::countr_zero(mask));
         r.hazards[i].store(nullptr, std::memory_order_release);
@@ -111,7 +101,7 @@ class hp_domain {
     template <class T>
     slot_handle<guard, T> protect(const std::atomic<T*>& src) {
       const unsigned idx = slots_.lease("hp_domain");
-      std::atomic<void*>& hp = dom_.recs_[lease_.tid()].hazards[idx];
+      std::atomic<void*>& hp = lease_.rec().hazards[idx];
       T* p = src.load(std::memory_order_acquire);
       for (;;) {
         // seq_cst: the classic HP store-load pairing — the hazard
@@ -129,55 +119,52 @@ class hp_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.retire(lease_.tid(), static_cast<node*>(n));
+      dom_.retire(lease_.rec(), static_cast<node*>(n));
     }
 
     /// Internal: slot_handle check-in (clear the hazard, return the slot).
     void release_protection_slot(unsigned idx) {
-      dom_.recs_[lease_.tid()].hazards[idx].store(
-          nullptr, std::memory_order_release);
+      lease_.rec().hazards[idx].store(nullptr, std::memory_order_release);
       slots_.unlease(idx);
     }
 
    private:
     hp_domain& dom_;
-    core::tid_lease lease_;
+    core::thread_registry<rec>::lease lease_;
     slot_allocator<max_hazards> slots_;
   };
 
   /// Quiescent-state cleanup: with all hazards clear, one scan per thread
   /// frees everything.
   void drain() {
-    for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
+    recs_.for_each([this](rec& r) { scan(r); });
   }
 
  private:
-  static hp_config validated(hp_config cfg) {
-    if (cfg.max_threads == 0) {
-      throw std::invalid_argument("hp_config: max_threads must be nonzero");
-    }
-    return cfg;
-  }
-
   struct alignas(cache_line_size) rec {
     std::atomic<void*> hazards[max_hazards] = {};
     core::retired_list<node> retired;  // owner-thread private
   };
 
-  void retire(unsigned tid, node* n) {
+  std::size_t scan_threshold() const {
+    return cfg_.scan_threshold != 0
+               ? cfg_.scan_threshold
+               : 2 * std::size_t{recs_.size()} * max_hazards;
+  }
+
+  void retire(rec& r, node* n) {
     stats_->stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
-    rec& r = recs_[tid];
-    if (r.retired.push(n, cfg_.scan_threshold)) {
-      scan(tid);
-      r.retired.rearm(cfg_.scan_threshold);
+    if (r.retired.push(n, scan_threshold())) {
+      scan(r);
+      r.retired.rearm(stats_->events, scan_threshold());
     }
   }
 
-  std::vector<void*> hazard_snapshot() const {
+  std::vector<void*> hazard_snapshot() {
     std::vector<void*> snapshot;
     snapshot.reserve(std::size_t{recs_.size()} * max_hazards);
-    for (const rec& r : recs_) {
+    recs_.for_each([&snapshot](const rec& r) {
       for (unsigned i = 0; i < max_hazards; ++i) {
         // seq_cst: Dekker pairing with protect()'s hazard publication — a
         // weaker scan load could be ordered before a concurrent publish
@@ -185,14 +172,15 @@ class hp_domain {
         void* h = r.hazards[i].load(std::memory_order_seq_cst);
         if (h != nullptr) snapshot.push_back(h);
       }
-    }
+    });
     std::sort(snapshot.begin(), snapshot.end());
     return snapshot;
   }
 
-  void scan(unsigned tid) {
+  void scan(rec& r) {
     std::vector<void*> snapshot = hazard_snapshot();
-    recs_[tid].retired.scan(
+    r.retired.scan(
+        stats_->events,
         [&snapshot](const node* n) {
           return !std::binary_search(snapshot.begin(), snapshot.end(),
                                      static_cast<const void*>(n));
@@ -200,9 +188,9 @@ class hp_domain {
         [this](node* n) { stats_->free_node(n); });
   }
 
-  hp_config cfg_;
-  core::thread_registry<rec> recs_;
   padded_stats stats_;
+  const hp_config cfg_;
+  core::thread_registry<rec> recs_{stats_->events};
 };
 
 }  // namespace hyaline::smr

@@ -39,10 +39,8 @@ namespace hyaline {
 
 /// Tuning knobs for a Hyaline-1(S) domain.
 struct config1 {
-  /// Maximum number of threads (== number of slots; 1:1 mapping).
-  std::size_t max_threads = 128;
-
-  /// Minimum batch size; effective size is max(batch_min, max_threads+1).
+  /// Minimum batch size; effective size is max(batch_min, slots + 1),
+  /// where the slots are the ones threads have claimed so far.
   std::size_t batch_min = 64;
 
   /// Hyaline-1S: era clock increment frequency (a power of two).
@@ -55,6 +53,7 @@ class basic_domain1
     : public smr::core::batch_layer<basic_domain1<Robust>, Robust> {
   using batch = smr::core::batch_layer<basic_domain1, Robust>;
   friend batch;
+  struct slot_rec;  // one thread's slot (below)
 
  public:
   /// Same birth-era skip as Hyaline-S (see basic_domain): robust variants
@@ -65,32 +64,29 @@ class basic_domain1
 
   using node = smr::core::batch_node;
 
-  explicit basic_domain1(config1 cfg = {})
-      : cfg_(validated(cfg)),
-        slots_(static_cast<unsigned>(cfg_.max_threads)) {
-    slots_.pool()->attach(&this->counters().events);
-  }
+  explicit basic_domain1(config1 cfg = {}) : cfg_(validated(cfg)) {}
 
   ~basic_domain1() { batch::drain(); }
 
-  std::size_t slot_count() const { return cfg_.max_threads; }
+  /// The slots claimed so far: the most threads (nested guards counted)
+  /// that have held one at once.
+  std::size_t slot_count() const { return slots_.size(); }
 
   class guard {
    public:
     /// Transparent enter: the guard leases its dedicated slot (the 1:1
-    /// thread-to-slot mapping of Fig. 4) from the domain's pool; nested
-    /// guards on one thread lease distinct slots.
-    explicit guard(basic_domain1& dom)
-        : dom_(dom), lease_(dom.slots_.pool()), slot_(lease_.tid()) {
-      obs::emit(obs::event::guard_enter, slot_);
-      dom_.enter(slot_);
+    /// thread-to-slot mapping of Fig. 4) from the domain's registry;
+    /// nested guards on one thread lease distinct slots.
+    explicit guard(basic_domain1& dom) : dom_(dom), lease_(dom.slots_) {
+      obs::emit(obs::event::guard_enter, lease_.id());
+      dom_.enter(lease_.rec());
       handle_ = nullptr;  // Fig. 4: enter returns Null
       builder_ = &dom_.local();
     }
 
     ~guard() {
-      obs::emit(obs::event::guard_exit, slot_);
-      dom_.leave(slot_, handle_);
+      obs::emit(obs::event::guard_exit, lease_.id());
+      dom_.leave(lease_.rec(), handle_);
     }
 
     guard(const guard&) = delete;
@@ -103,7 +99,7 @@ class basic_domain1
       } else {
         // 1:1 thread-to-slot mapping: touch is an ordinary store
         // (Fig. 5 line 21 comment).
-        slot_rec& sl = dom_.slots_[slot_];
+        slot_rec& sl = lease_.rec();
         return smr::raw_handle<T>(smr::core::protect_with_era(
             src, dom_.era(),
             // seq_cst: this thread's own reservation word, but scanners read
@@ -123,14 +119,13 @@ class basic_domain1
     void retire(T* n) { dom_.retire_into(*builder_, n); }
 
     /// §3.3 trimming (handles in Hyaline-1 exist only for this).
-    void trim() { handle_ = dom_.trim(slot_, handle_); }
+    void trim() { handle_ = dom_.trim(lease_.rec(), handle_); }
 
-    unsigned slot() const { return static_cast<unsigned>(slot_); }
+    unsigned slot() const { return lease_.id(); }
 
    private:
     basic_domain1& dom_;
-    smr::core::tid_lease lease_;
-    std::size_t slot_;
+    typename smr::core::thread_registry<slot_rec>::lease lease_;
     node* handle_;
     typename basic_domain1::batch_builder* builder_;
   };
@@ -156,11 +151,6 @@ class basic_domain1
   using batch_builder = typename batch::builder;
 
   static config1 validated(config1 cfg) {
-    if (cfg.max_threads == 0) {
-      throw std::invalid_argument(
-          "hyaline::config1: max_threads must be nonzero (it is the slot "
-          "count of the 1:1 thread-to-slot mapping)");
-    }
     if (Robust && !std::has_single_bit(cfg.era_freq)) {
       throw std::invalid_argument(
           "hyaline::config1: era_freq must be a power of two");
@@ -172,20 +162,20 @@ class basic_domain1
     return reinterpret_cast<node*>(w & ~std::uintptr_t{1});
   }
 
-  void enter(std::size_t slot) {
+  static void enter(slot_rec& sl) {
     // Fig. 4: Heads[slot] = {HRef=1, HPtr=Null}. Wait-free.
     // seq_cst: enter publication — pairs store-load with retire()'s
     // slot scan; a release store could be missed by a concurrent scan
     // that then skips refcounting this thread.
-    slots_[slot].word.store(1, std::memory_order_seq_cst);
+    sl.word.store(1, std::memory_order_seq_cst);
   }
 
-  void leave(std::size_t slot, node* handle) {
+  void leave(slot_rec& sl, node* handle) {
     // Fig. 4: SWAP out the whole list; the leaver owns every node in it.
     const std::uintptr_t old =
         // seq_cst: leave's SWAP is a linearization point — it atomically
         // takes ownership of the slot list against concurrent retires.
-        slots_[slot].word.exchange(0, std::memory_order_seq_cst);
+        sl.word.exchange(0, std::memory_order_seq_cst);
     node* head = decode_ptr(old);
     if (head != nullptr) {
       node* defer = nullptr;
@@ -194,11 +184,11 @@ class basic_domain1
     }
   }
 
-  node* trim(std::size_t slot, node* handle) {
+  node* trim(slot_rec& sl, node* handle) {
     node* curr =
         // seq_cst: trim snapshots the slot word in the same total order as
         // the retire CASes that extend the list.
-        decode_ptr(slots_[slot].word.load(std::memory_order_seq_cst));
+        decode_ptr(sl.word.load(std::memory_order_seq_cst));
     if (curr != nullptr && curr != handle) {
       node* defer = nullptr;
       batch::drop_refs(batch::next_of(curr), handle, defer);
@@ -208,12 +198,15 @@ class basic_domain1
   }
 
   void finalize_batch(batch_builder& b) {
-    const std::size_t n_slots = cfg_.max_threads;
+    // The claimed slots, read once: the batch is sealed with a carrier
+    // for each (a slot claimed after this read is found unused, see
+    // thread_registry::size()).
+    const unsigned n_slots = slots_.size();
     auto sealed = batch::seal(b, n_slots, 0);
     std::uint64_t inserts = 0;
     node* defer = nullptr;
 
-    for (std::size_t i = 0; i < n_slots; ++i) {
+    for (unsigned i = 0; i < n_slots; ++i) {
       slot_rec& sl = slots_[i];
       for (;;) {
         // seq_cst: Dekker pairing with enter()'s publication — a weaker
@@ -240,9 +233,9 @@ class basic_domain1
   }
 
   const config1 cfg_;
-  /// Per-slot records plus the lease pool guards check their slot out of
-  /// (the 1:1 mapping shares the baselines' registry machinery).
-  smr::core::thread_registry<slot_rec> slots_;
+  /// Per-slot records and the ids guards lease them by (the 1:1 mapping
+  /// shares the baselines' registry machinery).
+  smr::core::thread_registry<slot_rec> slots_{this->counters().events};
 };
 
 /// Hyaline-1: single-width CAS, wait-free enter/leave, per-thread slots.

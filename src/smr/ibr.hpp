@@ -27,11 +27,11 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the IBR domain.
 struct ibr_config {
-  unsigned max_threads = 144;
   /// Bump the global era clock every `era_freq` allocations (a power of
   /// two).
   std::uint64_t era_freq = 64;
-  /// Scan this thread's retired list at this size (0 = auto).
+  /// Scan this thread's retired list at this size (0 = auto: twice the
+  /// claimed records).
   std::size_t scan_threshold = 0;
   /// Amortized guard entry: keep the [lo, hi] reservation published for up
   /// to this many consecutive guards on one thread. A lingering interval
@@ -42,6 +42,8 @@ struct ibr_config {
 };
 
 class ibr_domain {
+  struct rec;  // one thread's interval and retired list (below)
+
  public:
   /// needs_clean_edges: a scanner may read this thread's `hi` just before a
   /// concurrent protect() extends it, and free a freshly-born node the
@@ -59,18 +61,9 @@ class ibr_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit ibr_domain(ibr_config cfg = {})
-      : cfg_(validated(cfg)), recs_(cfg_.max_threads) {
-    if (cfg_.scan_threshold == 0) {
-      cfg_.scan_threshold = 2 * std::size_t{cfg_.max_threads};
-    }
+  explicit ibr_domain(ibr_config cfg = {}) : cfg_(validated(cfg)) {
     era_.attach(&stats_->events);
-    recs_.pool()->attach(&stats_->events);
-    for (rec& r : recs_) r.retired.attach(&stats_->events);
   }
-
-  explicit ibr_domain(unsigned max_threads)
-      : ibr_domain(ibr_config{max_threads, 64, 0}) {}
 
   ~ibr_domain() { drain(); }
 
@@ -92,9 +85,9 @@ class ibr_domain {
 
   class guard {
    public:
-    explicit guard(ibr_domain& dom) : dom_(dom), lease_(dom.recs_.pool()) {
-      obs::emit(obs::event::guard_enter, lease_.tid());
-      rec& r = dom_.recs_[lease_.tid()];
+    explicit guard(ibr_domain& dom) : dom_(dom), lease_(dom.recs_) {
+      obs::emit(obs::event::guard_enter, lease_.id());
+      rec& r = lease_.rec();
       if (dom_.cfg_.entry_burst != 0 &&
           r.lo.load(std::memory_order_relaxed) != inactive) {
         // Burst fast path: the previous guard's [lo, hi] is still
@@ -122,8 +115,8 @@ class ibr_domain {
     }
 
     ~guard() {
-      obs::emit(obs::event::guard_exit, lease_.tid());
-      rec& r = dom_.recs_[lease_.tid()];
+      obs::emit(obs::event::guard_exit, lease_.id());
+      rec& r = lease_.rec();
       if (r.burst_left > 1) {
         // Burst fast path: keep the interval published for the next guard
         // (bounded by entry_burst; harness threads quiesce on idle/exit).
@@ -146,7 +139,7 @@ class ibr_domain {
     /// era, re-reading the pointer until the era is stable.
     template <class T>
     raw_handle<T> protect(const std::atomic<T*>& src) {
-      rec& r = dom_.recs_[lease_.tid()];
+      rec& r = lease_.rec();
       return raw_handle<T>(core::protect_with_era(
           src, dom_.era_, r.hi.load(std::memory_order_relaxed),
           [&r](std::uint64_t e) {
@@ -161,12 +154,12 @@ class ibr_domain {
     template <class T>
     void retire(T* n) {
       n->smr_dtor = core::dtor_thunk<T>();
-      dom_.retire(lease_.tid(), static_cast<node*>(n));
+      dom_.retire(lease_.rec(), static_cast<node*>(n));
     }
 
    private:
     ibr_domain& dom_;
-    core::tid_lease lease_;
+    core::thread_registry<rec>::lease lease_;
   };
 
   /// Clear the calling thread's lingering burst reservation (see
@@ -174,36 +167,21 @@ class ibr_domain {
   /// thread; no-op when burst entry is off.
   void quiesce() {
     if (cfg_.entry_burst == 0) return;
-    core::for_each_cached_tid(recs_.pool(), [this](unsigned tid) {
-      rec& r = recs_[tid];
-      r.burst_left = 0;
-      // Audit(ibr-quiesce-clear): release, same hazard-clear argument as
-      // the guard destructor above.
-      r.lo.store(inactive, std::memory_order_release);
-      r.hi.store(0, std::memory_order_release);
-    });
+    recs_.for_each_cached(leave_burst);
   }
 
   void drain() {
     if (cfg_.entry_burst != 0) {
       // Quiescent by contract: any published interval is a burst leftover.
-      for (rec& r : recs_) {
-        r.burst_left = 0;
-        // Audit(ibr-quiesce-clear): release, same argument as quiesce().
-        r.lo.store(inactive, std::memory_order_release);
-        r.hi.store(0, std::memory_order_release);
-      }
+      recs_.for_each(leave_burst);
     }
-    for (unsigned t = 0; t < recs_.size(); ++t) scan(t);
+    recs_.for_each([this](rec& r) { scan(r); });
   }
 
  private:
   static constexpr std::uint64_t inactive = ~std::uint64_t{0};
 
   static ibr_config validated(ibr_config cfg) {
-    if (cfg.max_threads == 0) {
-      throw std::invalid_argument("ibr_config: max_threads must be nonzero");
-    }
     if (!std::has_single_bit(cfg.era_freq)) {
       throw std::invalid_argument(
           "ibr_config: era_freq must be a power of two");
@@ -219,45 +197,58 @@ class ibr_domain {
     std::uint32_t burst_left = 0;
   };
 
-  void retire(unsigned tid, node* n) {
+  /// End a lingering burst: clear the interval the amortized guard exit
+  /// left published.
+  static void leave_burst(rec& r) {
+    r.burst_left = 0;
+    // Audit(ibr-quiesce-clear): release, same hazard-clear argument as
+    // the guard destructor above.
+    r.lo.store(inactive, std::memory_order_release);
+    r.hi.store(0, std::memory_order_release);
+  }
+
+  std::size_t scan_threshold() const {
+    return cfg_.scan_threshold != 0 ? cfg_.scan_threshold
+                                    : 2 * std::size_t{recs_.size()};
+  }
+
+  void retire(rec& r, node* n) {
     stats_->stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     // seq_cst: a stale-low retire stamp shrinks the node's lifetime
     // interval, so can_free misses reservations that still cover it and
     // frees early — this read must stay in the total order.
     n->retire_era = era_.load(std::memory_order_seq_cst);
-    rec& r = recs_[tid];
-    if (r.retired.push(n, cfg_.scan_threshold)) {
-      scan(tid);
-      r.retired.rearm(cfg_.scan_threshold);
+    if (r.retired.push(n, scan_threshold())) {
+      scan(r);
+      r.retired.rearm(stats_->events, scan_threshold());
     }
   }
 
   bool can_free(const node* n) const {
-    for (const rec& r : recs_) {
+    return recs_.all_of([n](const rec& r) {
       // seq_cst: Dekker pairing with the guard's interval publication —
       // weaker loads could be ordered before a concurrent entry/extension
       // store and free a node the reader is about to use.
       const std::uint64_t lo = r.lo.load(std::memory_order_seq_cst);
-      if (lo == inactive) continue;
+      if (lo == inactive) return true;
       // seq_cst: same Dekker pairing as the lo read above.
       const std::uint64_t hi = r.hi.load(std::memory_order_seq_cst);
       // Intervals intersect iff birth <= hi && retire >= lo.
-      if (n->birth_era <= hi && n->retire_era >= lo) return false;
-    }
-    return true;
+      return !(n->birth_era <= hi && n->retire_era >= lo);
+    });
   }
 
-  void scan(unsigned tid) {
-    recs_[tid].retired.scan(
-        [this](const node* n) { return can_free(n); },
+  void scan(rec& r) {
+    r.retired.scan(
+        stats_->events, [this](const node* n) { return can_free(n); },
         [this](node* n) { stats_->free_node(n); });
   }
 
-  ibr_config cfg_;
-  core::thread_registry<rec> recs_;
-  core::era_clock era_{1};
   padded_stats stats_;
+  const ibr_config cfg_;
+  core::thread_registry<rec> recs_{stats_->events};
+  core::era_clock era_{1};
 };
 
 }  // namespace hyaline::smr

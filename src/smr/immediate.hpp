@@ -33,7 +33,7 @@ class immediate_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit immediate_domain(unsigned /*max_threads*/ = 0) {}
+  immediate_domain() = default;
 
   immediate_domain(const immediate_domain&) = delete;
   immediate_domain& operator=(const immediate_domain&) = delete;

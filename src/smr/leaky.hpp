@@ -29,7 +29,7 @@ class leaky_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit leaky_domain(unsigned /*max_threads*/ = 0) {}
+  leaky_domain() = default;
 
   ~leaky_domain() { drain(); }
 

@@ -64,7 +64,8 @@ struct service_config {
   unsigned sample_ms = 20;  ///< telemetry cadence; 0 = no timeline
   std::uint64_t seed = 0x5eed;
   /// Connection-churn period (0 = none): every period one well-behaved
-  /// tenant hangs up and reconnects through tid_lease recycling.
+  /// tenant hangs up and reconnects as a new thread, which takes the
+  /// lowest record id free in each domain it touches.
   unsigned churn_period_ms = 0;
   std::size_t buckets_per_shard = 4096;
   /// Bad-tenant schedule (nullptr = everyone behaves). Must pass
@@ -162,11 +163,10 @@ service_result run_service(const harness::scheme_params& base,
       cfg.faults != nullptr ? *cfg.faults : lab::fault_plan{};
   add_churn(plan, tenants, cfg.churn_period_ms, cfg.duration_ms);
 
-  // Every tenant may touch every shard's domain, and churn replacements
-  // transiently overlap their predecessors' leases — size each domain
-  // with the lab's one headroom formula.
+  // Every tenant may touch every shard's domain, and so does this thread,
+  // which prefills.
   harness::scheme_params p = base;
-  p.max_threads = plan.lease_headroom(tenants);
+  p.slot_threads = tenants + 1;
 
   shard_router<D> router(
       cfg.shards, [&] { return harness::scheme_traits<D>::make(p); },

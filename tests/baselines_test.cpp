@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -74,7 +75,7 @@ TEST(Leaky, NeverFreesDuringRun) {
 // ------------------------------------------------------------------ EBR --
 
 TEST(Ebr, EpochAdvancesWhenQuiescent) {
-  ebr_domain dom(ebr_config{2, /*advance_freq=*/1});
+  ebr_domain dom(ebr_config{.advance_freq = 1});
   const auto e0 = dom.debug_epoch();
   {
     ebr_domain::guard g(dom);
@@ -84,7 +85,7 @@ TEST(Ebr, EpochAdvancesWhenQuiescent) {
 }
 
 TEST(Ebr, NodesFreeAfterTwoEpochs) {
-  ebr_domain dom(ebr_config{2, 1});
+  ebr_domain dom(ebr_config{.advance_freq = 1});
   {
     ebr_domain::guard g(dom);
     g.retire(make_node(dom));
@@ -101,7 +102,7 @@ TEST(Ebr, NodesFreeAfterTwoEpochs) {
 }
 
 TEST(Ebr, StalledReaderPinsTheEpoch) {
-  ebr_domain dom(ebr_config{2, 1});
+  ebr_domain dom(ebr_config{.advance_freq = 1});
   // Nested guards on one thread lease distinct tids, so the pinned guard
   // keeps its reservation while the churn loop enters and leaves.
   auto* pinned = new ebr_domain::guard(dom);  // enters and never leaves
@@ -122,7 +123,7 @@ TEST(Ebr, StalledReaderPinsTheEpoch) {
 // ------------------------------------------------------------------- HP --
 
 TEST(Hp, HazardProtectsNodeFromScan) {
-  hp_domain dom(hp_config{2, /*scan_threshold=*/1});
+  hp_domain dom(hp_config{.scan_threshold = 1});
   auto* victim = make_node(dom);
   std::atomic<hp_domain::node*> src{victim};
 
@@ -146,7 +147,7 @@ TEST(Hp, HazardProtectsNodeFromScan) {
 }
 
 TEST(Hp, ProtectReloadsUntilStable) {
-  hp_domain dom(hp_config{1, 100});
+  hp_domain dom(hp_config{.scan_threshold = 100});
   auto* a = make_node(dom);
   auto* b = make_node(dom);
   std::atomic<hp_domain::node*> src{a};
@@ -161,7 +162,7 @@ TEST(Hp, ProtectReloadsUntilStable) {
 TEST(Hp, HandlesRecycleSlots) {
   // max_hazards slots support arbitrarily many sequential protections as
   // long as at most max_hazards handles are live at once.
-  hp_domain dom(hp_config{1, 100});
+  hp_domain dom(hp_config{.scan_threshold = 100});
   auto* n = make_node(dom);
   std::atomic<hp_domain::node*> src{n};
   hp_domain::guard g(dom);
@@ -176,7 +177,7 @@ TEST(Hp, HandlesRecycleSlots) {
 }
 
 TEST(Hp, ScanThresholdBoundsRetiredList) {
-  hp_domain dom(hp_config{1, /*scan_threshold=*/8});
+  hp_domain dom(hp_config{.scan_threshold = 8});
   {
     hp_domain::guard g(dom);
     for (int i = 0; i < 64; ++i) g.retire(make_node(dom));
@@ -190,7 +191,7 @@ TEST(Hp, ScanThresholdBoundsRetiredList) {
 // ------------------------------------------------------------------- HE --
 
 TEST(He, BirthAndRetireErasBracketLifetimes) {
-  he_domain dom(he_config{2, /*era_freq=*/1, /*scan_threshold=*/1});
+  he_domain dom(he_config{.era_freq = 1, .scan_threshold = 1});
   auto* victim = make_node(dom);
   std::atomic<he_domain::node*> src{victim};
   he_domain::guard reader(dom);
@@ -209,7 +210,7 @@ TEST(He, BirthAndRetireErasBracketLifetimes) {
 }
 
 TEST(He, OldReservationDoesNotPinNewNodes) {
-  he_domain dom(he_config{2, 1, /*scan_threshold=*/4});
+  he_domain dom(he_config{.era_freq = 1, .scan_threshold = 4});
   auto* early = make_node(dom);
   std::atomic<he_domain::node*> src{early};
   he_domain::guard reader(dom);
@@ -230,7 +231,7 @@ TEST(He, OldReservationDoesNotPinNewNodes) {
 // ------------------------------------------------------------------ IBR --
 
 TEST(Ibr, IntervalOverlapBlocksJustThatNode) {
-  ibr_domain dom(ibr_config{2, /*era_freq=*/1, /*scan_threshold=*/1});
+  ibr_domain dom(ibr_config{.era_freq = 1, .scan_threshold = 1});
   auto* victim = make_node(dom);
   std::atomic<ibr_domain::node*> src{victim};
   ibr_domain::guard* reader = new ibr_domain::guard(dom);
@@ -247,7 +248,7 @@ TEST(Ibr, IntervalOverlapBlocksJustThatNode) {
 }
 
 TEST(Ibr, StalledReaderPinsOnlyItsInterval) {
-  ibr_domain dom(ibr_config{2, 1, 4});
+  ibr_domain dom(ibr_config{.era_freq = 1, .scan_threshold = 4});
   auto* parked_guard = new ibr_domain::guard(dom);  // reserves [e, e]
   {
     ibr_domain::guard writer(dom);
@@ -261,7 +262,7 @@ TEST(Ibr, StalledReaderPinsOnlyItsInterval) {
 }
 
 TEST(Ibr, ProtectExtendsUpperBound) {
-  ibr_domain dom(ibr_config{1, 1, 100});
+  ibr_domain dom(ibr_config{.era_freq = 1, .scan_threshold = 100});
   std::atomic<ibr_domain::node*> src{nullptr};
   ibr_domain::guard g(dom);
   std::vector<ibr_domain::node*> nodes;
@@ -272,32 +273,53 @@ TEST(Ibr, ProtectExtendsUpperBound) {
 
 // ----------------------------------------------- config validation -------
 
-TEST(ConfigValidation, ZeroMaxThreadsIsRejected) {
-  EXPECT_THROW(ebr_domain(ebr_config{0, 64}), std::invalid_argument);
-  EXPECT_THROW(hp_domain(hp_config{0, 0}), std::invalid_argument);
-  EXPECT_THROW(he_domain(he_config{0, 64, 0}), std::invalid_argument);
-  EXPECT_THROW(ibr_domain(ibr_config{0, 64, 0}), std::invalid_argument);
-}
-
 // Each cadence is a power of two, so the per-op test is a mask.
 TEST(ConfigValidation, EbrAdvanceFreqMustBeAPowerOfTwo) {
-  EXPECT_THROW(ebr_domain(ebr_config{2, 48}), std::invalid_argument);
+  EXPECT_THROW(ebr_domain(ebr_config{.advance_freq = 48}),
+               std::invalid_argument);
 }
 
 TEST(ConfigValidation, HeEraFreqMustBeAPowerOfTwo) {
-  EXPECT_THROW(he_domain(he_config{2, 48, 0}), std::invalid_argument);
+  EXPECT_THROW(he_domain(he_config{.era_freq = 48}), std::invalid_argument);
 }
 
 TEST(ConfigValidation, IbrEraFreqMustBeAPowerOfTwo) {
-  EXPECT_THROW(ibr_domain(ibr_config{2, 48, 0}), std::invalid_argument);
+  EXPECT_THROW(ibr_domain(ibr_config{.era_freq = 48}), std::invalid_argument);
 }
 
-TEST(ConfigValidation, PoolExhaustionThrowsInsteadOfCorrupting) {
-  ebr_domain dom(ebr_config{2, 64});
-  ebr_domain::guard g0(dom);
-  ebr_domain::guard g1(dom);  // nested: second tid
-  EXPECT_THROW(ebr_domain::guard g2(dom), std::runtime_error)
-      << "three live guards on a 2-thread domain must fail loudly";
+// --------------------------------------------------------- record growth --
+
+// No thread capacity: every nested guard claims a record of its own, and
+// an epoch advance walks every claimed record. A reservation held in a
+// record the registry grew for must pin the epoch like any other.
+TEST(RecordGrowth, AReservationPastTheFirstSegmentPinsTheEpoch) {
+  constexpr unsigned kFill = 2 * core::kFirstSegmentRecords;
+  ebr_domain dom(ebr_config{.advance_freq = 1});
+  ebr_domain::guard* pinned = nullptr;
+  {
+    // kFill nested guards claim records 0..kFill-1, so the next one lands
+    // in the registry's third segment; then the fillers leave.
+    std::vector<std::unique_ptr<ebr_domain::guard>> fillers;
+    for (unsigned i = 0; i < kFill; ++i) {
+      fillers.push_back(std::make_unique<ebr_domain::guard>(dom));
+    }
+    pinned = new ebr_domain::guard(dom);  // enters and never leaves
+  }
+  EXPECT_EQ(dom.counters().snapshot().tid_acquires, kFill + 1);
+  const auto e0 = dom.debug_epoch();
+  // One retire per guard (record 0, cached by its filler): without the
+  // pinned reservation every retire would advance the epoch.
+  for (int i = 0; i < 50; ++i) {
+    ebr_domain::guard g(dom);
+    g.retire(make_node(dom));
+  }
+  EXPECT_LE(dom.debug_epoch(), e0 + 1)
+      << "an advance skipped the reservation in the grown segment";
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 0u);
+  delete pinned;
+  dom.drain();
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed),
+            dom.counters().retired.load(std::memory_order_relaxed));
 }
 
 // --------------------------------------------------- cross-scheme churn --
@@ -313,7 +335,7 @@ TYPED_TEST_SUITE(BaselineChurnTest, Baselines);
 TYPED_TEST(BaselineChurnTest, ConcurrentChurnReclaimsEverything) {
   constexpr unsigned kThreads = 4;
   constexpr int kOps = 10000;
-  TypeParam dom(kThreads);
+  TypeParam dom;
   std::vector<std::thread> ts;
   std::atomic<typename TypeParam::node*> shared{nullptr};
   for (unsigned t = 0; t < kThreads; ++t) {

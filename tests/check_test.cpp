@@ -238,7 +238,7 @@ TEST(ContainerChecker, EmptyPopConcurrentWithPushIsFine) {
 /// recording, exactly as `check --mutate` does.
 template <class Mutant>
 check_result run_mutant(semantics sem) {
-  smr::ebr_domain dom(16);
+  smr::ebr_domain dom;
   history_recorder recder;
   harness::workload_config cfg;
   cfg.producers = 2;
@@ -271,7 +271,7 @@ TEST(MutationMode, HealthyContainersPassTheSameWorkload) {
   // The control: the real structures under the identical workload shape
   // produce clean histories — the mutants' violations come from the
   // mutations, not from the harness or the checker.
-  smr::ebr_domain dom(16);
+  smr::ebr_domain dom;
   history_recorder recder;
   harness::workload_config cfg;
   cfg.producers = 2;

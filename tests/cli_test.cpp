@@ -7,7 +7,12 @@
 // in-process: run_figure, run_check, or parse_cli over the binary's set).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,6 +38,19 @@ int figure_main(const figure_spec& spec, std::vector<const char*> args) {
   args.insert(args.begin(), "test_prog");
   return run_figure(spec, static_cast<int>(args.size()),
                     const_cast<char**>(args.data()));
+}
+
+/// figure_main with stdout on a pipe whose reader is already gone, as
+/// under `| head` once head has its lines.
+int figure_main_to_closed_pipe(const figure_spec& spec,
+                               std::vector<const char*> args) {
+  int fds[2];
+  if (pipe(fds) != 0) return 99;
+  close(fds[0]);
+  std::fflush(stdout);
+  dup2(fds[1], STDOUT_FILENO);
+  close(fds[1]);
+  return figure_main(spec, std::move(args));
 }
 
 int check_main(std::vector<const char*> args) {
@@ -265,6 +283,37 @@ TEST_F(CliDeathTest, SingleThreadCountRejectsALists) {
               ExitedWithCode(2), "--threads: bad value '2,4'");
   EXPECT_EXIT(parse(kSweepFlags, {"--threads", "2,4"}), ExitedWithCode(2),
               "--threads: bad value '2,4'");
+}
+
+// A closed stdout costs only the CSV lines: the figure runs on, exits 0
+// and writes the whole --json file (it used to die of SIGPIPE at the
+// first row, before writing it).
+TEST_F(CliDeathTest, ClosedStdoutStillWritesTheJson) {
+  const std::string path = ::testing::TempDir() + "cli_closed_stdout.json";
+  std::remove(path.c_str());
+  EXPECT_EXIT(std::exit(figure_main_to_closed_pipe(
+                  {.name = "fig8-9-write"},
+                  {"--threads", "1", "--duration", "5", "--prefill", "50",
+                   "--range", "100", "--schemes", "Epoch", "--json",
+                   path.c_str()})),
+              ExitedWithCode(0), "");
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  ASSERT_FALSE(json.empty()) << "no --json file";
+  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+            std::count(json.begin(), json.end(), '}'));
+  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
+            std::count(json.begin(), json.end(), ']'));
+  EXPECT_EQ(json[json.find_last_not_of('\n')], '}');
+  for (const char* structure : {"list", "bonsai", "hashmap", "nmtree"}) {
+    EXPECT_NE(json.find(std::string("\"structure\": \"") + structure +
+                        "\", \"scheme\": \"Epoch\""),
+              std::string::npos)
+        << structure;
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(CliDeathTest, NumbersRejectTrailingCharacters) {

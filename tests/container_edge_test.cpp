@@ -34,7 +34,7 @@ struct scenario {
 template <class D, template <class> class Q>
 check::check_result run_checked(check::semantics sem, const scenario& sc,
                                 std::size_t* empty_pops = nullptr) {
-  D dom(16);
+  D dom;
   check::history_recorder rec;
   harness::workload_config cfg;
   cfg.producers = sc.producers;

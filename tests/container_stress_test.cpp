@@ -40,7 +40,6 @@ TEST_P(ContainerStressTest, EveryContainerCellConserves) {
 
   const auto [producers, consumers] = GetParam();
   harness::scheme_params p;
-  p.max_threads = 16;
   p.slots = 4;
   p.batch_min = 8;
   const harness::workload_config cfg =

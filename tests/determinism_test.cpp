@@ -43,7 +43,7 @@ run_out one_run(const char* scheme, const char* structure,
   cfg.use_trim = use_trim;
   cfg.history = &rec;
   harness::scheme_params p;
-  p.max_threads = 4;
+  p.slot_threads = 4;
   const harness::workload_result r = run(p, cfg);
   run_out out;
   out.total_ops = r.total_ops;
@@ -152,7 +152,7 @@ TEST(SeededDeterminism, BudgetedHistoryIsLinearizable) {
   cfg.prefill = 16;
   cfg.history = &rec;
   harness::scheme_params p;
-  p.max_threads = 4;
+  p.slot_threads = 4;
   (void)run(p, cfg);
   const check::check_result res =
       check::check_history(check::semantics::set, rec.collect(), false);

@@ -32,7 +32,6 @@ inline bool install_debug_alloc_hooks() {
 
 inline harness::scheme_params small_params() {
   harness::scheme_params p;
-  p.max_threads = 16;
   p.slots = 4;
   p.batch_min = 8;
   return p;

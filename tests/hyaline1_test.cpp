@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,13 +18,23 @@ namespace {
 // reclamation tests pin the era clock; era-specific tests pass a small
 // freq explicitly. Guards lease their dedicated slot transparently
 // (lowest free id first), so nested guards land in slots 0, 1, 2, ...
-config1 cfg1(std::size_t threads, std::size_t batch_min = 1,
+config1 cfg1(std::size_t batch_min = 1,
              std::uint64_t era_freq = std::uint64_t{1} << 30) {
   config1 c;
-  c.max_threads = threads;
   c.batch_min = batch_min;
   c.era_freq = era_freq;
   return c;
+}
+
+/// Claim slots 0..n-1 with n nested guards on this thread, then leave
+/// them all: from here on the domain has n slots, every one inactive, and
+/// the next guard this thread takes lands in slot 0 again.
+template <class D>
+void claim_slots(D& dom, unsigned n) {
+  std::vector<std::unique_ptr<typename D::guard>> guards;
+  for (unsigned i = 0; i < n; ++i) {
+    guards.push_back(std::make_unique<typename D::guard>(dom));
+  }
 }
 
 template <class D>
@@ -40,7 +51,8 @@ using Variants = ::testing::Types<domain_1, domain_1s>;
 TYPED_TEST_SUITE(Hyaline1Test, Variants);
 
 TYPED_TEST(Hyaline1Test, EnterSetsAndLeaveClearsSlotBit) {
-  TypeParam dom(cfg1(2));
+  TypeParam dom(cfg1());
+  claim_slots(dom, 2);
   EXPECT_FALSE(dom.debug_slot_active(0));
   {
     typename TypeParam::guard g(dom);
@@ -51,13 +63,21 @@ TYPED_TEST(Hyaline1Test, EnterSetsAndLeaveClearsSlotBit) {
   EXPECT_EQ(dom.debug_slot_head(0), nullptr);
 }
 
-TYPED_TEST(Hyaline1Test, BatchSizeIsThreadsPlusOne) {
-  TypeParam dom(cfg1(4));
+TYPED_TEST(Hyaline1Test, BatchSizeIsSlotsPlusOne) {
+  TypeParam dom(cfg1());
+  claim_slots(dom, 4);
+  EXPECT_EQ(dom.slot_count(), 4u);
   EXPECT_EQ(dom.batch_size(), 5u);
+  // Past the registry's first segment: the slot count and the batch
+  // follow the claims.
+  claim_slots(dom, 6);
+  EXPECT_EQ(dom.slot_count(), 6u);
+  EXPECT_EQ(dom.batch_size(), 7u);
 }
 
 TYPED_TEST(Hyaline1Test, SoleOwnerFreesOnLeave) {
-  TypeParam dom(cfg1(2));
+  TypeParam dom(cfg1());
+  claim_slots(dom, 2);  // batches of 3; slot 1 stays inactive
   {
     typename TypeParam::guard g(dom);
     if constexpr (std::is_same_v<TypeParam, domain_1s>) {
@@ -77,7 +97,7 @@ TYPED_TEST(Hyaline1Test, EachOwnerMustReleaseItsSlotList) {
   // One OS thread may hold guards for *different* slots; the batch is
   // inserted into every active slot and freed only when the last slot
   // owner leaves (NRef == Inserts).
-  TypeParam dom(cfg1(2));
+  TypeParam dom(cfg1());
   std::atomic<typename TypeParam::node*> src{nullptr};
   auto* g0 = new typename TypeParam::guard(dom);
   auto* g1 = new typename TypeParam::guard(dom);
@@ -94,7 +114,8 @@ TYPED_TEST(Hyaline1Test, EachOwnerMustReleaseItsSlotList) {
 }
 
 TYPED_TEST(Hyaline1Test, InactiveSlotsAreSkipped) {
-  TypeParam dom(cfg1(8));  // 7 slots never activated
+  TypeParam dom(cfg1());
+  claim_slots(dom, 8);  // batches of 9; slots 1..7 stay inactive
   {
     typename TypeParam::guard g(dom);
     if constexpr (std::is_same_v<TypeParam, domain_1s>) {
@@ -107,7 +128,8 @@ TYPED_TEST(Hyaline1Test, InactiveSlotsAreSkipped) {
 }
 
 TYPED_TEST(Hyaline1Test, FlushPadsWithDummies) {
-  TypeParam dom(cfg1(2));
+  TypeParam dom(cfg1());
+  claim_slots(dom, 2);
   {
     typename TypeParam::guard g(dom);
     g.retire(make_node(dom));
@@ -118,7 +140,8 @@ TYPED_TEST(Hyaline1Test, FlushPadsWithDummies) {
 }
 
 TYPED_TEST(Hyaline1Test, TrimReclaimsOlderBatches) {
-  TypeParam dom(cfg1(2, 1));
+  TypeParam dom(cfg1());
+  claim_slots(dom, 2);  // batches of 3
   typename TypeParam::guard g(dom);
   if constexpr (std::is_same_v<TypeParam, domain_1s>) {
     std::atomic<typename TypeParam::node*> src{nullptr};
@@ -135,7 +158,7 @@ TYPED_TEST(Hyaline1Test, TrimReclaimsOlderBatches) {
 
 TYPED_TEST(Hyaline1Test, ConcurrentChurnReclaimsEverything) {
   constexpr int kThreads = 4, kOps = 10000;
-  TypeParam dom(cfg1(kThreads, 8));
+  TypeParam dom(cfg1(8));
   std::vector<std::thread> ts;
   std::atomic<typename TypeParam::node*> shared{nullptr};
   for (int t = 0; t < kThreads; ++t) {
@@ -154,7 +177,7 @@ TYPED_TEST(Hyaline1Test, ConcurrentChurnReclaimsEverything) {
 }
 
 TEST(Hyaline1S, EraAdvancesAndSlotErasTrack) {
-  domain_1s dom(cfg1(2, 1, /*era_freq=*/4));
+  domain_1s dom(cfg1(1, /*era_freq=*/4));
   const auto before = dom.debug_alloc_era();
   std::vector<domain_1s::node*> nodes;
   for (int i = 0; i < 8; ++i) nodes.push_back(make_node(dom));
@@ -169,13 +192,13 @@ TEST(Hyaline1S, EraAdvancesAndSlotErasTrack) {
 }
 
 TEST(Hyaline1S, RejectsNonPowerOfTwoEraFreq) {
-  EXPECT_THROW(domain_1s{cfg1(2, 1, 48)}, std::invalid_argument);
+  EXPECT_THROW(domain_1s{cfg1(1, 48)}, std::invalid_argument);
   // Non-robust Hyaline-1 ignores era_freq (no era clock to tick).
-  EXPECT_NO_THROW(domain_1{cfg1(2, 1, 48)});
+  EXPECT_NO_THROW(domain_1{cfg1(1, 48)});
 }
 
 TEST(Hyaline1S, StalledThreadWithStaleEraIsSkipped) {
-  domain_1s dom(cfg1(2, 1, 4));
+  domain_1s dom(cfg1(1, 4));
   std::atomic<bool> hold{true};
   std::atomic<bool> ready{false};
   std::thread parked([&] {
@@ -195,7 +218,7 @@ TEST(Hyaline1S, StalledThreadWithStaleEraIsSkipped) {
 }
 
 TEST(Hyaline1, EnterAfterLeaveReusesSlotSafely) {
-  domain_1 dom(cfg1(1, 1));
+  domain_1 dom(cfg1());
   for (int round = 0; round < 100; ++round) {
     domain_1::guard g(dom);
     g.retire(make_node(dom));

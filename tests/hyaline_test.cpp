@@ -369,7 +369,9 @@ TYPED_TEST(HyalineTest, DrainLeavesPresenceOfExitedThread) {
 }
 
 // The shared batch layer, through each of its four users' transparent
-// guards. Every config makes a batch 3 nodes long (k + 1 with k = 2).
+// guards. A batch is k + 1 nodes long: k = 2 for Hyaline and Hyaline-S;
+// for Hyaline-1 and Hyaline-1S, k is the slots their guards claimed (one
+// in each case here).
 
 template <class D>
 class HyalineBatchTest : public ::testing::Test {
@@ -377,7 +379,6 @@ class HyalineBatchTest : public ::testing::Test {
   static auto small_cfg() {
     if constexpr (std::is_constructible_v<D, config1>) {
       config1 c;
-      c.max_threads = 2;  // the test thread and the one it spawns
       c.batch_min = 1;
       return c;
     } else {
@@ -447,7 +448,7 @@ TYPED_TEST(HyalineBatchTest, FlushedOneNodeBatchCountsNoDummy) {
   {
     typename TypeParam::guard g(dom);
     g.retire(this->make_node(dom));
-    dom.flush();  // seals 1 node + 2 padding dummies
+    dom.flush();  // seals 1 node + k padding dummies
     // The live guard holds the batch, unless it is robust: having
     // protected nothing, its slot's access era predates the node, so the
     // insertion skips the slot and frees the batch at once.

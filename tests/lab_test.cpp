@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "ds/michael_hashmap.hpp"
 #include "harness/registry.hpp"
+#include "harness/workload.hpp"
 #include "lab/fault_plan.hpp"
 #include "lab/telemetry.hpp"
 #include "smr/stats.hpp"
@@ -230,8 +232,6 @@ TEST(FaultPlanTest, ChurnCyclesOverTenantsNoEventNames) {
   std::string err;
   EXPECT_TRUE(p.validate_tids(4, &err)) << err;
   EXPECT_TRUE(p.runs_on(fault_loop::service, &err)) << err;
-  // Each churn adds one lease of overlap headroom.
-  EXPECT_EQ(p.lease_headroom(4), 4u + 1 + 3);
 
   // A zero period adds nothing.
   fault_plan quiet = parse_ok("stall:1@100ms+100ms");
@@ -451,6 +451,54 @@ TEST(TelemetrySamplerTest, ConcurrentWorkersRaceFree) {
   EXPECT_EQ(last.active_threads, 0u);
 }
 
+// Churned workers need no capacity either, and every thread hands its
+// Hyaline-1 slot id back at exit, churned predecessors and replacements
+// alike. After a churned run, two waves of as many threads as there were
+// workers, each wave holding a guard at once (more slots than the
+// registry's first segment holds), must claim new slots only in the
+// first wave: the second fits in the ids the first handed back.
+TEST(FaultLoopTest, ExitedAndChurnedWorkersHandTheirSlotsBack) {
+  constexpr unsigned kThreads = 2 * smr::core::kFirstSegmentRecords;
+  const fault_plan plan =
+      parse_ok("churn:1@10ms,churn:1@40ms,churn:1@70ms,churn:1@100ms");
+  std::string err;
+  ASSERT_TRUE(plan.validate_tids(kThreads, &err)) << err;
+  domain_1 dom(config1{.batch_min = 8});
+  auto hold_at_once = [&dom] {
+    std::atomic<unsigned> holding{0};
+    std::vector<std::thread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&] {
+        domain_1::guard g(dom);
+        holding.fetch_add(1, std::memory_order_acq_rel);
+        while (holding.load(std::memory_order_acquire) < kThreads) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    for (std::thread& th : ts) th.join();
+    return dom.slot_count();
+  };
+  {
+    ds::michael_hashmap<domain_1> map(dom, 256);
+    harness::workload_config cfg;
+    cfg.threads = kThreads;
+    cfg.duration_ms = 130;
+    cfg.repeats = 1;
+    cfg.key_range = 512;
+    cfg.prefill = 128;
+    cfg.faults = &plan;
+    const harness::workload_result r = harness::run_workload(dom, map, cfg);
+    EXPECT_GT(r.total_ops, 0u);
+  }
+  const std::size_t first = hold_at_once();
+  EXPECT_GE(first, kThreads + 1) << "the wave and the prefilling thread";
+  EXPECT_EQ(hold_at_once(), first) << "an exited thread kept its slot";
+  dom.drain();
+  EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed),
+            dom.counters().freed.load(std::memory_order_relaxed));
+}
+
 // Every fault kind at once, executed (not just parsed) through each loop
 // shape: the set loop, the trim loop (faults polled under the held
 // guard), and the container loop. A slow window, a burst, an exit, a
@@ -490,9 +538,7 @@ TEST(FaultLoopTest, EveryFaultKindThroughEveryLoopShape) {
     cfg.prefill = 256;
     cfg.use_trim = sh.use_trim;
     cfg.faults = &plan;
-    harness::scheme_params p;
-    p.max_threads = plan.lease_headroom(kThreads);
-    const harness::workload_result r = run(p, cfg);
+    const harness::workload_result r = run(harness::scheme_params{}, cfg);
     EXPECT_GT(r.total_ops, 0u);
     EXPECT_EQ(r.retired, r.freed) << "scheme leaked retired nodes";
     if (reg.kind_of(sh.structure) == harness::structure_kind::container) {

@@ -138,7 +138,7 @@ harness::workload_result run_cell(const char* scheme) {
   cfg.prefill = 64;
   cfg.seed = 0x0b5;
   harness::scheme_params p;
-  p.max_threads = 4;
+  p.slot_threads = 4;
   return run(p, cfg);
 }
 
@@ -168,7 +168,6 @@ TEST_F(ObsTraceTest, RetiredListScanAttributionAndEvents) {
   };
   smr::domain_counters ctrs;
   smr::core::retired_list<test_node> list;
-  list.attach(&ctrs);
 
   std::vector<test_node> nodes(8);
   for (auto& n : nodes) list.push(&n, 100);
@@ -176,10 +175,10 @@ TEST_F(ObsTraceTest, RetiredListScanAttributionAndEvents) {
   obs::set_ring_capacity(64);
   obs::set_tracing(true);
   std::size_t freed = 0;
-  list.scan([](const test_node*) { return true; },
+  list.scan(ctrs, [](const test_node*) { return true; },
             [&freed](test_node*) { ++freed; });
   obs::set_tracing(false);
-  list.rearm(100);
+  list.rearm(ctrs, 100);
 
   EXPECT_EQ(freed, nodes.size());
   EXPECT_EQ(ctrs.scans.load(std::memory_order_relaxed), 1u);

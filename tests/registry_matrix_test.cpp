@@ -35,7 +35,6 @@ TEST(RegistryMatrix, EveryCellRunsLeakFree) {
   debug_alloc::reset();
 
   harness::scheme_params p;
-  p.max_threads = 16;
   p.slots = 4;
   p.batch_min = 8;
   const harness::workload_config cfg = tiny_workload();
@@ -96,7 +95,6 @@ TEST(RegistryMatrix, BurstEntryDrainClosesTheLedger) {
                    std::to_string(burst));
       debug_alloc::reset();
       harness::scheme_params p;
-      p.max_threads = 8;
       p.entry_burst = burst;
       harness::runner_fn run = reg.runner(scheme, "hashmap");
       ASSERT_NE(run, nullptr);

@@ -61,7 +61,6 @@ TYPED_TEST(ShardedDomains, BurstEntryComposesWithShards) {
                    " burst=" + std::to_string(burst));
       debug_alloc::reset();
       harness::scheme_params p;
-      p.max_threads = 8;
       p.batch_min = 8;
       p.entry_burst = burst;
       std::vector<svc::shard_snapshot> snaps;
@@ -112,9 +111,7 @@ TEST(ShardedDomainsStall, GuardPinsOnlyItsOwnShard) {
   using D = smr::ebr_domain;
   ASSERT_TRUE(hooks_installed);
   debug_alloc::reset();
-  harness::scheme_params p;
-  p.max_threads = 8;
-  auto router = make_router<D>(2, p);
+  auto router = make_router<D>(2, harness::scheme_params{});
 
   // A key routed to each shard; one thread churns both while the main
   // thread holds a guard on shard 0's domain only.

@@ -4,10 +4,10 @@
 // heap fallback, and the routing priority contract (debug hooks beat the
 // slab, so the poison/quarantine checks keep working unchanged).
 //
-// The slab defaults to off under AddressSanitizer; these tests opt in
-// explicitly and restore the previous state, draining any slab-held state
-// they created first (blocks themselves are recycled, never unmapped, so
-// enabling here cannot poison later tests).
+// Node allocations bypass the slab under AddressSanitizer; these tests call
+// slab::allocate/deallocate directly, so they run the slab in every build
+// (blocks are recycled, never unmapped, so they cannot poison later
+// tests).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,21 +25,7 @@ namespace {
 
 namespace slab = smr::core::slab;
 
-/// Enable the slab for one test body, restoring the previous routing on
-/// exit. Tests only toggle while they hold no live slab node, per the
-/// set_enabled contract.
-class slab_on : public ::testing::Test {
- protected:
-  slab_on() : was_(slab::enabled()) { slab::set_enabled(true); }
-  ~slab_on() override { slab::set_enabled(was_); }
-
- private:
-  bool was_;
-};
-
-using SlabAlloc = slab_on;
-
-TEST_F(SlabAlloc, AlignmentAndOwnership) {
+TEST(SlabAlloc, AlignmentAndOwnership) {
   std::vector<void*> blocks;
   for (std::size_t bytes : {std::size_t{1}, std::size_t{8}, std::size_t{16},
                             std::size_t{17}, std::size_t{48}, std::size_t{64},
@@ -63,7 +49,7 @@ TEST_F(SlabAlloc, AlignmentAndOwnership) {
   for (void* p : blocks) slab::deallocate(p);
 }
 
-TEST_F(SlabAlloc, SameThreadFreeIsReusedLifo) {
+TEST(SlabAlloc, SameThreadFreeIsReusedLifo) {
   void* a = slab::allocate(48);
   std::memset(a, 0x11, 48);
   slab::deallocate(a);
@@ -78,13 +64,13 @@ TEST_F(SlabAlloc, SameThreadFreeIsReusedLifo) {
   slab::deallocate(c);
 }
 
-TEST_F(SlabAlloc, DebugHooksTakePriorityOverTheSlab) {
-  // Install the debug_alloc hooks *while the slab is enabled*: every node
-  // allocated through the hooked_alloc seam must go to the hooks, so the
-  // leak/double-free/poison machinery works identically with and without
-  // the slab. (Unlike the process-wide startup install, this test-local
-  // install is safe because it allocates and frees its nodes entirely
-  // within the hooked window.)
+TEST(SlabAlloc, DebugHooksTakePriorityOverTheSlab) {
+  // Install the debug_alloc hooks: whether or not this build routes nodes
+  // to the slab, every node allocated through the hooked_alloc seam must
+  // go to the hooks, so the leak/double-free/poison machinery works
+  // identically with and without the slab. (Unlike the process-wide
+  // startup install, this test-local install is safe because it allocates
+  // and frees its nodes entirely within the hooked window.)
   struct tnode : smr::core::reclaimable {
     std::uint64_t v = 0;
   };
@@ -112,7 +98,7 @@ TEST_F(SlabAlloc, DebugHooksTakePriorityOverTheSlab) {
   smr::core::node_free_hook = old_free;
 }
 
-TEST_F(SlabAlloc, RemoteFreesBatchAndDrainBackToTheOwner) {
+TEST(SlabAlloc, RemoteFreesBatchAndDrainBackToTheOwner) {
   // Owner (this thread) allocates; a foreign thread frees. The frees must
   // come back to the owner's free lists via the batched MPSC remote
   // stack, and the owner must find them once its local list runs dry.
@@ -152,7 +138,7 @@ TEST_F(SlabAlloc, RemoteFreesBatchAndDrainBackToTheOwner) {
   for (void* p : again) slab::deallocate(p);
 }
 
-TEST_F(SlabAlloc, ArenaCapFallsBackToTheHeap) {
+TEST(SlabAlloc, ArenaCapFallsBackToTheHeap) {
   // Shrink the arena so the next chunk refill fails, then burn through the
   // current thread's bump space: allocations must switch to the null-owner
   // heap path instead of failing, and deallocate must route them back.
@@ -174,7 +160,7 @@ TEST_F(SlabAlloc, ArenaCapFallsBackToTheHeap) {
   slab::set_limit_bytes(std::size_t{1} << 30);  // restore the default
 }
 
-TEST_F(SlabAlloc, StatsMoveForward) {
+TEST(SlabAlloc, StatsMoveForward) {
   const slab::slab_stats a = slab::stats();
   void* p = slab::allocate(32);
   slab::deallocate(p);

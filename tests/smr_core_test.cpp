@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -42,18 +41,19 @@ TEST(RetiredList, PushSignalsAtThreshold) {
 }
 
 TEST(RetiredList, ScanPartitionsAndRearmIsGeometric) {
+  domain_counters ctrs;
   retired_list<test_node> rl;
   auto nodes = make_nodes(8);
   for (auto& n : nodes) rl.push(&n, 100);
   // Keep even-indexed stamps, free odd ones.
   for (std::size_t i = 0; i < nodes.size(); ++i) nodes[i].stamp = i;
   std::size_t freed = 0;
-  rl.scan([](const test_node* n) { return n->stamp % 2 == 1; },
+  rl.scan(ctrs, [](const test_node* n) { return n->stamp % 2 == 1; },
           [&freed](test_node*) { ++freed; });
   EXPECT_EQ(freed, 4u);
   EXPECT_EQ(rl.size(), 4u);
   // After rearm the next scan trigger is 2*kept + threshold pushes away.
-  rl.rearm(10);
+  rl.rearm(ctrs, 10);
   auto more = make_nodes(32);
   std::size_t pushes_until_signal = 0;
   for (auto& n : more) {
@@ -62,14 +62,17 @@ TEST(RetiredList, ScanPartitionsAndRearmIsGeometric) {
   }
   EXPECT_EQ(rl.size(), 4 + pushes_until_signal);
   EXPECT_EQ(rl.size(), 2u * 4u + 10u);  // the rearmed scan point
+  EXPECT_EQ(ctrs.scans.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(ctrs.rearms.load(std::memory_order_relaxed), 1u);
 }
 
 TEST(RetiredList, ScanFreesEverythingWhenUnpinned) {
+  domain_counters ctrs;
   retired_list<test_node> rl;
   auto nodes = make_nodes(16);
   for (auto& n : nodes) rl.push(&n, 100);
   std::size_t freed = 0;
-  rl.scan([](const test_node*) { return true; },
+  rl.scan(ctrs, [](const test_node*) { return true; },
           [&freed](test_node*) { ++freed; });
   EXPECT_EQ(freed, 16u);
   EXPECT_TRUE(rl.empty());
@@ -78,6 +81,7 @@ TEST(RetiredList, ScanFreesEverythingWhenUnpinned) {
 // --------------------------------------------------------- limbo_queue --
 
 TEST(LimboQueue, ReclaimsInFifoOrderWhileReady) {
+  domain_counters ctrs;
   limbo_queue<test_node> q;
   auto nodes = make_nodes(6);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -85,13 +89,14 @@ TEST(LimboQueue, ReclaimsInFifoOrderWhileReady) {
     q.push_back(&nodes[i]);
   }
   std::vector<std::uint64_t> freed;
-  q.reclaim_ready([](const test_node* n) { return n->stamp < 3; },
+  q.reclaim_ready(ctrs, [](const test_node* n) { return n->stamp < 3; },
                   [&freed](test_node* n) { freed.push_back(n->stamp); });
   EXPECT_EQ(freed, (std::vector<std::uint64_t>{0, 1, 2}));
   EXPECT_FALSE(q.empty());
-  q.reclaim_ready([](const test_node*) { return true; },
+  q.reclaim_ready(ctrs, [](const test_node*) { return true; },
                   [&freed](test_node* n) { freed.push_back(n->stamp); });
   EXPECT_EQ(freed.size(), 6u);
+  EXPECT_EQ(ctrs.scans.load(std::memory_order_relaxed), 2u);
   EXPECT_TRUE(q.empty());
   // Queue must be reusable after full reclamation (tail reset).
   q.push_back(&nodes[0]);
@@ -147,86 +152,142 @@ TEST(EraClock, ProtectWithEraRereadsUntilStable) {
 
 // ------------------------------------------------------ thread_registry --
 
-TEST(ThreadRegistry, IndexesAndIterates) {
-  struct rec {
-    int value = 7;
-  };
-  thread_registry<rec> recs(5);
-  EXPECT_EQ(recs.size(), 5u);
-  for (const rec& r : recs) EXPECT_EQ(r.value, 7);
-  recs[3].value = 42;
-  EXPECT_EQ(recs[3].value, 42);
-  EXPECT_EQ(recs.pool()->capacity(), 5u);
+struct test_rec {
+  int value = 7;
+};
+using test_registry = thread_registry<test_rec>;
+
+/// Take `n` nested leases on the calling thread, recording their ids and
+/// stamping each record with its id; returns with them all checked in.
+std::vector<unsigned> hold_leases(test_registry& recs, unsigned n) {
+  std::vector<std::unique_ptr<test_registry::lease>> held;
+  std::vector<unsigned> ids;
+  for (unsigned i = 0; i < n; ++i) {
+    held.push_back(std::make_unique<test_registry::lease>(recs));
+    ids.push_back(held.back()->id());
+    held.back()->rec().value = static_cast<int>(held.back()->id());
+  }
+  return ids;
+}
+
+std::vector<unsigned> first_ids(unsigned n) {
+  std::vector<unsigned> ids(n);
+  for (unsigned i = 0; i < n; ++i) ids[i] = i;
+  return ids;
+}
+
+TEST(ThreadRegistry, ClaimsRecordsOnDemand) {
+  domain_counters ctrs;
+  test_registry recs(ctrs);
+  EXPECT_EQ(recs.size(), 0u) << "no record before the first lease";
+  {
+    test_registry::lease a(recs);
+    EXPECT_EQ(recs.size(), 1u);
+    EXPECT_EQ(a.rec().value, 7) << "a fresh record is default-constructed";
+    a.rec().value = 42;
+    EXPECT_EQ(&recs[a.id()], &a.rec());
+  }
+  int sum = 0;
+  recs.for_each([&sum](const test_rec& r) { sum += r.value; });
+  EXPECT_EQ(sum, 42) << "for_each walks exactly the claimed record";
+  EXPECT_TRUE(recs.all_of([](const test_rec& r) { return r.value == 42; }));
+  EXPECT_EQ(ctrs.tid_acquires.load(std::memory_order_relaxed), 1u);
 }
 
 // ------------------------------------------------------------ tid leases --
 
 TEST(TidLease, NestedLeasesGetDistinctIdsAndCacheForReuse) {
-  auto pool = std::make_shared<tid_pool>(3);
+  domain_counters ctrs;
+  test_registry recs(ctrs);
   {
-    tid_lease a(pool);
-    EXPECT_EQ(a.tid(), 0u) << "lowest free id first";
+    test_registry::lease a(recs);
+    EXPECT_EQ(a.id(), 0u) << "lowest free id first";
     {
-      tid_lease b(pool);
-      EXPECT_EQ(b.tid(), 1u) << "nested lease checks out a second id";
+      test_registry::lease b(recs);
+      EXPECT_EQ(b.id(), 1u) << "nested lease checks out a second id";
     }
-    tid_lease c(pool);
-    EXPECT_EQ(c.tid(), 1u) << "checked-in id is cached for instant reuse";
+    test_registry::lease c(recs);
+    EXPECT_EQ(c.id(), 1u) << "checked-in id is cached for instant reuse";
   }
-  tid_lease d(pool);
-  EXPECT_EQ(d.tid(), 0u);
+  test_registry::lease d(recs);
+  EXPECT_EQ(d.id(), 0u);
+  EXPECT_EQ(recs.size(), 2u);
+  EXPECT_EQ(ctrs.tid_acquires.load(std::memory_order_relaxed), 2u) << "cache hits claim nothing";
 }
 
-TEST(TidLease, ExhaustionThrows) {
-  auto pool = std::make_shared<tid_pool>(2);
-  tid_lease a(pool);
-  tid_lease b(pool);
-  EXPECT_THROW(tid_lease c(pool), std::runtime_error);
+TEST(TidLease, GrowthKeepsIdsLowestFreeAndRecordsInPlace) {
+  // Three first segments' worth of leases at once: the registry grows
+  // twice while records stamped before each growth stay where they were.
+  constexpr unsigned kLeases = 3 * kFirstSegmentRecords;
+  domain_counters ctrs;
+  test_registry recs(ctrs);
+  std::vector<unsigned> first;
+  std::thread([&] { first = hold_leases(recs, kLeases); }).join();
+  EXPECT_EQ(first, first_ids(kLeases)) << "ids are the lowest free, in order";
+  EXPECT_EQ(recs.size(), kLeases);
+  for (unsigned i = 0; i < kLeases; ++i) {
+    EXPECT_EQ(recs[i].value, static_cast<int>(i)) << "record " << i;
+  }
+  // The thread's exit gave every id back: a second thread gets the same
+  // ids again, and the registry claims no new record.
+  std::vector<unsigned> second;
+  std::thread([&] { second = hold_leases(recs, kLeases); }).join();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(recs.size(), kLeases);
+  // Past the first thread's peak, while this thread holds one id: the
+  // lowest free ids are 1.. and the registry grows by one record.
+  test_registry::lease mine(recs);
+  EXPECT_EQ(mine.id(), 0u);
+  std::vector<unsigned> third;
+  std::thread([&] { third = hold_leases(recs, kLeases); }).join();
+  std::vector<unsigned> want = first_ids(kLeases + 1);
+  want.erase(want.begin());
+  EXPECT_EQ(third, want);
+  EXPECT_EQ(recs.size(), kLeases + 1);
 }
 
 TEST(TidLease, ThreadExitReturnsCachedIdsToThePool) {
-  auto pool = std::make_shared<tid_pool>(1);
-  std::thread t([&] { tid_lease a(pool); });
+  domain_counters ctrs;
+  test_registry recs(ctrs);
+  std::thread t([&] { test_registry::lease a(recs); });
   t.join();
-  // The worker's cached lease was released at thread exit, so the sole id
-  // is available again here.
-  tid_lease mine(pool);
-  EXPECT_EQ(mine.tid(), 0u);
+  // The worker's cached lease was released at thread exit, so id 0 is
+  // free again here and no second record is claimed.
+  test_registry::lease mine(recs);
+  EXPECT_EQ(mine.id(), 0u);
+  EXPECT_EQ(recs.size(), 1u);
 }
 
-TEST(TidLease, ChurnOfShortLivedThreadsNeverExhaustsThePool) {
+TEST(TidLease, ChurnOfShortLivedThreadsReusesTheSameRecords) {
   // The recycling contract under sustained churn: each short-lived thread
-  // caches its lease until exit, exit returns it, and the next spawn can
-  // lease again — forever. A single missed release would exhaust this
-  // 4-slot pool within the first handful of the 128 rounds and throw.
-  auto pool = std::make_shared<tid_pool>(4);
+  // caches its leases until exit, exit returns them, and the next spawn
+  // takes the same ids — forever. A single missed release would make a
+  // later round claim a third record.
+  domain_counters ctrs;
+  test_registry recs(ctrs);
   for (int round = 0; round < 128; ++round) {
     std::thread t([&] {
-      tid_lease l(pool);
-      EXPECT_LT(l.tid(), 4u);
-      tid_lease nested(pool);
-      EXPECT_LT(nested.tid(), 4u);
-      EXPECT_NE(nested.tid(), l.tid());
+      test_registry::lease l(recs);
+      test_registry::lease nested(recs);
+      EXPECT_NE(nested.id(), l.id());
+      EXPECT_LT(l.id(), 2u);
+      EXPECT_LT(nested.id(), 2u);
     });
     t.join();
   }
-  // After all that churn the pool must be whole: its full capacity is
-  // leasable at once.
-  tid_lease a(pool);
-  tid_lease b(pool);
-  tid_lease c(pool);
-  tid_lease d(pool);
-  EXPECT_THROW(tid_lease e(pool), std::runtime_error);
+  EXPECT_EQ(recs.size(), 2u) << "a thread kept its id past its exit";
 }
 
 TEST(TidLease, NoTidDoubleLeasedUnderConcurrentChurn) {
-  // Waves of threads, each repeatedly leasing from a pool exactly as wide
-  // as the wave: every live thread holds (and caches) one id, so any
-  // double-lease would hand two threads the same record slot. The claim
-  // bitmask turns that into a deterministic failure: a thread owning a
-  // lease sets its tid's bit and must always find it clear.
-  constexpr unsigned kThreads = 8;
-  auto pool = std::make_shared<tid_pool>(kThreads);
+  // Waves of threads, each repeatedly leasing: every live thread holds
+  // (and caches) one id, so any double-lease would hand two threads the
+  // same record. The claim bitmask turns that into a deterministic
+  // failure: a thread owning a lease sets its id's bit and must always
+  // find it clear. The waves are twice the first segment, so the first
+  // one grows the registry while its threads lease.
+  constexpr unsigned kThreads = 2 * kFirstSegmentRecords;
+  domain_counters ctrs;
+  test_registry recs(ctrs);
   std::atomic<unsigned> claimed{0};
   std::atomic<bool> double_leased{false};
   for (int wave = 0; wave < 16; ++wave) {
@@ -234,8 +295,8 @@ TEST(TidLease, NoTidDoubleLeasedUnderConcurrentChurn) {
     for (unsigned t = 0; t < kThreads; ++t) {
       ts.emplace_back([&] {
         for (int i = 0; i < 64; ++i) {
-          tid_lease l(pool);
-          const unsigned bit = 1u << l.tid();
+          test_registry::lease l(recs);
+          const unsigned bit = 1u << l.id();
           if (claimed.fetch_or(bit, std::memory_order_acq_rel) & bit) {
             double_leased.store(true, std::memory_order_relaxed);
           }
@@ -246,6 +307,7 @@ TEST(TidLease, NoTidDoubleLeasedUnderConcurrentChurn) {
     for (std::thread& t : ts) t.join();
   }
   EXPECT_FALSE(double_leased.load(std::memory_order_relaxed)) << "two live threads shared a tid";
+  EXPECT_LE(recs.size(), kThreads) << "more records than threads alive at once";
 }
 
 TEST(ThreadHint, DistinctPerThreadStableWithin) {

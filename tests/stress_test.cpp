@@ -76,7 +76,7 @@ std::uint64_t unreclaimed_with_stalled_thread(D& dom, bool deref_first) {
 }
 
 TEST(Robustness, EpochIsBlockedByStalledThread) {
-  smr::ebr_domain dom(smr::ebr_config{4, 32});
+  smr::ebr_domain dom(smr::ebr_config{.advance_freq = 32});
   const auto unreclaimed = unreclaimed_with_stalled_thread(dom, true);
   EXPECT_GT(unreclaimed, 10000u)
       << "EBR must accumulate garbage behind the pinned epoch";
@@ -90,13 +90,14 @@ TEST(Robustness, HyalineSStaysBoundedWithStalledThread) {
 }
 
 TEST(Robustness, Hyaline1SStaysBoundedWithStalledThread) {
-  domain_1s dom(config1{.max_threads = 4, .batch_min = 8, .era_freq = 16});
+  domain_1s dom(config1{.batch_min = 8, .era_freq = 16});
   const auto unreclaimed = unreclaimed_with_stalled_thread(dom, true);
   EXPECT_LT(unreclaimed, 10000u);
 }
 
 TEST(Robustness, IbrStaysBoundedWithStalledThread) {
-  smr::ibr_domain dom(smr::ibr_config{4, 16, 16});
+  smr::ibr_domain dom(
+      smr::ibr_config{.era_freq = 16, .scan_threshold = 16});
   const auto unreclaimed = unreclaimed_with_stalled_thread(dom, true);
   EXPECT_LT(unreclaimed, 10000u);
 }
@@ -108,6 +109,89 @@ TEST(Robustness, BasicHyalineIsNotRobust) {
   domain dom(config{.slots = 2, .batch_min = 8});
   const auto unreclaimed = unreclaimed_with_stalled_thread(dom, true);
   EXPECT_GT(unreclaimed, 10000u);
+}
+
+// --- record growth under load -------------------------------------------
+
+// No thread capacity: threads claim per-thread records as they arrive.
+// Early threads churn a map (retiring and scanning) while late threads
+// join and claim records past the registry's first segment; then the
+// late threads churn alone. Every retired node must be freed, and the
+// late threads' reclamation passes (scans; batch finalizations for
+// Hyaline-1) must reach the domain's counters.
+template <class D>
+class RecordGrowth : public ::testing::Test {};
+
+using RecordSchemes = ::testing::Types<smr::ebr_domain, smr::ibr_domain,
+                                       smr::hp_domain, smr::he_domain,
+                                       domain_1>;
+TYPED_TEST_SUITE(RecordGrowth, RecordSchemes);
+
+TYPED_TEST(RecordGrowth, LateThreadsPastTheFirstSegmentScanAndReclaim) {
+  using D = TypeParam;
+  constexpr unsigned kEarly = smr::core::kFirstSegmentRecords;
+  constexpr unsigned kLate = 2 * smr::core::kFirstSegmentRecords;
+  auto passes = [](const D& dom) {
+    const smr::stats_snapshot s = dom.counters().snapshot();
+    return s.scans + s.finalizes;
+  };
+  D dom;
+  std::uint64_t late_passes = 0;
+  {
+    ds::michael_hashmap<D> map(dom, 256);
+    auto churn = [&](std::uint64_t seed, int ops) {
+      xoshiro256 rng(seed);
+      for (int i = 0; i < ops; ++i) {
+        typename D::guard g(dom);
+        const std::uint64_t k = rng.below(128);
+        if (rng.below(2) == 0) {
+          map.insert(g, k, k);
+        } else {
+          map.remove(g, k);
+        }
+      }
+    };
+    std::atomic<bool> stop{false};
+    std::atomic<bool> go_late{false};
+    std::atomic<unsigned> claimed{0};
+    std::vector<std::thread> early;
+    for (unsigned t = 0; t < kEarly; ++t) {
+      early.emplace_back([&, t] {
+        churn(t * 100000, 100);  // claims a record before any thread exits
+        claimed.fetch_add(1, std::memory_order_acq_rel);
+        for (std::uint64_t r = 1; !stop.load(std::memory_order_acquire); ++r) {
+          churn(t * 100000 + r, 100);
+        }
+      });
+    }
+    std::vector<std::thread> late;
+    for (unsigned t = 0; t < kLate; ++t) {
+      late.emplace_back([&, t] {
+        churn(1000000 + t, 100);  // likewise
+        claimed.fetch_add(1, std::memory_order_acq_rel);
+        while (!go_late.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        churn(2000000 + t, 3000);
+        harness::detail::flush_thread(dom);
+      });
+    }
+    while (claimed.load(std::memory_order_acquire) < kEarly + kLate) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& th : early) th.join();
+    const std::uint64_t before = passes(dom);
+    go_late.store(true, std::memory_order_release);
+    for (std::thread& th : late) th.join();
+    late_passes = passes(dom) - before;
+  }
+  dom.drain();
+  EXPECT_EQ(dom.counters().snapshot().tid_acquires, kEarly + kLate)
+      << "every thread alive at once claims a record of its own";
+  EXPECT_GT(late_passes, 0u) << "the late threads' passes went uncounted";
+  EXPECT_EQ(dom.counters().retired.load(std::memory_order_relaxed),
+            dom.counters().freed.load(std::memory_order_relaxed));
 }
 
 // --- trim under concurrent load -----------------------------------------

@@ -106,10 +106,8 @@ TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
   const unsigned cells = hyaline::smr::stats_cell_count();
   const unsigned live = 2 * cells + 2;
   const unsigned threads = cells + live;
-  hyaline::harness::scheme_params p;
-  p.max_threads = live + 1;
   shard_router<D> router(
-      4, [&] { return hyaline::harness::scheme_traits<D>::make(p); }, 256);
+      4, [] { return hyaline::harness::scheme_traits<D>::make({}); }, 256);
 
   // Each thread owns keys [1000 t, 1000 t + 2 kKeys): it puts the first
   // kKeys, gets all 2 kKeys (half hit), deletes every other one it put.
