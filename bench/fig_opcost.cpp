@@ -186,15 +186,9 @@ int main(int argc, char** argv) {
       j += buf;
     }
     j += "  ]\n}\n";
-    std::FILE* f = std::fopen(o.json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open '%s'\n", o.json.c_str());
-      return 2;
-    }
-    std::fputs(j.c_str(), f);
-    const bool ok = std::ferror(f) == 0;
-    if (std::fclose(f) != 0 || !ok) {
-      std::fprintf(stderr, "write error on '%s'\n", o.json.c_str());
+    if (!harness::write_output("--json", o.json, [&j](std::FILE* f) {
+          std::fputs(j.c_str(), f);
+        })) {
       return 2;
     }
   }

@@ -62,15 +62,9 @@ double timeline_mean_unreclaimed(const std::vector<lab::sample_point>& pts) {
   return sum / static_cast<double>(pts.size());
 }
 
-bool write_json(const std::string& path, const harness::cli_options& o,
+void write_json(std::FILE* f, const harness::cli_options& o,
                 const service_config& cfg, const slo_spec& slo,
                 const std::vector<scheme_report>& reports) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                 path.c_str());
-    return false;
-  }
   std::fprintf(f, "{\n  \"figure\": \"%s\",\n", kFigure);
   // None of the spec grammars admit quote or backslash characters, so
   // the strings embed verbatim (same stance as the --faults echo in
@@ -165,12 +159,6 @@ bool write_json(const std::string& path, const harness::cli_options& o,
     first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::fprintf(stderr, "--json: error writing '%s'\n", path.c_str());
-  }
-  return ok;
 }
 
 }  // namespace
@@ -294,7 +282,10 @@ int main(int argc, char** argv) {
   }
   // A violation still writes the JSON: the series showing WHY the gate
   // tripped is exactly what a CI debugger needs.
-  if (!o.json.empty() && !write_json(o.json, o, cfg, *slo, reports)) {
+  if (!o.json.empty() &&
+      !harness::write_output("--json", o.json, [&](std::FILE* f) {
+        write_json(f, o, cfg, *slo, reports);
+      })) {
     status = 2;
   }
   if (!o.trace.empty()) {

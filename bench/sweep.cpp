@@ -215,16 +215,8 @@ int main(int argc, char** argv) {
   }
   j += "  ]\n}\n";
 
-  std::FILE* f = std::fopen(o.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open '%s' for writing\n", o.out.c_str());
-    return 2;
-  }
-  std::fputs(j.c_str(), f);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::fprintf(stderr, "write error on '%s'\n", o.out.c_str());
+  if (!harness::write_output(
+          "--out", o.out, [&j](std::FILE* f) { std::fputs(j.c_str(), f); })) {
     return 2;
   }
   std::fprintf(stderr, "wrote %zu points to %s\n", points.size(),

@@ -42,16 +42,9 @@ class counterexample_sink {
   /// to do).
   bool flush() const {
     if (path_.empty() || text_.empty()) return true;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "--counterexample: cannot open '%s'\n",
-                   path_.c_str());
-      return false;
-    }
-    std::fputs(text_.c_str(), f);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    return ok;
+    return harness::write_output(
+        "--counterexample", path_,
+        [this](std::FILE* f) { std::fputs(text_.c_str(), f); });
   }
 
  private:

@@ -30,14 +30,6 @@ bool to_uint(const char* s, T* out, std::uint64_t min = 0, int base = 10) {
   return true;
 }
 
-bool to_double(const char* s, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
-
 /// A comma-separated list of counts, each checked as by to_uint.
 bool to_list(const char* s, std::vector<unsigned>* out) {
   out->clear();
@@ -204,6 +196,31 @@ void dedupe_list(std::vector<T>& v, const char* flag) {
 }
 
 }  // namespace
+
+bool to_double(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+bool write_output(const char* flag, const std::string& path,
+                  const std::function<void(std::FILE*)>& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "%s: cannot open '%s' for writing\n", flag,
+                 path.c_str());
+    return false;
+  }
+  body(f);
+  const bool ok = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
+    std::fprintf(stderr, "%s: error writing '%s'\n", flag, path.c_str());
+    return false;
+  }
+  return true;
+}
 
 bool cli_options::scheme_enabled(const std::string& name) const {
   if (schemes.empty()) return true;

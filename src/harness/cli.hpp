@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -170,6 +172,16 @@ cli_options parse_cli(int argc, char** argv, cli_options defaults,
 
 /// The usage text `--help` prints: one line per flag in `accepted`.
 std::string usage_text(const char* prog, flag_set accepted);
+
+/// A whole-string finite number: `1e5` is one, `0.25x` and `abc` are not.
+bool to_double(const char* s, double* out);
+
+/// Write the file `flag` names (--json, --out, --counterexample) through
+/// `body`, then close it. False, with a message naming the flag on
+/// stderr, if the file cannot be opened or any write failed, the flush
+/// at close included (`--json /dev/full`).
+bool write_output(const char* flag, const std::string& path,
+                  const std::function<void(std::FILE*)>& body);
 
 /// True if every --schemes name is in `valid`; otherwise names the first
 /// unknown one and lists `valid` on stderr. A typo should fail loudly,

@@ -53,12 +53,12 @@ class figure_sink {
   /// JSON. Returns false (with a message on stderr) if the file cannot be
   /// written.
   bool write_json(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "--json: cannot open '%s' for writing\n",
-                   path.c_str());
-      return false;
-    }
+    return write_output("--json", path,
+                        [this](std::FILE* f) { write_series(f); });
+  }
+
+ private:
+  void write_series(std::FILE* f) const {
     // Series keys in first-appearance order; rows from interleaved sweeps
     // (the robustness figure iterates stalled counts outermost) regroup
     // cleanly.
@@ -129,15 +129,8 @@ class figure_sink {
       std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!ok) {
-      std::fprintf(stderr, "--json: error writing '%s'\n", path.c_str());
-    }
-    return ok;
   }
 
- private:
   struct row_t {
     std::string structure;
     std::string scheme;

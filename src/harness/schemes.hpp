@@ -36,8 +36,8 @@ struct scheme_params {
   std::size_t max_slots = 0;  ///< Hyaline-S adaptive growth cap (0 = off)
   std::size_t batch_min = 64;
   std::int64_t ack_threshold = 8192;  ///< Hyaline-S stalled-slot detection
-  /// Amortized guard entry burst for caps.burst_entry schemes (EBR and
-  /// IBR reservations, Hyaline and Hyaline-S slot presences). Harness
+  /// Amortized guard entry burst for the schemes with quiesce() (EBR
+  /// and IBR reservations, Hyaline and Hyaline-S slot presences). Harness
   /// default is on — the workload runners quiesce idle/exiting threads,
   /// which the burst exit relies on. Direct users of the raw configs get
   /// 0 (classic) unless they opt in.

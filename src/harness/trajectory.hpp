@@ -1,8 +1,8 @@
 // Trajectory files: the canonical perf-tracking interchange format.
 //
 // bench/sweep writes one JSON document per run (schema below); the
-// comparator (bench/bench_diff) loads two of them and diffs matched
-// points. This header carries the in-memory form and a loader built on a
+// comparator (run_bench_diff, the body of bench/bench_diff) loads two of
+// them and diffs matched points. This header carries the in-memory form and a loader built on a
 // deliberately small recursive-descent JSON reader — enough for the
 // files this repo writes, with strict-enough errors that a truncated or
 // hand-mangled file is rejected instead of half-parsed.
@@ -62,5 +62,11 @@ struct sweep_file {
 /// diagnosis (file missing, JSON malformed, schema field missing/typed
 /// wrong). Unknown extra fields are ignored, so the schema can grow.
 bool load_sweep(const std::string& path, sweep_file& out, std::string& err);
+
+/// The trajectory gate, bench_diff (usage in bench/bench_diff.cpp):
+/// 0 = no regression, 1 = a regression (or a dropped cell under
+/// --require-cells), 2 = a usage or load error, malformed values
+/// included.
+int run_bench_diff(int argc, char** argv);
 
 }  // namespace hyaline::harness

@@ -36,16 +36,6 @@ struct caps {
 
   /// guard::trim() reclaims without leaving (Hyaline family, §3.3).
   bool supports_trim = false;
-
-  /// Guard entry/exit may be amortized over short op bursts: the scheme's
-  /// semantics allow a reservation (epoch, interval, or slot presence) to
-  /// linger across consecutive guards on one thread without violating its
-  /// safety argument — a lingering reservation is indistinguishable from
-  /// one long-lived guard (EBR, IBR), or is a parked slot presence, kept
-  /// only while the slot's list is empty (Hyaline, Hyaline-S).
-  /// Pointer-publication schemes (HP, HE) publish per-access state instead
-  /// and gain nothing from entry amortization.
-  bool burst_entry = false;
 };
 
 /// Upper bound on simultaneously live protection handles per guard.

@@ -18,14 +18,13 @@ namespace hyaline::smr::core {
 
 class era_clock {
  public:
-  explicit era_clock(std::uint64_t start) : era_(start) {}
+  /// Every successful advance is counted in `ctrs` (and traced) here,
+  /// uniformly for all era-based schemes.
+  era_clock(std::uint64_t start, domain_counters& ctrs)
+      : era_(start), ctrs_(ctrs) {}
 
   era_clock(const era_clock&) = delete;
   era_clock& operator=(const era_clock&) = delete;
-
-  /// Attach the owning domain's event counters: every successful advance
-  /// is counted (and traced) here, uniformly for all era-based schemes.
-  void attach(domain_counters* c) { ctrs_ = c; }
 
   /// No default order: every call site spells how strong a read it needs
   /// (the relaxed-ordering audit in the README leans on this being
@@ -41,7 +40,7 @@ class era_clock {
     // both sides of it, so it must take part in the single total order
     // with the reservation publications.
     const std::uint64_t e = era_->fetch_add(1, std::memory_order_seq_cst);
-    if (ctrs_ != nullptr) ctrs_->on_era_advance();
+    ctrs_.on_era_advance();
     obs::emit(obs::event::era_advance, e + 1);
   }
 
@@ -55,7 +54,7 @@ class era_clock {
                                        std::memory_order_seq_cst)) {
       return false;
     }
-    if (ctrs_ != nullptr) ctrs_->on_era_advance();
+    ctrs_.on_era_advance();
     obs::emit(obs::event::era_advance, expected + 1);
     return true;
   }
@@ -70,7 +69,7 @@ class era_clock {
 
  private:
   padded<std::atomic<std::uint64_t>> era_;
-  domain_counters* ctrs_ = nullptr;
+  domain_counters& ctrs_;
 };
 
 /// Era-validated pointer acquisition (IBR's 2GE read, HE's get_protected,

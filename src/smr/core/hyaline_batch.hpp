@@ -8,6 +8,15 @@
 // (Hyaline: Adjs; Hyaline-1: Inserts), and provides slot_count(),
 // finalize_batch(builder&) and cfg_.{batch_min, era_freq}.
 //
+// A thread's batch in progress lives in its builder, a record of the
+// domain's thread_registry<builder> (core/thread_registry.hpp) that the
+// thread claims through local() and hands back at exit. The next thread
+// to claim the id takes the builder over as it stands: its partial batch,
+// its birth-era tick count and (Hyaline) a parked slot presence. So a
+// domain holds one builder per thread alive at once, and a thread that
+// exits without flush() leaves its partial batch to its successor rather
+// than to drain().
+//
 // Node header (§3.2: "each node keeps three variables irrespective of
 // batch sizes and total number of slots"):
 //   w0  carriers: Next of the slot list the node was inserted into; REFS
@@ -88,21 +97,27 @@ class batch_layer {
   /// Finalize the calling thread's partially filled batch by padding it
   /// with dummy nodes (§2.4's finalization trick) and retiring it. After
   /// this, the thread is fully "off the hook" — it may exit immediately.
-  void flush() { flush(builders_.local()); }
+  /// A thread without a builder here has nothing to flush.
+  void flush() {
+    builders_.for_each_cached([this](builder& b) { flush(b); });
+  }
 
   /// Quiescent-state cleanup: flush every thread's builder. Callable only
   /// when no guards are live anywhere (tests, shutdown).
   void drain() {
-    for_each_builder([this](builder& b) { flush(b); });
+    builders_.for_each([this](builder& b) { flush(b); });
   }
 
   std::uint64_t debug_alloc_era() const {
     return era_.load(std::memory_order_relaxed);
   }
 
+  /// Builders claimed so far: the most threads that held one at once.
+  unsigned debug_builder_count() const { return builders_.size(); }
+
  protected:
-  // Cache-line aligned: heap-allocated per thread by the TLS cache and
-  // written on every retire, so no two threads' builders share a line.
+  // Cache-line aligned: a registry record written on every retire, so no
+  // two threads' builders share a line.
   struct alignas(cache_line_size) builder : ThreadFields {
     node* refs = nullptr;  // chain head == REFS node of the batch in progress
     std::size_t count = 0;
@@ -143,7 +158,7 @@ class batch_layer {
     }
   };
 
-  batch_layer() { era_.attach(&stats_->events); }
+  batch_layer() = default;
 
   static node* next_of(const node* n) {
     return reinterpret_cast<node*>(n->w0.load(std::memory_order_acquire));
@@ -163,12 +178,9 @@ class batch_layer {
   /// The global allocation era clock (robust variants).
   const era_clock& era() const { return era_; }
 
-  builder& local() { return builders_.local(); }
-
-  template <class F>
-  void for_each_builder(F&& f) {
-    builders_.for_each(f);
-  }
+  /// The builders: the calling thread's (local(), for_each_cached()) and
+  /// every claimed one (for_each(), quiescent drains only).
+  thread_registry<builder>& builders() { return builders_; }
 
   /// Retire `n` (capturing T's deleter) into the thread's batch; O(1).
   /// Every batch_size() retires the batch is finalized into the slot lists
@@ -284,9 +296,9 @@ class batch_layer {
   Domain& self() { return static_cast<Domain&>(*this); }
   const Domain& self() const { return static_cast<const Domain&>(*this); }
 
-  era_clock era_{1};
   padded_stats stats_;
-  tls_cache<builder> builders_;  // per (thread, domain)
+  era_clock era_{1, stats_->events};
+  thread_registry<builder> builders_{stats_->events};
 };
 
 }  // namespace hyaline::smr::core

@@ -9,9 +9,9 @@
 // back when it exits: no two live threads hold the same id, and ids stay
 // dense however many threads a long-lived process starts and joins. That
 // is what lets a counter cell have exactly one writer. A hint is
-// process-wide; the per-domain record leases of EBR, IBR, HP, HE and
-// Hyaline-1 (core/thread_registry.hpp) take their ids from a
-// lowest_free_ids of their own. It sits below stats.hpp, which the
+// process-wide; the per-domain records of EBR, IBR, HP, HE, Hyaline-1
+// and the Hyaline family's batch builders (core/thread_registry.hpp) take
+// their ids from a lowest_free_ids of their own. It sits below stats.hpp, which the
 // thread registry itself includes.
 #pragma once
 

@@ -1,15 +1,23 @@
-// Transparent thread identity for the SMR schemes.
+// Transparent thread identity for the SMR schemes: one lease table for
+// every per-thread record a domain keeps.
 //
 // API v1 required every call site to hand-thread a `tid` into each guard.
-// API v2 makes thread identity an implementation detail: a guard leases a
-// per-thread record from its domain's `thread_registry` through a
-// thread-local cache, so the first guard a thread takes against a domain
-// pays one mutex-protected claim and every later guard is a small TLS
-// scan. A lease is checked in when its guard dies but stays *cached* by
-// the owning thread for instant reuse; the registry gets its id back only
-// when the thread exits. Nested guards on one thread check out distinct
-// records, which preserves the "one reservation per record" invariant of
-// EBR/IBR/HP/HE and the 1:1 slot mapping of Hyaline-1.
+// API v2 makes thread identity an implementation detail: a domain keeps
+// its per-thread records in a `thread_registry`, and each thread finds
+// the ones it holds in a thread-local lease table, so the first claim a
+// thread makes against a registry pays one mutex-protected take and every
+// later lookup is a small TLS scan. Records are held two ways:
+//   - a guard's `lease` (EBR, IBR, HP, HE reservations, Hyaline-1 slots)
+//     is checked in when the guard dies but stays cached by the thread
+//     for instant reuse; nested guards on one thread check out distinct
+//     records, which preserves the "one reservation per record" invariant
+//     of EBR/IBR/HP/HE and the 1:1 slot mapping of Hyaline-1;
+//   - `local()` (the Hyaline family's batch builders) is the thread's one
+//     record for its whole life.
+// The registry gets an id back only when its thread exits, and the next
+// thread to claim takes the id over with its record as it stands: an
+// exited thread's partial batch or parked slot presence passes on instead
+// of waiting for a drain.
 //
 // The registry has no capacity: nobody declares how many threads will
 // come. A claim takes the lowest free id (core::lowest_free_ids, the
@@ -17,11 +25,8 @@
 // fresh record, made under the same mutex in a slot_directory that grows
 // by doubling, so a record never moves and a lease holds a plain pointer
 // to it. Because ids are lowest-free, size() (one past the highest id
-// ever leased) is the peak number of records in use at once, and each
+// ever claimed) is the peak number of records in use at once, and each
 // scan reads it once and walks only those records.
-//
-// Also here: tls_cache<V>, the per-(thread, domain) value cache the
-// Hyaline variants keep their batch builders in.
 #pragma once
 
 #include <atomic>
@@ -36,34 +41,32 @@
 
 namespace hyaline::smr::core {
 
-/// Process-unique id source shared by registries and TLS caches.
-inline std::uint64_t next_unique_id() {
-  static std::atomic<std::uint64_t> ids{1};
-  return ids.fetch_add(1, std::memory_order_relaxed);
-}
-
 namespace detail {
 
-/// What a thread's lease cache may outlive its domain with: the ids, so a
-/// thread that exits later can still hand its own back.
+/// What a thread's lease table may outlive its domain with: the ids, so a
+/// thread that exits later can still hand its own back. Every entry holds
+/// its pool, so no new pool can take the address while an entry matches
+/// it: the address names the registry.
 struct id_pool {
-  const std::uint64_t uid = next_unique_id();
   lowest_free_ids ids;
-  /// The domain is gone: lease caches prune their entries for it instead
+  /// The domain is gone: lease tables prune their entries for it instead
   /// of holding them (and this object) until thread exit.
   std::atomic<bool> closed{false};
 };
 
+/// How the thread holds an entry's id: checked in by its last guard
+/// (free for the next), by a live guard, or by local() for good.
+enum class hold : std::uint8_t { cached, guard, thread };
+
 struct cached_lease {
-  std::uint64_t pool_uid;
-  unsigned id;
-  bool in_use;
-  void* rec;  // the id's record; valid while the domain lives
   std::shared_ptr<id_pool> pool;
+  void* rec;  // the id's record; valid while the domain lives
+  unsigned id;
+  hold how;
 };
 
-/// Per-thread lease table; the destructor returns every cached id when
-/// the thread exits, so short-lived threads recycle ids.
+/// Per-thread lease table; the destructor returns every id the thread
+/// holds when it exits, so short-lived threads recycle ids and records.
 struct lease_table {
   std::vector<cached_lease> leases;
 
@@ -80,14 +83,16 @@ inline thread_local lease_table tls_leases;
 inline constexpr unsigned kFirstSegmentRecords = 4;
 
 /// The per-thread records a scheme scans (one reservation word, hazard
-/// array or Hyaline-1 slot per id), and the ids guards lease them by.
-/// `Rec` must be default-constructible (that is its unused state) and
-/// cache-line aligned (`alignas(cache_line_size)`) so adjacent threads
-/// never false-share.
+/// array, Hyaline-1 slot or batch builder per id), and the ids threads
+/// claim them by. `Rec` must be default-constructible (that is its unused
+/// state) and cache-line aligned (`alignas(cache_line_size)`) so adjacent
+/// threads never false-share. A registry's records are either leased by
+/// guards or held through local(), not both.
 template <class Rec>
 class thread_registry {
  public:
-  /// `ctrs` counts every claim that misses the calling thread's cache.
+  /// `ctrs` counts every guard's claim that misses the calling thread's
+  /// cache (local() claims are not counted).
   explicit thread_registry(domain_counters& ctrs) : ctrs_(ctrs) {}
 
   ~thread_registry() { pool_->closed.store(true, std::memory_order_release); }
@@ -95,7 +100,7 @@ class thread_registry {
   thread_registry(const thread_registry&) = delete;
   thread_registry& operator=(const thread_registry&) = delete;
 
-  /// Records claimed so far: every id a lease holds is below it. A scan
+  /// Records claimed so far: every id a thread holds is below it. A scan
   /// reads it once. Missing a record claimed after that read is safe:
   /// the count is loaded and stored seq_cst, so the read precedes every
   /// seq_cst store the new holder makes in it, as if the scan had read
@@ -126,35 +131,26 @@ class thread_registry {
   /// domain) checks out a second record.
   class lease {
    public:
-    explicit lease(thread_registry& reg) : pool_uid_(reg.pool_->uid) {
-      std::vector<detail::cached_lease>& leases = detail::tls_leases.leases;
-      for (detail::cached_lease& l : leases) {
-        if (l.pool_uid == pool_uid_ && !l.in_use) {
-          l.in_use = true;
+    explicit lease(thread_registry& reg) : pool_(reg.pool_.get()) {
+      for (detail::cached_lease& l : detail::tls_leases.leases) {
+        if (l.pool.get() == pool_ && l.how == detail::hold::cached) {
+          l.how = detail::hold::guard;
           id_ = l.id;
           rec_ = static_cast<Rec*>(l.rec);
           return;
         }
       }
-      // Miss (first guard against this domain, or a nested guard): before
-      // claiming, prune entries whose domain died — a thread touching many
-      // short-lived domains must not retain their ids (or scan their
-      // entries) forever. Off the cached-hit hot path.
-      std::erase_if(leases, [](const detail::cached_lease& l) {
-        return !l.in_use && l.pool->closed.load(std::memory_order_acquire);
-      });
-      id_ = reg.pool_->ids.take([&reg](unsigned fresh) {
-        if (fresh == reg.recs_.size()) reg.recs_.grow();
-      });
-      rec_ = &reg.recs_.at(id_);
+      // Miss: the first guard against this domain, or a nested guard.
+      const detail::cached_lease& l = reg.claim(detail::hold::guard);
+      id_ = l.id;
+      rec_ = static_cast<Rec*>(l.rec);
       reg.ctrs_.on_tid_acquire();
-      leases.push_back({pool_uid_, id_, true, rec_, reg.pool_});
     }
 
     ~lease() {
       for (detail::cached_lease& l : detail::tls_leases.leases) {
-        if (l.pool_uid == pool_uid_ && l.id == id_) {
-          l.in_use = false;
+        if (l.pool.get() == pool_ && l.id == id_) {
+          l.how = detail::hold::cached;
           return;
         }
       }
@@ -167,97 +163,63 @@ class thread_registry {
     Rec& rec() const { return *rec_; }
 
    private:
-    std::uint64_t pool_uid_;
+    const detail::id_pool* pool_;
     unsigned id_;
     Rec* rec_;
   };
 
-  /// Visit every record the *calling thread* has cached here, including
-  /// ones live guards hold. The schemes' quiesce() paths clear lingering
-  /// burst-entry reservations this way: only records this thread used,
-  /// and no claim.
+  /// The calling thread's record for the rest of its life, claimed on its
+  /// first call. At thread exit the id goes back like a lease's, and the
+  /// next thread to claim it takes the record over as it stands.
+  Rec& local() {
+    for (const detail::cached_lease& l : detail::tls_leases.leases) {
+      if (l.pool.get() == pool_.get() && l.how == detail::hold::thread) {
+        return *static_cast<Rec*>(l.rec);
+      }
+    }
+    return *static_cast<Rec*>(claim(detail::hold::thread).rec);
+  }
+
+  /// Visit every record the *calling thread* holds here, including ones
+  /// live guards hold, and claim none. The schemes' quiesce() paths clear
+  /// lingering burst-entry reservations this way, and Hyaline's flush()
+  /// finds the thread's builder.
   template <class F>
   void for_each_cached(F&& f) {
-    for (const detail::cached_lease& l : detail::tls_leases.leases) {
-      if (l.pool_uid == pool_->uid) f(*static_cast<Rec*>(l.rec));
+    // By index: `f` may free nodes whose destructors claim records, which
+    // grows the table.
+    std::vector<detail::cached_lease>& leases = detail::tls_leases.leases;
+    for (std::size_t i = 0; i < leases.size(); ++i) {
+      if (leases[i].pool.get() == pool_.get()) {
+        f(*static_cast<Rec*>(leases[i].rec));
+      }
     }
   }
 
  private:
+  /// A miss: prune the entries of dead domains first — a thread touching
+  /// many short-lived domains must not keep their ids (or scan their
+  /// entries) forever; off the cached-hit hot path. Then take the lowest
+  /// free id and cache it, held `how`.
+  const detail::cached_lease& claim(detail::hold how) {
+    std::vector<detail::cached_lease>& leases = detail::tls_leases.leases;
+    std::erase_if(leases, [](const detail::cached_lease& l) {
+      return l.how != detail::hold::guard &&
+             l.pool->closed.load(std::memory_order_acquire);
+    });
+    const unsigned id = pool_->ids.take([this](unsigned fresh) {
+      if (fresh == recs_.size()) recs_.grow();
+    });
+    leases.push_back({pool_, &recs_.at(id), id, how});
+    return leases.back();
+  }
+
   domain_counters& ctrs_;
   /// Room for every unsigned id; each segment after the first is made by
   /// the claim that needs it.
   slot_directory<Rec> recs_{kFirstSegmentRecords, std::size_t{1} << 32};
   const std::shared_ptr<detail::id_pool> pool_ =
       std::make_shared<detail::id_pool>();
-};
-
-/// Per-(thread, owner) value cache: `local()` returns the calling thread's
-/// `V`, creating (and registering) it on first use. The owner can visit
-/// every instance with `for_each` (quiescent drains) and deletes them all
-/// at destruction. Lookup is a linear scan of a small thread-local vector —
-/// a thread rarely touches more than a couple of domains.
-template <class V>
-class tls_cache {
- public:
-  tls_cache()
-      : id_(next_unique_id()),
-        alive_(std::make_shared<std::atomic<bool>>(true)) {}
-
-  ~tls_cache() {
-    alive_->store(false, std::memory_order_release);
-    std::lock_guard<std::mutex> lk(mu_);
-    for (V* v : all_) delete v;
-  }
-
-  tls_cache(const tls_cache&) = delete;
-  tls_cache& operator=(const tls_cache&) = delete;
-
-  V& local() {
-    std::vector<entry>& entries = tls_entries();
-    for (const entry& e : entries) {
-      if (e.owner == id_) return *static_cast<V*>(e.value);
-    }
-    // Miss (this thread's first use of this owner): prune entries of
-    // destroyed owners before registering. Their values are already
-    // freed, and the ids are process-unique so a stale entry can never be
-    // matched — but letting them pile up would make the lookup scan, and
-    // the memory a long-lived thread retains, grow with every domain ever
-    // touched. Pruning here keeps the per-call hit path a bare scan.
-    std::erase_if(entries, [](const entry& e) {
-      return !e.owner_alive->load(std::memory_order_acquire);
-    });
-    V* v = new V;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      all_.push_back(v);
-    }
-    entries.push_back({id_, v, alive_});
-    return *v;
-  }
-
-  template <class F>
-  void for_each(F&& f) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (V* v : all_) f(*v);
-  }
-
- private:
-  struct entry {
-    std::uint64_t owner;
-    void* value;
-    std::shared_ptr<const std::atomic<bool>> owner_alive;
-  };
-
-  static std::vector<entry>& tls_entries() {
-    static thread_local std::vector<entry> entries;
-    return entries;
-  }
-
-  const std::uint64_t id_;
-  const std::shared_ptr<std::atomic<bool>> alive_;
-  std::mutex mu_;
-  std::vector<V*> all_;
 };
 
 }  // namespace hyaline::smr::core

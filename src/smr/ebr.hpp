@@ -45,7 +45,7 @@ class ebr_domain {
   struct rec;  // one thread's reservation and limbo list (below)
 
  public:
-  static constexpr smr::caps caps{.burst_entry = true};
+  static constexpr smr::caps caps{};
 
   struct node : core::reclaimable {
     node* next = nullptr;
@@ -55,9 +55,7 @@ class ebr_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit ebr_domain(ebr_config cfg = {}) : cfg_(validated(cfg)) {
-    epoch_.attach(&stats_->events);
-  }
+  explicit ebr_domain(ebr_config cfg = {}) : cfg_(validated(cfg)) {}
 
   ~ebr_domain() { drain(); }
 
@@ -235,7 +233,7 @@ class ebr_domain {
   padded_stats stats_;
   const ebr_config cfg_;
   core::thread_registry<rec> recs_{stats_->events};
-  core::era_clock epoch_{2};
+  core::era_clock epoch_{2, stats_->events};
 };
 
 }  // namespace hyaline::smr

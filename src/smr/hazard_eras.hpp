@@ -60,9 +60,7 @@ class he_domain {
   template <class T>
   using protected_ptr = slot_handle<guard, T>;
 
-  explicit he_domain(he_config cfg = {}) : cfg_(validated(cfg)) {
-    era_.attach(&stats_->events);
-  }
+  explicit he_domain(he_config cfg = {}) : cfg_(validated(cfg)) {}
 
   ~he_domain() { drain(); }
 
@@ -200,7 +198,7 @@ class he_domain {
   padded_stats stats_;
   const he_config cfg_;
   core::thread_registry<rec> recs_{stats_->events};
-  core::era_clock era_{1};
+  core::era_clock era_{1, stats_->events};
 };
 
 }  // namespace hyaline::smr

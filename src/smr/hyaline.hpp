@@ -80,9 +80,12 @@ struct config {
   ///
   /// Idle-thread contract: a thread that stops taking guards calls
   /// quiesce(), or its parked slot pins every batch that arrives there
-  /// until drain(). 0 (default) = enter and leave on every guard, the
-  /// paper's transparency with no contract. Nested guards and guards
-  /// built with an explicit slot hint always enter and leave.
+  /// until drain(). A thread that exits without it passes the presence on
+  /// with its builder: the next thread to claim the builder adopts it at
+  /// its first guard, which leaves on exit if a batch arrived.
+  /// 0 (default) = enter and leave on every guard, the paper's
+  /// transparency with no contract. Nested guards and guards built with
+  /// an explicit slot hint always enter and leave.
   std::uint32_t entry_burst = 0;
 };
 
@@ -103,8 +106,9 @@ inline constexpr std::uint64_t adjs_for(std::size_t k) {
 /// The thread's burst presence (config::entry_burst), kept on its batch
 /// builder: none, parked between guards, or held by a live owner guard;
 /// its slot; and the guard exits it has left. A parked presence always has
-/// a Null handle, so none is stored. Owner thread only, except drain()
-/// (quiescent).
+/// a Null handle, so none is stored. Read and written by the builder's
+/// holder only (an exited thread's passes on with the builder), except
+/// drain() (quiescent).
 struct burst_presence {
   enum class state : std::uint8_t { none, parked, held };
   std::size_t presence_slot = 0;
@@ -134,8 +138,7 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
   /// and does not.
   static constexpr smr::caps caps{.robust = Robust,
                                   .needs_clean_edges = Robust,
-                                  .supports_trim = true,
-                                  .burst_entry = true};
+                                  .supports_trim = true};
 
   /// Intrusive header every reclaimable object must derive from.
   using node = smr::core::batch_node;
@@ -165,7 +168,7 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
     /// parked one, or enters and starts a new one. A guard nested inside
     /// an owner enters and leaves on its own.
     explicit guard(basic_domain& dom)
-        : dom_(dom), builder_(&dom.local()) {
+        : dom_(dom), builder_(&dom.builders().local()) {
       owner_ = dom_.cfg_.entry_burst != 0 &&
                builder_->presence != presence_state::held;
       if (owner_ && builder_->presence == presence_state::parked) {
@@ -191,7 +194,7 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
     /// based on its ID"). White-box tests use this to stage interleavings
     /// deterministically.
     guard(basic_domain& dom, unsigned slot_hint)
-        : dom_(dom), builder_(&dom.local()) {
+        : dom_(dom), builder_(&dom.builders().local()) {
       slot_ = dom_.choose_slot(slot_hint);
       obs::emit(obs::event::guard_enter, slot_);
       handle_ = dom_.enter(slot_);
@@ -264,20 +267,22 @@ class basic_domain : public smr::core::batch_layer<basic_domain<Head, Robust>,
   /// Burst-entry cleanup for the *calling thread*: leave its parked slot
   /// presence, so an idle thread pins nothing that arrives later. Call
   /// wherever a thread stops taking guards, with none live on it; no-op
-  /// when burst entry is off.
+  /// when burst entry is off or the thread has no builder here.
   void quiesce() {
     if (cfg_.entry_burst == 0) return;
-    batch_builder& b = batch::local();
-    if (b.presence == presence_state::parked) leave_parked(b);
+    batch::builders().for_each_cached([this](batch_builder& b) {
+      if (b.presence == presence_state::parked) leave_parked(b);
+    });
   }
 
-  /// Quiescent-state cleanup: leave every parked presence (idle or exited
-  /// threads that skipped quiesce()), then flush every thread's builder.
-  /// Callable only when no guards are live anywhere (tests, shutdown).
-  /// With HRef == 0 in every slot, each flushed batch is freed immediately
-  /// (all k per-slot contributions arrive as Empty adjustments).
+  /// Quiescent-state cleanup: leave every parked presence (idle threads
+  /// that skipped quiesce(), or exited ones no successor took over), then
+  /// flush every builder. Callable only when no guards are live anywhere
+  /// (tests, shutdown). With HRef == 0 in every slot, each flushed batch
+  /// is freed immediately (all k per-slot contributions arrive as Empty
+  /// adjustments).
   void drain() {
-    batch::for_each_builder([this](batch_builder& b) {
+    batch::builders().for_each([this](batch_builder& b) {
       if (b.presence == presence_state::parked) leave_parked(b);
     });
     batch::drain();

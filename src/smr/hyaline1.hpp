@@ -81,7 +81,7 @@ class basic_domain1
       obs::emit(obs::event::guard_enter, lease_.id());
       dom_.enter(lease_.rec());
       handle_ = nullptr;  // Fig. 4: enter returns Null
-      builder_ = &dom_.local();
+      builder_ = &dom_.builders().local();
     }
 
     ~guard() {

@@ -49,8 +49,7 @@ class ibr_domain {
   /// concurrent protect() extends it, and free a freshly-born node the
   /// reader is about to return through a frozen (already-unlinked) edge —
   /// so traversals must only cross clean edges (ds/natarajan_tree.hpp).
-  static constexpr smr::caps caps{
-      .robust = true, .needs_clean_edges = true, .burst_entry = true};
+  static constexpr smr::caps caps{.robust = true, .needs_clean_edges = true};
 
   struct node : core::reclaimable {
     node* next = nullptr;
@@ -61,9 +60,7 @@ class ibr_domain {
   template <class T>
   using protected_ptr = raw_handle<T>;
 
-  explicit ibr_domain(ibr_config cfg = {}) : cfg_(validated(cfg)) {
-    era_.attach(&stats_->events);
-  }
+  explicit ibr_domain(ibr_config cfg = {}) : cfg_(validated(cfg)) {}
 
   ~ibr_domain() { drain(); }
 
@@ -248,7 +245,7 @@ class ibr_domain {
   padded_stats stats_;
   const ibr_config cfg_;
   core::thread_registry<rec> recs_{stats_->events};
-  core::era_clock era_{1};
+  core::era_clock era_{1, stats_->events};
 };
 
 }  // namespace hyaline::smr

@@ -316,6 +316,17 @@ TEST_F(CliDeathTest, ClosedStdoutStillWritesTheJson) {
   std::remove(path.c_str());
 }
 
+// A write error that shows only when the file is closed (the buffered
+// tail meeting a full device) fails the run like any other.
+TEST_F(CliDeathTest, UnwritableJsonExits2) {
+  EXPECT_EXIT(std::exit(figure_main(
+                  {.name = "fig8-9-write"},
+                  {"--threads", "1", "--duration", "5", "--prefill", "50",
+                   "--range", "100", "--schemes", "Epoch", "--json",
+                   "/dev/full"})),
+              ExitedWithCode(2), "--json: error writing '/dev/full'");
+}
+
 TEST_F(CliDeathTest, NumbersRejectTrailingCharacters) {
   EXPECT_EXIT(parse(kOpcostFlags, {"--iters", "1e5"}), ExitedWithCode(2),
               "--iters: bad value '1e5'");

@@ -392,6 +392,34 @@ TEST(HyalineS, DrainLeavesPresenceOfExitedThread) {
   EXPECT_EQ(dom.debug_ack(slot), 0);
 }
 
+TEST(HyalineS, ExitedThreadsParkedPresencePassesToTheNextThread) {
+  domain_s dom(burst_cfg());
+  domain_s::node* batch[2];
+  for (auto*& n : batch) n = make_node(dom);  // this thread's builder
+  auto* seen = make_node(dom);
+  std::atomic<domain_s::node*> src{seen};
+  std::size_t slot = 0;
+  std::thread([&] {
+    domain_s::guard g(dom);
+    slot = g.slot();
+    g.protect(src);  // the parked slot's era covers the batch
+  }).join();  // parks, then exits without quiesce()
+  {
+    domain_s::guard g(dom, static_cast<unsigned>(slot + 1));
+    for (auto* n : batch) g.retire(n);
+  }
+  dom.flush();  // the only occupied slot is the parked one
+  EXPECT_EQ(freed(dom), 0u) << "the parked presence pins the batch";
+  std::thread([&] {
+    domain_s::guard g(dom);
+    EXPECT_EQ(g.slot(), slot) << "the first guard adopts the presence";
+  }).join();
+  EXPECT_EQ(freed(dom), 2u) << "its exit leaves and frees, before drain()";
+  EXPECT_EQ(ref(dom, slot), 0u);
+  EXPECT_EQ(dom.debug_ack(slot), 0);
+  delete seen;
+}
+
 TEST(HyalineS, ConcurrentChurnWithDerefs) {
   domain_s dom(s_cfg(4, 64, 8));
   constexpr int kThreads = 4, kOps = 5000;

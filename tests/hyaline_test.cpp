@@ -368,6 +368,31 @@ TYPED_TEST(HyalineTest, DrainLeavesPresenceOfExitedThread) {
   EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 1u);
 }
 
+TYPED_TEST(HyalineTest, ExitedThreadsParkedPresencePassesToTheNextThread) {
+  TypeParam dom(this->burst_cfg());
+  { typename TypeParam::guard mine(dom, 0); }  // this thread's builder
+  std::size_t slot = 0;
+  std::thread([&] {
+    typename TypeParam::guard g(dom);
+    slot = g.slot();
+  }).join();  // parks, then exits without quiesce()
+  EXPECT_EQ(this->ref(dom, slot), 1u) << "the exited thread's presence";
+  {
+    typename TypeParam::guard g(dom, static_cast<unsigned>(slot + 1));
+    for (int i = 0; i < 2; ++i) g.retire(this->make_node(dom));
+  }
+  dom.flush();  // the only occupied slot is the parked one
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 0u)
+      << "the parked presence pins the batch that arrived";
+  std::thread([&] {
+    typename TypeParam::guard g(dom);
+    EXPECT_EQ(g.slot(), slot) << "the first guard adopts the presence";
+  }).join();
+  EXPECT_EQ(dom.counters().freed.load(std::memory_order_relaxed), 2u)
+      << "its exit leaves and frees the batch, before any drain()";
+  EXPECT_EQ(this->ref(dom, slot), 0u);
+}
+
 // The shared batch layer, through each of its four users' transparent
 // guards. A batch is k + 1 nodes long: k = 2 for Hyaline and Hyaline-S;
 // for Hyaline-1 and Hyaline-1S, k is the slots their guards claimed (one
@@ -441,6 +466,27 @@ TYPED_TEST(HyalineBatchTest, DrainReclaimsExitedThreadsUnflushedBatch) {
   EXPECT_EQ(this->freed(dom), 0u) << "the batch is still being built";
   dom.drain();
   EXPECT_EQ(this->freed(dom), 1u);
+}
+
+TYPED_TEST(HyalineBatchTest, ExitedThreadsPartialBatchPassesToTheNextThread) {
+  // Threads in turn each retire half a batch and exit without flush().
+  // Each takes over the builder its predecessor handed back, so every
+  // second one completes the batch, and its guard's exit frees it.
+  constexpr unsigned kThreads = 8;
+  TypeParam dom;  // batch_min 64
+  const std::size_t half = dom.batch_size() / 2;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    std::thread([&] {
+      typename TypeParam::guard g(dom);
+      for (std::size_t i = 0; i < half; ++i) g.retire(this->make_node(dom));
+    }).join();
+    EXPECT_LT(dom.counters().unreclaimed(), dom.batch_size())
+        << "after thread " << t;
+  }
+  EXPECT_EQ(dom.debug_builder_count(), 1u)
+      << "one builder per thread alive at once";
+  dom.drain();
+  EXPECT_EQ(dom.counters().unreclaimed(), 0u);
 }
 
 TYPED_TEST(HyalineBatchTest, FlushedOneNodeBatchCountsNoDummy) {

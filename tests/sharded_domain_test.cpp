@@ -41,7 +41,7 @@ std::unique_ptr<svc::shard_router<D>> make_router(
 template <class D>
 class ShardedDomains : public ::testing::Test {};
 
-/// The schemes that amortize guard entry (caps.burst_entry).
+/// The schemes that amortize guard entry (entry_burst).
 using BurstSchemes =
     ::testing::Types<smr::ebr_domain, smr::ibr_domain, domain, domain_s>;
 TYPED_TEST_SUITE(ShardedDomains, BurstSchemes);
@@ -49,7 +49,6 @@ TYPED_TEST_SUITE(ShardedDomains, BurstSchemes);
 TYPED_TEST(ShardedDomains, BurstEntryComposesWithShards) {
   using D = TypeParam;
   ASSERT_TRUE(hooks_installed);
-  ASSERT_TRUE(D::caps.burst_entry);
   constexpr unsigned kWorkers = 4;
   constexpr int kOps = 3000;
   constexpr std::uint64_t kKeys = 128;

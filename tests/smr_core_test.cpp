@@ -16,6 +16,8 @@
 #include "smr/core/era_clock.hpp"
 #include "smr/core/retired_batch.hpp"
 #include "smr/core/thread_registry.hpp"
+#include "smr/ebr.hpp"
+#include "smr/hyaline.hpp"
 #include "smr/stats.hpp"
 
 namespace hyaline::smr::core {
@@ -118,22 +120,28 @@ TEST(TreiberStack, TakeAllDetachesEverything) {
 // ------------------------------------------------------------ era_clock --
 
 TEST(EraClock, TickAdvancesEveryFreq) {
-  era_clock clock(1);
+  domain_counters ctrs;
+  era_clock clock(1, ctrs);
   std::uint64_t counter = 0;
   for (int i = 0; i < 10; ++i) clock.tick(counter, 4);
   EXPECT_EQ(clock.load(std::memory_order_relaxed), 1u + 10 / 4);
+  EXPECT_EQ(ctrs.era_advances.load(std::memory_order_relaxed), 10u / 4);
 }
 
 TEST(EraClock, TryAdvanceIsConditional) {
-  era_clock clock(2);
+  domain_counters ctrs;
+  era_clock clock(2, ctrs);
   EXPECT_FALSE(clock.try_advance(1));  // stale observation
   EXPECT_EQ(clock.load(std::memory_order_relaxed), 2u);
   EXPECT_TRUE(clock.try_advance(2));
   EXPECT_EQ(clock.load(std::memory_order_relaxed), 3u);
+  EXPECT_EQ(ctrs.era_advances.load(std::memory_order_relaxed), 1u)
+      << "only the advance that happened is counted";
 }
 
 TEST(EraClock, ProtectWithEraRereadsUntilStable) {
-  era_clock clock(1);
+  domain_counters ctrs;
+  era_clock clock(1, ctrs);
   test_node a, b;
   std::atomic<test_node*> src{&a};
   std::uint64_t published = 0;  // stale reservation forces one publish
@@ -359,35 +367,76 @@ TEST(ThreadHint, ExitedThreadsIdGoesToTheNextNewThread) {
   ts[2].join();
 }
 
-// -------------------------------------------------------------- tls_cache --
+// ------------------------------------------------ thread_registry::local --
 
-TEST(TlsCache, PerThreadInstancesVisitedByForEach) {
-  struct builder {
-    int value = 0;
-  };
-  tls_cache<builder> cache;
-  cache.local().value = 1;
-  EXPECT_EQ(cache.local().value, 1) << "same thread, same instance";
-  std::thread t([&] { cache.local().value = 2; });
-  t.join();
+TEST(ThreadRegistry, LocalIsTheThreadsOneRecordAndForEachSeesExitedOnes) {
+  domain_counters ctrs;
+  test_registry recs(ctrs);
+  test_rec& mine = recs.local();
+  mine.value = 1;
+  EXPECT_EQ(&recs.local(), &mine) << "same thread, same record";
+  std::thread([&] {
+    EXPECT_NE(&recs.local(), &mine);
+    recs.local().value = 2;
+  }).join();
   int sum = 0;
-  std::size_t count = 0;
-  cache.for_each([&](builder& b) {
-    sum += b.value;
+  unsigned count = 0;
+  recs.for_each([&](const test_rec& r) {
+    sum += r.value;
     ++count;
   });
   EXPECT_EQ(count, 2u);
-  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(sum, 3) << "for_each visits the exited thread's record";
+  EXPECT_EQ(ctrs.tid_acquires.load(std::memory_order_relaxed), 0u)
+      << "local() claims are not guard claims";
 }
 
-TEST(TlsCache, OwnersAreIsolated) {
-  struct builder {
-    int value = 0;
-  };
-  tls_cache<builder> a;
-  tls_cache<builder> b;
+TEST(ThreadRegistry, DistinctRegistriesHoldDistinctLocalRecords) {
+  domain_counters ctrs;
+  test_registry a(ctrs);
+  test_registry b(ctrs);
   a.local().value = 10;
-  EXPECT_EQ(b.local().value, 0);
+  EXPECT_EQ(b.local().value, 7);
+  EXPECT_NE(&a.local(), &b.local());
+}
+
+TEST(ThreadRegistry, AnExitedThreadsLocalRecordPassesToTheNextThread) {
+  domain_counters ctrs;
+  test_registry recs(ctrs);
+  int cached = 0;
+  recs.for_each_cached([&cached](test_rec&) { ++cached; });
+  EXPECT_EQ(cached, 0) << "for_each_cached claims nothing";
+  EXPECT_EQ(recs.size(), 0u);
+  std::thread([&] { recs.local().value = 42; }).join();
+  int seen = 0;
+  std::thread([&] {
+    recs.for_each_cached([&seen](test_rec& r) { seen = r.value; });
+    EXPECT_EQ(seen, 0) << "nothing held before the first local()";
+    seen = recs.local().value;
+  }).join();
+  EXPECT_EQ(seen, 42) << "the next thread takes the record as it stands";
+  EXPECT_EQ(recs.size(), 1u);
+}
+
+// A miss in the lease table prunes the entries of destroyed domains,
+// local() ones included: a thread that outlives many domains does not
+// keep (or scan) an entry for each.
+TEST(ThreadRegistry, AThreadOutlivingManyDomainsKeepsAFewEntries) {
+  std::size_t entries = 0;
+  std::thread([&entries] {
+    for (int i = 0; i < 1000; ++i) {
+      {
+        hyaline::domain dom;
+        hyaline::domain::guard g(dom);
+      }
+      {
+        ebr_domain dom;
+        ebr_domain::guard g(dom);
+      }
+    }
+    entries = detail::tls_leases.leases.size();
+  }).join();
+  EXPECT_LE(entries, 2u);
 }
 
 // ---------------------------------------------------------- stats cells --
