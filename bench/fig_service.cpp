@@ -3,14 +3,13 @@
 //
 // Each scheme in the line-up gets a fresh shard_router (one SMR domain
 // per shard) driven by an open-loop tenant swarm (svc/service.hpp):
-// Zipfian keys, Poisson arrivals, coordinated-omission-safe
-// latency, optional connection churn, and --faults for bad tenants
-// (lab/fault_plan.hpp: stall, slow, exit, churn, and the hot-key and
-// scan-storm windows only this loop runs; burst and never-ending
-// windows exit 2). The --slo assertions (svc/slo.hpp) are then
-// evaluated over the victim latency histogram and the aggregate
-// reclamation time series; any gated violation exits 6, a reclamation
-// leak exits 3, usage errors exit 2.
+// Zipfian keys, Poisson arrivals, coordinated-omission-safe latency,
+// optional connection churn, and --faults for bad tenants
+// (lab/fault_plan.hpp: stall and churn, and the hot-key window only this
+// loop runs; never-ending windows exit 2). The --slo assertions
+// (svc/slo.hpp) are then evaluated over the victim latency histogram and
+// the aggregate reclamation time series; any gated violation exits 6, a
+// reclamation leak exits 3, usage errors exit 2.
 //
 //   ./fig_service --tenants 16 --svc-shards 4 --churn 200 \
 //       --faults 'stall:3@600ms+300ms,hot:7@700ms+300ms' \
@@ -131,14 +130,12 @@ void write_json(std::FILE* f, const harness::cli_options& o,
       const shard_snapshot& s = r.shards[i];
       std::fprintf(f,
                    "%s{\"gets\": %llu, \"hits\": %llu, \"puts\": %llu, "
-                   "\"dels\": %llu, \"scans\": %llu, \"retired\": %llu, "
-                   "\"freed\": %llu}",
+                   "\"dels\": %llu, \"retired\": %llu, \"freed\": %llu}",
                    i == 0 ? "" : ", ",
                    static_cast<unsigned long long>(s.gets),
                    static_cast<unsigned long long>(s.hits),
                    static_cast<unsigned long long>(s.puts),
                    static_cast<unsigned long long>(s.dels),
-                   static_cast<unsigned long long>(s.scans),
                    static_cast<unsigned long long>(s.retired),
                    static_cast<unsigned long long>(s.freed));
     }

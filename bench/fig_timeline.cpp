@@ -8,7 +8,7 @@
 // 2x its pre-fault baseline exits the binary with status 4.
 //
 //   ./fig_timeline --faults stall:1@200ms+200ms --json out.json
-//   ./fig_timeline --structure msqueue --faults churn:2@300ms,burst:5000@500ms
+//   ./fig_timeline --structure msqueue --faults churn:2@300ms,stall:1@500+100
 #include "harness/figures.hpp"
 
 int main(int argc, char** argv) {

@@ -7,7 +7,7 @@
 // comes from the registry's container_order tag, not from name matching),
 // and exits non-zero with a printed counterexample on the first
 // violation. `--faults` composes exactly as in fig_timeline, so histories
-// under stalls, slowdowns, bursts, exits, and churn are checked too;
+// under stalls and churn are checked too;
 // `--mutate drop-validate|skip-protect` runs the corresponding
 // self-test mutant instead and is *expected* to exit non-zero — an exit
 // of 0 there means the oracle failed to catch an injected bug.

@@ -8,7 +8,7 @@
 //
 // A body runs once per worker invocation with its own worker_ctx: it loops
 // on keep_going(), calls poll_faults() at each op boundary (and the
-// service swarm reads behaviour() after it), and runs each op through
+// service swarm reads hot() after it), and runs each op through
 // timed_op() — or records its own latency into `lat` and calls
 // after_op(). History logs, ledgers and the thread's SMR exit (flush,
 // quiesce) stay with the body.
@@ -44,10 +44,6 @@ static_assert(std::has_single_bit(kLatencyEvery));
 /// operations; the mean and the peak of those reads are the unreclaimed
 /// columns (Figures 9/12/14/16).
 inline constexpr std::uint64_t kSampleEvery = 128;
-
-/// Burst units a worker claims per poll, so concurrent workers share a
-/// burst.
-inline constexpr std::uint64_t kBurstChunk = 128;
 
 struct rep_spec {
   unsigned workers = 1;  ///< primary worker tids are [0, workers)
@@ -124,13 +120,10 @@ class worker_ctx {
   std::uint64_t ops() const { return ops_; }
   const std::atomic<bool>& stop_flag() const { return st_.stop; }
 
-  /// The inline behaviour an open hot or scan window asks of this worker
-  /// (none without a fault plan). Only the service swarm runs those
-  /// windows; the workload loops never see one open.
-  lab::behaviour behaviour() const {
-    return st_.dir != nullptr ? st_.dir->behaviour_of(tid)
-                              : lab::behaviour::none;
-  }
+  /// True while a hot window is open on this worker (false without a
+  /// fault plan). Only the service swarm runs hot windows; the workload
+  /// loops never see one open.
+  bool hot() const { return st_.dir != nullptr && st_.dir->hot(tid); }
 
   /// False once the director retired this generation, the stop flag is
   /// up, or the op budget is spent. A fault-free worker completes one op
@@ -150,31 +143,16 @@ class worker_ctx {
   /// enters a guard, touches what it can, and calls hold(), which blocks
   /// for the window with the guard held (the paper's stalled-thread
   /// protocol); false is returned so the caller re-checks keep_going().
-  /// Otherwise: a slow window's delay, then `unit()` per claimed burst
-  /// unit, each counted as an op.
-  template <class Touch, class Unit>
-  bool poll_faults(Touch&& touch, Unit&& unit) {
+  template <class Touch>
+  bool poll_faults(Touch&& touch) {
     lab::fault_director* const dir = st_.dir;
-    if (dir == nullptr) return true;
-    if (dir->stalled(tid)) {
-      touch([&] {
-        obs::emit(obs::event::stall_begin, tid);
-        dir->wait_stall_end(tid);
-        obs::emit(obs::event::stall_end, tid);
-      });
-      return false;
-    }
-    if (const std::uint32_t us = dir->slow_delay_us(tid)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(us));
-    }
-    for (std::uint64_t n = dir->claim_burst(kBurstChunk);
-         n != 0 && !st_.stop.load(std::memory_order_relaxed) &&
-         within_limit();
-         --n) {
-      unit();
-      after_op();
-    }
-    return true;
+    if (dir == nullptr || !dir->stalled(tid)) return true;
+    touch([&] {
+      obs::emit(obs::event::stall_begin, tid);
+      dir->wait_stall_end(tid);
+      obs::emit(obs::event::stall_end, tid);
+    });
+    return false;
   }
 
   /// Run one op — timed, all of `op`, once in kLatencyEvery ops — then

@@ -139,7 +139,7 @@ constexpr bool valid_mix(const workload_config& cfg) {
 namespace detail {
 
 /// THE definition of how a history interval wraps an operation, shared by
-/// every recording site (prefill, workers, bursts, drain): invocation
+/// every recording site (prefill, workers, drain): invocation
 /// read, run `op` (which returns {ok, key/token}), response read, one
 /// record. Keeping a single copy is what the checker's soundness argument
 /// assumes — all op classes must be fenced and timed identically. Returns
@@ -279,14 +279,6 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
           apply(g, check::op_kind::contains, rng.below(cfg.key_range));
           hold();
         };
-        // One burst unit: remove a random key (a successful remove
-        // retires its node) and reinsert to hold the size at equilibrium.
-        auto burst_pair = [&](guard_t& g) {
-          const std::uint64_t key = rng.below(cfg.key_range);
-          if (apply(g, check::op_kind::remove, key)) {
-            apply(g, check::op_kind::insert, key);
-          }
-        };
         // Trimming mode (§3.3): one guard spans regrip_every operations
         // and trim() after each op reclaims without touching Head;
         // re-entering bounds the retirement sublists. Fault polls run
@@ -306,11 +298,9 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
         };
         for (std::uint64_t i = 0; w.keep_going(); ++i) {
           if (cfg.use_trim && i % regrip_every == 0) held.emplace(dom);
-          if (!w.poll_faults(
-                  [&](auto hold) {
-                    in_guard([&](guard_t& g) { touch(g, hold); });
-                  },
-                  [&] { in_guard(burst_pair); })) {
+          if (!w.poll_faults([&](auto hold) {
+                in_guard([&](guard_t& g) { touch(g, hold); });
+              })) {
             continue;
           }
           const std::uint64_t key = rng.below(cfg.key_range);
@@ -334,8 +324,7 @@ workload_result run_workload(D& dom, DS& s, const workload_config& cfg) {
 /// repeats, the residual content is drained quiescently so the
 /// conservation ledger (enqueued == dequeued + drained) can be checked by
 /// the caller. Fault plans and telemetry apply exactly as in
-/// run_workload; burst events run push+pop pairs (each successful pop
-/// retires a node) with both sides entered into the ledger.
+/// run_workload.
 template <class Q, class D>
 workload_result run_container_workload(D& dom, Q& q,
                                        const workload_config& cfg) {
@@ -384,41 +373,26 @@ workload_result run_container_workload(D& dom, Q& q,
         std::uint64_t local_deq = 0;
         std::uint64_t stamp =
             stamp_src.fetch_add(1, std::memory_order_relaxed) << 40;
-        auto do_push = [&](guard_t& g) {
-          const std::uint64_t v = stamp++;
-          detail::record_op(hlog, check::op_kind::push, [&] {
-            q.push(g, v);
-            return std::pair{true, v};
-          });
-          ++local_enq;
-        };
-        auto do_pop = [&](guard_t& g) {
-          if (pop(g, hlog)) ++local_deq;
-        };
         while (w.keep_going()) {
           // Containers have no read-only touch: holding the guard alone
-          // pins whatever the scheme's reservation pins. A burst unit is
-          // a retire-generating pair with an exact ledger: the push is
-          // counted, and the pop (usually of the just-pushed value)
-          // retires one node.
-          if (!w.poll_faults(
-                  [&](auto hold) {
-                    guard_t g(dom);
-                    hold();
-                  },
-                  [&] {
-                    guard_t g(dom);
-                    do_push(g);
-                    do_pop(g);
-                  })) {
+          // pins whatever the scheme's reservation pins.
+          if (!w.poll_faults([&](auto hold) {
+                guard_t g(dom);
+                hold();
+              })) {
             continue;
           }
           w.timed_op([&] {
             guard_t g(dom);
             if (producing) {
-              do_push(g);
-            } else {
-              do_pop(g);
+              const std::uint64_t v = stamp++;
+              detail::record_op(hlog, check::op_kind::push, [&] {
+                q.push(g, v);
+                return std::pair{true, v};
+              });
+              ++local_enq;
+            } else if (pop(g, hlog)) {
+              ++local_deq;
             }
           });
         }

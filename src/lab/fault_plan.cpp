@@ -69,48 +69,23 @@ bool parse_event(std::string_view tok, fault_event* ev, std::string* err) {
   };
   if (starts("stall:")) {
     ev->kind = fault_kind::stall;
-  } else if (starts("slow:")) {
-    ev->kind = fault_kind::slow;
   } else if (starts("hot:")) {
     ev->kind = fault_kind::hot;
-  } else if (starts("scan:")) {
-    ev->kind = fault_kind::scan;
-  } else if (starts("burst:")) {
-    ev->kind = fault_kind::burst;
-  } else if (starts("exit:")) {
-    ev->kind = fault_kind::exit_thread;
   } else if (starts("churn:")) {
     ev->kind = fault_kind::churn;
   } else {
     return fail(err, "unknown fault kind in '" + item +
-                         "' (want stall/slow/hot/scan/burst/exit/churn)");
+                         "' (want stall/hot/churn)");
   }
 
-  std::uint64_t arg = 0;
-  if (!parse_uint(p, &arg)) {
-    return fail(err, "missing tid/count in '" + item + "'");
+  std::uint64_t tid = 0;
+  if (!parse_uint(p, &tid)) {
+    return fail(err, "missing tid in '" + item + "'");
   }
-  if (ev->kind == fault_kind::burst) {
-    if (arg == 0) return fail(err, "burst count must be > 0 in '" + item + "'");
-    ev->count = arg;
-  } else {
-    if (arg > 1u << 20) {
-      return fail(err, "implausible tid in '" + item + "'");
-    }
-    ev->tid = static_cast<unsigned>(arg);
+  if (tid > 1u << 20) {
+    return fail(err, "implausible tid in '" + item + "'");
   }
-
-  if (ev->kind == fault_kind::slow) {
-    if (*p != '/') {
-      return fail(err, "slow wants tid/usec in '" + item + "'");
-    }
-    ++p;
-    std::uint64_t us = 0;
-    if (!parse_uint(p, &us) || us == 0 || us > 10'000'000) {
-      return fail(err, "slow delay must be 1..10000000 us in '" + item + "'");
-    }
-    ev->delay_us = static_cast<std::uint32_t>(us);
-  }
+  ev->tid = static_cast<unsigned>(tid);
 
   if (*p != '@') return fail(err, "missing '@start' in '" + item + "'");
   ++p;
@@ -145,7 +120,6 @@ bool parse_event(std::string_view tok, fault_event* ev, std::string* err) {
 bool fault_plan::validate_tids(unsigned worker_threads,
                                std::string* err) const {
   for (const fault_event& e : events) {
-    if (e.kind == fault_kind::burst) continue;
     if (e.tid >= worker_threads) {
       if (err != nullptr) {
         *err = "fault targets tid " + std::to_string(e.tid) +
@@ -161,13 +135,9 @@ bool fault_plan::validate_tids(unsigned worker_threads,
 
 bool fault_plan::runs_on(fault_loop loop, std::string* err) const {
   for (const fault_event& e : events) {
-    const bool inline_kind =
-        e.kind == fault_kind::hot || e.kind == fault_kind::scan;
     const char* why = nullptr;
-    if (loop == fault_loop::workload && inline_kind) {
-      why = "hot and scan windows run only in the service swarm";
-    } else if (loop == fault_loop::service && e.kind == fault_kind::burst) {
-      why = "the service swarm has no retire pair to replay a burst with";
+    if (loop == fault_loop::workload && e.kind == fault_kind::hot) {
+      why = "hot windows run only in the service swarm";
     } else if (loop == fault_loop::service && std::isinf(e.dur_ms)) {
       why = "the service swarm needs every window to close";
     }
@@ -224,11 +194,9 @@ fault_director::fault_director(const fault_plan& plan, unsigned threads,
                                std::function<void(unsigned)> spawn)
     : ctl_(threads), spawn_(std::move(spawn)) {
   for (const fault_event& e : plan.events) {
-    actions_.push_back({e.start_ms, e.kind, e.tid, e.count, e.delay_us,
-                        /*begin=*/true});
+    actions_.push_back({e.start_ms, e.kind, e.tid, /*begin=*/true});
     if (windowed(e.kind) && !std::isinf(e.dur_ms)) {
-      actions_.push_back({e.end_ms(), e.kind, e.tid, 0, e.delay_us,
-                          /*begin=*/false});
+      actions_.push_back({e.end_ms(), e.kind, e.tid, /*begin=*/false});
     }
   }
   std::stable_sort(actions_.begin(), actions_.end(),
@@ -238,9 +206,8 @@ fault_director::fault_director(const fault_plan& plan, unsigned threads,
   // Open t=0 windows right now, before any worker runs: a thread meant
   // to be stalled from the start (the legacy permanently-stalled mode is
   // stall:tid@0+inf) must not sneak in real operations while the clock
-  // thread waits to be scheduled. One-shot kinds (burst/exit/churn) stay
-  // on the clock — churn's spawn callback must not run from the
-  // constructor.
+  // thread waits to be scheduled. Churn stays on the clock: its spawn
+  // callback must not run from the constructor.
   for (action& a : actions_) {
     if (a.t_ms > 0) break;
     if (a.begin && windowed(a.kind)) {
@@ -270,27 +237,15 @@ void fault_director::wait_stall_end(unsigned tid) const {
   }
 }
 
-std::uint64_t fault_director::claim_burst(std::uint64_t max_n) {
-  std::uint64_t cur = burst_.load(std::memory_order_relaxed);
-  while (cur != 0) {
-    const std::uint64_t take = cur < max_n ? cur : max_n;
-    if (burst_.compare_exchange_weak(cur, cur - take,
-                                     std::memory_order_relaxed)) {
-      return take;
-    }
-  }
-  return 0;
-}
-
 namespace {
 
-/// Open or close one window on a control word: additive, so
-/// overlapping windows compose instead of clobbering.
-void shift(std::atomic<std::uint32_t>& word, std::uint32_t by, bool open) {
+/// Open or close one window on a control word: a depth, so overlapping
+/// windows nest instead of clobbering.
+void shift(std::atomic<std::uint32_t>& depth, bool open) {
   if (open) {
-    word.fetch_add(by, std::memory_order_relaxed);
+    depth.fetch_add(1, std::memory_order_relaxed);
   } else {
-    word.fetch_sub(by, std::memory_order_relaxed);
+    depth.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -300,26 +255,14 @@ void fault_director::apply(const action& a) {
   control& c = *ctl_[a.tid];
   switch (a.kind) {
     case fault_kind::stall:
-      shift(c.stall_depth, 1, a.begin);
-      break;
-    case fault_kind::slow:
-      shift(c.slow_us, a.delay_us, a.begin);
+      shift(c.stall_depth, a.begin);
       break;
     case fault_kind::hot:
-      shift(c.inline_depth, 1, a.begin);
-      break;
-    case fault_kind::scan:
-      shift(c.inline_depth, kScanUnit, a.begin);
-      break;
-    case fault_kind::burst:
-      burst_.fetch_add(a.count, std::memory_order_relaxed);
+      shift(c.hot_depth, a.begin);
       break;
     case fault_kind::churn:
       c.exit_gen.fetch_add(1, std::memory_order_relaxed);
       if (spawn_) spawn_(a.tid);
-      break;
-    case fault_kind::exit_thread:
-      c.exit_gen.fetch_add(1, std::memory_order_relaxed);
       break;
   }
 }

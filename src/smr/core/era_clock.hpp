@@ -3,8 +3,9 @@
 // EBR's epoch, IBR/HE's era, and Hyaline-S's allocation era are all the
 // same object: a padded global 64-bit counter that threads read with
 // seq_cst and advance either unconditionally (FAA, one bump every
-// `era_freq` allocations) or conditionally (CAS, EBR's all-threads-caught-up
-// rule). The era-validated read loop those schemes share lives here too.
+// `era_freq` allocations a thread makes in the domain) or conditionally
+// (CAS, EBR's all-threads-caught-up rule). The era-validated read loop
+// those schemes share lives here too.
 #pragma once
 
 #include <atomic>
@@ -59,12 +60,13 @@ class era_clock {
     return true;
   }
 
-  /// Per-thread allocation tick: advance once every `freq` calls. The
-  /// caller supplies its own (thread-local or per-builder) counter.
-  /// `freq` is a power of two (every config validates it), so the test
-  /// is a mask rather than a divide on each allocation.
-  void tick(std::uint64_t& counter, std::uint64_t freq) {
-    if ((++counter & (freq - 1)) == 0) advance();
+  /// Allocation tick: advance when `count`, the calling thread's
+  /// allocations in this domain so far (smr::stats::on_alloc()), reaches
+  /// a multiple of `freq`. `freq` is a power of two (every config
+  /// validates it), so the test is a mask rather than a divide on each
+  /// allocation.
+  void tick(std::uint64_t count, std::uint64_t freq) {
+    if ((count & (freq - 1)) == 0) advance();
   }
 
  private:

@@ -11,11 +11,12 @@
 // A thread's batch in progress lives in its builder, a record of the
 // domain's thread_registry<builder> (core/thread_registry.hpp) that the
 // thread claims through local() and hands back at exit. The next thread
-// to claim the id takes the builder over as it stands: its partial batch,
-// its birth-era tick count and (Hyaline) a parked slot presence. So a
-// domain holds one builder per thread alive at once, and a thread that
-// exits without flush() leaves its partial batch to its successor rather
-// than to drain().
+// to claim the id takes the builder over as it stands: its partial batch
+// and (Hyaline) a parked slot presence. So a domain holds one builder per
+// thread alive at once, and a thread that exits without flush() leaves
+// its partial batch to its successor rather than to drain(). The era
+// clock ticks from the thread's allocation count in the domain's stats
+// cell (smr::stats::on_alloc()), so on_alloc() claims no builder.
 //
 // Node header (§3.2: "each node keeps three variables irrespective of
 // batch sizes and total number of slots"):
@@ -82,9 +83,9 @@ class batch_layer {
   /// object that will be retired through this domain. Basic variants only
   /// count it (kept so data structures are scheme-agnostic).
   void on_alloc(node* n) {
-    stats_->on_alloc();
+    const std::uint64_t count = stats_->on_alloc();
     if constexpr (Robust) {
-      era_.tick(builders_.local().alloc_counter, self().cfg_.era_freq);
+      era_.tick(count, self().cfg_.era_freq);
       // Audit(hyaline-birth-load): acquire, not seq_cst. A stale-low
       // birth era makes the node look older, so era-checking skips fewer
       // handoffs and the node is retained longer — conservative (same
@@ -122,7 +123,6 @@ class batch_layer {
     node* refs = nullptr;  // chain head == REFS node of the batch in progress
     std::size_t count = 0;
     std::uint64_t min_birth = ~std::uint64_t{0};
-    std::uint64_t alloc_counter = 0;
   };
 
   /// A sealed batch on its way into the slot lists.

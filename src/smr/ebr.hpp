@@ -28,8 +28,8 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the EBR domain.
 struct ebr_config {
-  /// Attempt a global-epoch advance every `advance_freq` retires (a
-  /// power of two).
+  /// Attempt a global-epoch advance every `advance_freq` retires a thread
+  /// makes in the domain (a power of two).
   std::uint64_t advance_freq = 64;
   /// Amortized guard entry: leave the epoch reservation published for up to
   /// this many consecutive guards on one thread. A lingering reservation is
@@ -169,7 +169,6 @@ class ebr_domain {
   struct alignas(cache_line_size) rec {
     std::atomic<std::uint64_t> reservation{inactive};
     core::limbo_queue<node> limbo;  // owner-thread private
-    std::uint64_t retire_count = 0;
     /// Guards left in the current entry burst (owner-thread only).
     std::uint32_t burst_left = 0;
   };
@@ -183,7 +182,7 @@ class ebr_domain {
   }
 
   void retire(rec& r, node* n) {
-    stats_->stamp_retire(n);
+    const std::uint64_t retired = stats_->stamp_retire(n);
     obs::emit(obs::event::retire, reinterpret_cast<std::uintptr_t>(n));
     // seq_cst: the retire stamp must not read stale-low. A stamp one
     // behind the true epoch frees at stamp+2 while a reader reserved at
@@ -191,9 +190,7 @@ class ebr_domain {
     // wait for it) — a real use-after-free, so this stays strong.
     n->retire_epoch = epoch_.load(std::memory_order_seq_cst);
     r.limbo.push_back(n);
-    if ((++r.retire_count & (cfg_.advance_freq - 1)) == 0) {
-      try_advance();
-    }
+    if ((retired & (cfg_.advance_freq - 1)) == 0) try_advance();
     reclaim(r);
   }
 

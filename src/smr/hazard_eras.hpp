@@ -27,8 +27,8 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the HE domain.
 struct he_config {
-  /// Bump the global era clock every `era_freq` allocations (a power of
-  /// two).
+  /// Bump the global era clock every `era_freq` allocations a thread
+  /// makes in the domain (a power of two).
   std::uint64_t era_freq = 64;
   /// Scan this thread's retired list at this size (0 = auto:
   /// 2 * claimed records * max_hazards).
@@ -68,9 +68,7 @@ class he_domain {
   he_domain& operator=(const he_domain&) = delete;
 
   void on_alloc(node* n) {
-    stats_->on_alloc();
-    thread_local std::uint64_t alloc_counter = 0;
-    era_.tick(alloc_counter, cfg_.era_freq);
+    era_.tick(stats_->on_alloc(), cfg_.era_freq);
     // Audit(he-birth-load): acquire, not seq_cst. A stale-low birth era
     // only widens [birth, retire], so the node matches more published
     // eras and is freed later — strictly conservative.

@@ -57,7 +57,8 @@ struct config {
   std::size_t batch_min = 64;
 
   /// Hyaline-S: global era clock increment frequency (one bump per
-  /// `era_freq` allocations, Fig. 5 line 18; a power of two).
+  /// `era_freq` allocations a thread makes in the domain, Fig. 5 line 18;
+  /// a power of two).
   std::uint64_t era_freq = 64;
 
   /// Hyaline-S: Ack threshold above which a slot is presumed occupied by

@@ -27,8 +27,8 @@ namespace hyaline::smr {
 
 /// Tuning knobs for the IBR domain.
 struct ibr_config {
-  /// Bump the global era clock every `era_freq` allocations (a power of
-  /// two).
+  /// Bump the global era clock every `era_freq` allocations a thread
+  /// makes in the domain (a power of two).
   std::uint64_t era_freq = 64;
   /// Scan this thread's retired list at this size (0 = auto: twice the
   /// claimed records).
@@ -68,9 +68,7 @@ class ibr_domain {
   ibr_domain& operator=(const ibr_domain&) = delete;
 
   void on_alloc(node* n) {
-    stats_->on_alloc();
-    thread_local std::uint64_t alloc_counter = 0;
-    era_.tick(alloc_counter, cfg_.era_freq);
+    era_.tick(stats_->on_alloc(), cfg_.era_freq);
     // Audit(ibr-birth-load): acquire, not seq_cst. A stale-low birth era
     // makes the node look older, so its lifetime interval intersects more
     // reservations and it is freed later — strictly conservative.

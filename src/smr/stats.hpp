@@ -61,7 +61,8 @@ struct domain_counters {
   std::atomic<std::uint64_t> rearms{0};     // adaptive rescan-point resets
   std::atomic<std::uint64_t> finalizes{0};  // Hyaline batch finalizations
   std::atomic<std::uint64_t> era_advances{0};
-  std::atomic<std::uint64_t> tid_acquires{0};  // slow-path tid pool checkouts
+  // guard claims that miss the calling thread's lease-table cache
+  std::atomic<std::uint64_t> tid_acquires{0};
 
   void on_scan() { scans.fetch_add(1, std::memory_order_relaxed); }
   void on_rearm() { rearms.fetch_add(1, std::memory_order_relaxed); }
@@ -74,17 +75,18 @@ struct domain_counters {
   }
 };
 
-/// Add `n` to one counter of the calling thread's cell: a relaxed load
-/// and store when the thread owns the cell (it is the only writer, so no
-/// locked instruction), a fetch_add in a shared one.
-inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n,
-                 bool owned) {
+/// Add `n` to one counter of the calling thread's cell and return the
+/// counter's new value: a relaxed load and store when the thread owns the
+/// cell (it is the only writer, so no locked instruction), a fetch_add in
+/// a shared one.
+inline std::uint64_t bump(std::atomic<std::uint64_t>& c, std::uint64_t n,
+                          bool owned) {
   if (owned) {
-    c.store(c.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
-  } else {
-    c.fetch_add(n, std::memory_order_relaxed);
+    const std::uint64_t v = c.load(std::memory_order_relaxed) + n;
+    c.store(v, std::memory_order_relaxed);
+    return v;
   }
+  return c.fetch_add(n, std::memory_order_relaxed) + n;
 }
 
 /// Atomic log2-bucketed histogram of retire->free lag in nanoseconds: one
@@ -245,13 +247,16 @@ struct stats {
   const ledger freed;
   alignas(cache_line_size) domain_counters events;
 
-  void on_alloc(std::uint64_t n = 1) {
+  /// Count one allocation (retirement) and return the calling thread's
+  /// cell count of them in this domain: the per-domain, per-thread
+  /// cadence the era and epoch clocks tick from.
+  std::uint64_t on_alloc() {
     const auto c = cells_.local();
-    bump(c.cell.allocated, n, c.owned);
+    return bump(c.cell.allocated, 1, c.owned);
   }
-  void on_retire(std::uint64_t n = 1) {
+  std::uint64_t on_retire() {
     const auto c = cells_.local();
-    bump(c.cell.retired, n, c.owned);
+    return bump(c.cell.retired, 1, c.owned);
   }
   void on_free(std::uint64_t n = 1) {
     const auto c = cells_.local();
@@ -266,11 +271,13 @@ struct stats {
 
   /// Retire-path half of lag tracking: stamp the node with the current
   /// tick count. One relaxed load + predicted branch when tracking is off.
-  void stamp_retire(core::reclaimable* n) {
-    on_retire();
+  /// Returns on_retire()'s count.
+  std::uint64_t stamp_retire(core::reclaimable* n) {
+    const std::uint64_t count = on_retire();
     if (obs::lag_tracking()) [[unlikely]] {
       n->obs_retire_ticks = obs::now_ticks();
     }
+    return count;
   }
 
   /// Free-path counterpart: feed the lag histogram from the retire stamp,

@@ -9,12 +9,11 @@
 //     connection;
 //   - bad tenants follow a lab::fault_plan (--faults, grammar in
 //     lab/fault_plan.hpp) run by the robustness lab's fault_director:
-//     stall, slow, exit and churn as in the workload loops, plus the
-//     windows only this loop runs — hot (unpaced writes to the hottest
-//     key) and scan (unpaced scan storms), both inline against the
-//     router. A tenant a window names is scripted: its latency goes to
-//     a separate histogram so its self-inflicted backlog cannot pollute
-//     the victim numbers the latency SLOs gate;
+//     stall and churn as in the workload loops, plus the window only
+//     this loop runs — hot, unpaced writes to the hottest key, inline
+//     against the router. A tenant a window names is scripted: its
+//     latency goes to a separate histogram so its self-inflicted backlog
+//     cannot pollute the victim numbers the latency SLOs gate;
 //   - periodic connection churn (add_churn) joins the plan as churn
 //     events over the tenants no event names;
 //   - the telemetry sampler aggregates retired/freed across all shard
@@ -97,8 +96,8 @@ struct service_result {
   lab::lag_percentiles lag;
 };
 
-/// True if a stall, slow, hot or scan window names `tenant`. Churn and
-/// exit events never mark a tenant as scripted.
+/// True if a stall or hot window names `tenant`. Churn events never mark
+/// a tenant as scripted.
 inline bool scripted(const lab::fault_plan& plan, unsigned tenant) {
   return std::any_of(plan.events.begin(), plan.events.end(),
                      [&](const lab::fault_event& e) {
@@ -133,11 +132,9 @@ inline void add_churn(lab::fault_plan& plan, unsigned tenants,
   if (period_ms == 0 || tenants == 0) return;
   std::vector<unsigned> victims;
   for (unsigned t = 0; t < tenants; ++t) {
-    const bool named = std::any_of(
-        plan.events.begin(), plan.events.end(),
-        [&](const lab::fault_event& e) {
-          return e.kind != lab::fault_kind::burst && e.tid == t;
-        });
+    const bool named =
+        std::any_of(plan.events.begin(), plan.events.end(),
+                    [&](const lab::fault_event& e) { return e.tid == t; });
     if (!named) victims.push_back(t);
   }
   if (victims.empty()) {
@@ -222,33 +219,25 @@ service_result run_service(const harness::scheme_params& base,
       // guard pins something, and block for the window. The blast radius
       // is that shard; the others keep reclaiming. A stalled tenant is a
       // scripted tenant: its pacer backlog is the fault's doing, not the
-      // service's. The service plan holds no bursts (runs_on).
-      if (!w.poll_faults(
-              [&](auto hold) {
-                const unsigned s = w.tid % shards;
-                guard_t g(router.domain(s));
-                router.touch(g, s, rng.below(cfg.key_range));
-                hold();
-                pace.reanchor();
-              },
-              [] {})) {
+      // service's.
+      if (!w.poll_faults([&](auto hold) {
+            const unsigned s = w.tid % shards;
+            guard_t g(router.domain(s));
+            router.touch(g, s, rng.below(cfg.key_range));
+            hold();
+            pace.reanchor();
+          })) {
         continue;
       }
-      if (const lab::behaviour b = w.behaviour();
-          b != lab::behaviour::none) {
+      if (w.hot()) {
+        // Hammer the hottest Zipf rank with unpaced writes: one shard's
+        // bucket chain takes the retire churn.
         in_window = true;
         const auto t_op = clock::now();
-        if (b == lab::behaviour::hot) {
-          // Hammer the hottest Zipf rank with unpaced writes: one
-          // shard's bucket chain takes the retire churn.
-          if ((w.ops() & 1) == 0) {
-            router.put(0, 0);
-          } else {
-            router.del(0);
-          }
+        if ((w.ops() & 1) == 0) {
+          router.put(0, 0);
         } else {
-          router.scan(static_cast<unsigned>(rng.below(shards)),
-                      rng.below(cfg.key_range), 256);
+          router.del(0);
         }
         w.lat.record(intended_latency_ns(t_op, clock::now()));
         w.after_op();

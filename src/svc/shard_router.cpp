@@ -10,7 +10,6 @@ shard_totals aggregate(const std::vector<shard_snapshot>& shards) {
     t.hits += s.hits;
     t.puts += s.puts;
     t.dels += s.dels;
-    t.scans += s.scans;
     t.retired += s.retired;
     t.freed += s.freed;
     const std::uint64_t ops = s.ops();

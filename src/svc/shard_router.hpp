@@ -50,12 +50,13 @@ struct shard_snapshot {
   std::uint64_t hits = 0;
   std::uint64_t puts = 0;
   std::uint64_t dels = 0;
-  std::uint64_t scans = 0;  ///< scan storms (each walks many keys)
+  /// Always 0; kept because perfbench/src/cache.hpp reads it.
+  std::uint64_t scans = 0;
   std::uint64_t retired = 0;
   std::uint64_t freed = 0;
   std::uint64_t unreclaimed = 0;
 
-  std::uint64_t ops() const { return gets + puts + dels + scans; }
+  std::uint64_t ops() const { return gets + puts + dels; }
 };
 
 /// Cross-shard totals plus the routing-balance figure of merit.
@@ -65,7 +66,6 @@ struct shard_totals {
   std::uint64_t hits = 0;
   std::uint64_t puts = 0;
   std::uint64_t dels = 0;
-  std::uint64_t scans = 0;
   std::uint64_t retired = 0;
   std::uint64_t freed = 0;
   /// Hottest shard's op share over the mean (1.0 = perfectly even; 0
@@ -134,19 +134,6 @@ class shard_router {
     return maps_[s]->remove(g, key);
   }
 
-  /// Scan-storm primitive: `len` sequential contains probes against ONE
-  /// shard's map under a single guard — long guard residency plus a
-  /// bucket walk per probe, the bad-tenant behavior that pressures
-  /// guard-lifetime reclamation. Counts as one scan op.
-  void scan(unsigned shard, std::uint64_t start_key, std::uint64_t len) {
-    const auto c = counters_.local(shard);
-    smr::bump(c.cell.scans, 1, c.owned);
-    guard g(*doms_[shard]);
-    for (std::uint64_t i = 0; i < len; ++i) {
-      (void)maps_[shard]->contains(g, start_key + i);
-    }
-  }
-
   /// One probe under a caller-held guard — the stall-in-guard protocol's
   /// "enter, touch, block": the guard must pin something before the
   /// stall window for the fault to bite.
@@ -187,7 +174,6 @@ class shard_router {
         s.hits += k.hits.load(std::memory_order_relaxed);
         s.puts += k.puts.load(std::memory_order_relaxed);
         s.dels += k.dels.load(std::memory_order_relaxed);
-        s.scans += k.scans.load(std::memory_order_relaxed);
       }
       const smr::stats& c = doms_[i]->counters();
       s.retired = c.retired.load(std::memory_order_relaxed);
@@ -212,7 +198,6 @@ class shard_router {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> puts{0};
     std::atomic<std::uint64_t> dels{0};
-    std::atomic<std::uint64_t> scans{0};
   };
 
   std::vector<std::unique_ptr<D>> doms_;

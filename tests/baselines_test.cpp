@@ -6,6 +6,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "smr/domain.hpp"
@@ -287,6 +288,43 @@ TEST(ConfigValidation, HeEraFreqMustBeAPowerOfTwo) {
 
 TEST(ConfigValidation, IbrEraFreqMustBeAPowerOfTwo) {
   EXPECT_THROW(ibr_domain(ibr_config{.era_freq = 48}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- era cadence --
+
+// The era clock of each domain ticks from the allocations a thread makes
+// in that domain (its stats cell count), not in every domain of the type:
+// two domains allocating alternately on one thread at era_freq 2, 1000
+// allocations each, advance 500 times apiece.
+template <class D>
+class EraCadenceTest : public ::testing::Test {};
+
+using EraClocked = ::testing::Types<ibr_domain, he_domain, hyaline::domain_s,
+                                    hyaline::domain_1s>;
+TYPED_TEST_SUITE(EraCadenceTest, EraClocked);
+
+template <class D>
+std::unique_ptr<D> with_era_freq(std::uint64_t freq) {
+  if constexpr (std::is_same_v<D, ibr_domain>) {
+    return std::make_unique<D>(ibr_config{.era_freq = freq});
+  } else if constexpr (std::is_same_v<D, he_domain>) {
+    return std::make_unique<D>(he_config{.era_freq = freq});
+  } else if constexpr (std::is_same_v<D, hyaline::domain_s>) {
+    return std::make_unique<D>(hyaline::config{.era_freq = freq});
+  } else {
+    return std::make_unique<D>(hyaline::config1{.era_freq = freq});
+  }
+}
+
+TYPED_TEST(EraCadenceTest, EachDomainTicksFromItsOwnAllocations) {
+  using D = TypeParam;
+  const std::unique_ptr<D> a = with_era_freq<D>(2);
+  const std::unique_ptr<D> b = with_era_freq<D>(2);
+  for (int i = 0; i < 1000; ++i) {
+    for (D* d : {a.get(), b.get()}) delete make_node(*d);
+  }
+  EXPECT_EQ(a->counters().snapshot().era_advances, 500u);
+  EXPECT_EQ(b->counters().snapshot().era_advances, 500u);
 }
 
 // --------------------------------------------------------- record growth --

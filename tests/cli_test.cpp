@@ -59,6 +59,15 @@ int check_main(std::vector<const char*> args) {
                           const_cast<char**>(args.data()));
 }
 
+/// fig_service's --faults path: its flag set, then the plan loaded for
+/// the service swarm over its 16 default tenants; 2 on a rejected plan,
+/// as its main returns.
+int service_faults_main(std::vector<const char*> args) {
+  const cli_options o = parse(kServiceFlags, std::move(args));
+  lab::fault_plan plan;
+  return load_fault_plan(o, 16, lab::fault_loop::service, &plan) ? 0 : 2;
+}
+
 /// The flag names `--help` lists for a set (one flag per line after the
 /// "usage:" line).
 std::set<std::string> listed(flag_set accepted) {
@@ -217,16 +226,38 @@ TEST_F(CliDeathTest, CheckRejectsFlagsItDoesNotHonour) {
               ExitedWithCode(2), "unknown flag .*--lat" "-sample");
 }
 
-// Hot and scan windows run only in the service swarm's loop; the
-// binaries exit with what the drivers return.
+// Hot windows run only in the service swarm's loop; the binaries exit
+// with what run_figure and run_check return.
 TEST_F(CliDeathTest, WorkloadLoopsRejectServiceOnlyFaults) {
   EXPECT_EXIT(std::exit(figure_main(
                   {.name = "fig-timeline", .kind = figure_kind::timeline},
                   {"--duration", "100", "--faults", "hot:0@10ms+10ms"})),
-              ExitedWithCode(2), "--faults: hot and scan");
+              ExitedWithCode(2), "--faults: hot windows run only");
   EXPECT_EXIT(std::exit(check_main(
-                  {"--duration", "100", "--faults", "scan:0@10ms+10ms"})),
-              ExitedWithCode(2), "--faults: hot and scan");
+                  {"--duration", "100", "--faults", "hot:1@10ms+10ms"})),
+              ExitedWithCode(2), "--faults: hot windows run only");
+}
+
+// The fault kinds the grammar dropped (a per-op delay, a scan storm, a
+// retire burst, a bare exit) are unknown kinds on every binary that
+// takes --faults. Each removed name is spelled in two literals, as in
+// RemovedFlagsAreUnknown below.
+TEST_F(CliDeathTest, RemovedFaultKindsAreUnknown) {
+  for (const std::string spec :
+       {std::string("sl") + "ow:1/10@10ms+10ms",
+        std::string("sc") + "an:1@10ms+10ms",
+        std::string("bur") + "st:100@10ms", std::string("ex") + "it:1@10ms"}) {
+    const char* f = spec.c_str();
+    EXPECT_EXIT(std::exit(figure_main(
+                    {.name = "fig-timeline", .kind = figure_kind::timeline},
+                    {"--duration", "100", "--faults", f})),
+                ExitedWithCode(2), "--faults: unknown fault kind");
+    EXPECT_EXIT(std::exit(check_main({"--duration", "100", "--faults", f})),
+                ExitedWithCode(2), "--faults: unknown fault kind");
+    EXPECT_EXIT(
+        std::exit(service_faults_main({"--duration", "100", "--faults", f})),
+        ExitedWithCode(2), "--faults: unknown fault kind");
+  }
 }
 
 // Removed flags exit 2 as unknown: the service's own schedule grammar

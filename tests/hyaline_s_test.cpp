@@ -394,8 +394,9 @@ TEST(HyalineS, DrainLeavesPresenceOfExitedThread) {
 
 TEST(HyalineS, ExitedThreadsParkedPresencePassesToTheNextThread) {
   domain_s dom(burst_cfg());
+  { domain_s::guard mine(dom, 0); }  // this thread's builder
   domain_s::node* batch[2];
-  for (auto*& n : batch) n = make_node(dom);  // this thread's builder
+  for (auto*& n : batch) n = make_node(dom);
   auto* seen = make_node(dom);
   std::atomic<domain_s::node*> src{seen};
   std::size_t slot = 0;

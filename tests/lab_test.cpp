@@ -1,7 +1,7 @@
 // Robustness-lab unit tests: the --faults spec parser (grammar,
-// overlapping windows, rejection of malformed input and out-of-range
-// tids, the kinds each loop runs), the director's behaviour word, the
-// service's reading of a plan (scripted tenants, the SLO disturbance
+// overlapping windows, rejection of malformed input, removed kinds and
+// out-of-range tids, the kinds each loop runs), the director's hot flag,
+// the service's reading of a plan (scripted tenants, the SLO disturbance
 // window, periodic churn), the log-bucketed latency histogram's bucket
 // math and percentile interpolation, the recovery check that
 // fig_timeline turns into an exit status, and every fault kind driven
@@ -61,10 +61,11 @@ TEST(FaultPlanTest, BareNumbersAreMillisecondsAndSecondsScale) {
   EXPECT_DOUBLE_EQ(p.events[1].start_ms, 1000);
 }
 
-TEST(FaultPlanTest, MicrosecondUnit) {
-  const fault_plan p = parse_ok("stall:0@1500us+500us");
+TEST(FaultPlanTest, MicroAndNanosecondUnits) {
+  const fault_plan p = parse_ok("stall:0@1500us+500us,stall:1@2ms+250000ns");
   EXPECT_DOUBLE_EQ(p.events[0].start_ms, 1.5);
   EXPECT_DOUBLE_EQ(p.events[0].dur_ms, 0.5);
+  EXPECT_DOUBLE_EQ(p.events[1].dur_ms, 0.25);
 }
 
 TEST(FaultPlanTest, InfiniteStallIsTheDegenerateLegacyMode) {
@@ -74,27 +75,37 @@ TEST(FaultPlanTest, InfiniteStallIsTheDegenerateLegacyMode) {
   EXPECT_FALSE(p.last_end_ms().has_value());
 }
 
-TEST(FaultPlanTest, SlowCarriesPerOpDelay) {
-  const fault_plan p = parse_ok("slow:3/25@100ms+200ms");
-  EXPECT_EQ(p.events[0].kind, fault_kind::slow);
-  EXPECT_EQ(p.events[0].tid, 3u);
-  EXPECT_EQ(p.events[0].delay_us, 25u);
+TEST(FaultPlanTest, ChurnFiresOnce) {
+  const fault_plan p = parse_ok("churn:2@700ms");
+  EXPECT_EQ(p.events[0].kind, fault_kind::churn);
+  EXPECT_EQ(p.events[0].tid, 2u);
+  EXPECT_FALSE(windowed(p.events[0].kind));
+  ASSERT_TRUE(p.last_end_ms().has_value());
+  EXPECT_DOUBLE_EQ(*p.last_end_ms(), 700);  // an instantaneous event
 }
 
-TEST(FaultPlanTest, BurstAndExit) {
-  const fault_plan p = parse_ok("burst:5000@1s,exit:2@700ms");
-  EXPECT_EQ(p.events[0].kind, fault_kind::burst);
-  EXPECT_EQ(p.events[0].count, 5000u);
-  EXPECT_EQ(p.events[1].kind, fault_kind::exit_thread);
-  ASSERT_TRUE(p.last_end_ms().has_value());
-  EXPECT_DOUBLE_EQ(*p.last_end_ms(), 1000);  // instantaneous events
+// The grammar is stall, hot and churn. The kinds it once had besides
+// (a per-op delay, a scan storm, a retire burst, a bare exit) are unknown
+// kinds now, and the message lists the three. Each removed name is
+// spelled in two literals so that a search of the tree for the removed
+// names comes up empty.
+TEST(FaultPlanTest, RemovedKindsAreUnknown) {
+  for (const std::string spec :
+       {std::string("sl") + "ow:1/10@0+10ms",
+        std::string("sc") + "an:1@0+10ms", std::string("bur") + "st:100@10ms",
+        std::string("ex") + "it:1@10ms"}) {
+    std::string err;
+    EXPECT_FALSE(parse_fault_plan(spec, &err).has_value()) << spec;
+    EXPECT_NE(err.find("unknown fault kind"), std::string::npos) << err;
+    EXPECT_NE(err.find("stall/hot/churn"), std::string::npos) << err;
+  }
 }
 
 TEST(FaultPlanTest, OverlappingWindowsParse) {
-  // Overlaps are legal — stall depths and slow delays compose — including
-  // two windows on the same tid.
+  // Overlaps are legal — stall and hot depths nest — including two
+  // windows on the same tid.
   const fault_plan p =
-      parse_ok("stall:1@100ms+400ms,stall:1@200ms+100ms,slow:1/10@0+1s");
+      parse_ok("stall:1@100ms+400ms,stall:1@200ms+100ms,hot:1@0+1s");
   EXPECT_EQ(p.events.size(), 3u);
   EXPECT_DOUBLE_EQ(p.first_start_ms(), 0);
   EXPECT_DOUBLE_EQ(*p.last_end_ms(), 1000);
@@ -110,10 +121,7 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   expect_reject("stall:1@100ms+");
   expect_reject("stall:1@100ms+0");    // empty window
   expect_reject("stall:1@-5ms+10ms");  // negative time
-  expect_reject("slow:1@0+10ms");      // missing /usec
-  expect_reject("slow:1/0@0+10ms");    // zero delay
-  expect_reject("slow:1/10@0+inf");    // only stalls may be infinite
-  expect_reject("burst:0@10ms");       // zero count
+  expect_reject("churn:1@10ms+5ms");   // churn takes no window
   expect_reject("wobble:1@0");         // unknown kind
   expect_reject("stall:1@0+10ms,");    // trailing empty event
   expect_reject("stall:1@0+10msx");    // trailing garbage
@@ -121,24 +129,24 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   expect_reject("hot@100ms+50ms");     // missing ':tid'
   expect_reject("hot:1+50ms");         // missing '@start'
   expect_reject("hot:1@100ms");        // hot needs a window
-  expect_reject("scan:1@100ms+0ms");   // empty window
+  expect_reject("hot:1@100ms+0ms");    // empty window
   expect_reject("hot:1@100ms+50msQ");  // trailing garbage
   expect_reject("hot:x@100ms+50ms");   // unparsable tid
-  expect_reject("scan:1@abc+50ms");    // unparsable start
+  expect_reject("hot:1@abc+50ms");     // unparsable start
   expect_reject("hot:1@0+inf");        // only stalls may be infinite
   expect_reject("hot:1@0+INF");        // nor spelled any other way
 }
 
-TEST(FaultPlanTest, ParsesHotAndScanAmongEveryKind) {
+TEST(FaultPlanTest, ParsesHotAmongEveryKind) {
   const fault_plan p = parse_ok(
-      "stall:3@250ms+200ms,hot:7@300ms+200ms,scan:1@100ms+50ms,"
-      "slow:2/10@120ms+30ms,burst:64@5ms,exit:4@50ms,churn:5@900ms");
-  ASSERT_EQ(p.events.size(), 7u);
+      "stall:3@250ms+200ms,hot:7@300ms+200ms,stall:1@100ms+50ms,"
+      "hot:2@120ms+30ms,churn:4@5ms,churn:5@900ms");
+  ASSERT_EQ(p.events.size(), 6u);
   EXPECT_EQ(p.events[1].kind, fault_kind::hot);
   EXPECT_EQ(p.events[1].tid, 7u);
   EXPECT_DOUBLE_EQ(p.events[1].start_ms, 300);
   EXPECT_DOUBLE_EQ(p.events[1].dur_ms, 200);
-  EXPECT_EQ(p.events[2].kind, fault_kind::scan);
+  EXPECT_EQ(p.events[2].kind, fault_kind::stall);
   EXPECT_EQ(p.events[2].tid, 1u);
   for (const fault_event& e : p.events) {
     EXPECT_EQ(windowed(e.kind), e.dur_ms > 0);
@@ -146,7 +154,7 @@ TEST(FaultPlanTest, ParsesHotAndScanAmongEveryKind) {
   EXPECT_DOUBLE_EQ(p.first_start_ms(), 5);
   EXPECT_DOUBLE_EQ(*p.last_end_ms(), 900);
 
-  // A tenant a window names is scripted; exit and churn mark no one.
+  // A tenant a window names is scripted; churn marks no one.
   for (const unsigned t : {1u, 2u, 3u, 7u}) EXPECT_TRUE(svc::scripted(p, t));
   for (const unsigned t : {0u, 4u, 5u}) EXPECT_FALSE(svc::scripted(p, t));
   // The SLO disturbance window spans the windows only.
@@ -162,22 +170,18 @@ TEST(FaultPlanTest, ParsesHotAndScanAmongEveryKind) {
 
 TEST(FaultPlanTest, EachLoopRejectsKindsItCannotRun) {
   std::string err;
-  // The workload loops have no inline behaviour to switch to.
+  // The workload loops have no hot-key writes to switch to.
   EXPECT_FALSE(
       parse_ok("hot:0@10ms+10ms").runs_on(fault_loop::workload, &err));
-  EXPECT_FALSE(
-      parse_ok("scan:0@10ms+10ms").runs_on(fault_loop::workload, &err));
-  EXPECT_FALSE(err.empty());
-  EXPECT_TRUE(parse_ok("stall:0@0+inf,slow:1/5@0+1ms,burst:9@1ms,"
-                       "exit:1@2ms,churn:2@3ms")
+  EXPECT_NE(err.find("hot windows"), std::string::npos) << err;
+  EXPECT_TRUE(parse_ok("stall:0@0+inf,stall:1@0+1ms,churn:2@3ms")
                   .runs_on(fault_loop::workload, &err))
       << err;
-  // The service swarm replays no burst and needs every window to close.
-  EXPECT_FALSE(parse_ok("burst:10@50ms").runs_on(fault_loop::service, &err));
+  // The service swarm needs every window to close.
   EXPECT_FALSE(
       parse_ok("stall:1@50ms+inf").runs_on(fault_loop::service, &err));
-  EXPECT_TRUE(parse_ok("stall:0@1ms+1ms,slow:1/5@0+1ms,hot:2@0+1ms,"
-                       "scan:3@0+1ms,exit:1@2ms,churn:2@3ms")
+  EXPECT_NE(err.find("every window to close"), std::string::npos) << err;
+  EXPECT_TRUE(parse_ok("stall:0@1ms+1ms,hot:2@0+1ms,churn:1@2ms")
                   .runs_on(fault_loop::service, &err))
       << err;
 }
@@ -239,7 +243,7 @@ TEST(FaultPlanTest, ChurnCyclesOverTenantsNoEventNames) {
   EXPECT_EQ(quiet.events.size(), 1u);
 
   // With every tenant named, churn cycles over all of them.
-  fault_plan all = parse_ok("hot:0@0+10ms,scan:1@0+10ms");
+  fault_plan all = parse_ok("hot:0@0+10ms,stall:1@0+10ms");
   svc::add_churn(all, 2, 100, 350.0);
   ASSERT_EQ(all.events.size(), 5u);
   EXPECT_EQ(all.events[2].tid, 0u);
@@ -247,34 +251,36 @@ TEST(FaultPlanTest, ChurnCyclesOverTenantsNoEventNames) {
   EXPECT_EQ(all.events[4].tid, 0u);
 }
 
-TEST(FaultDirectorTest, HotWindowFlipsTheBehaviourWordOnAndOff) {
+TEST(FaultDirectorTest, HotWindowFlipsTheFlagOnAndOff) {
   using clock = std::chrono::steady_clock;
   const fault_plan plan =
-      parse_ok("hot:0@30ms+40ms,scan:1@0+40ms,hot:2@0+1s,scan:2@0+1s");
+      parse_ok("hot:0@30ms+40ms,hot:1@0+1s,hot:1@0+10ms");
   fault_director dir(plan, 3);
-  // Windows open at t=0 apply before the clock thread runs; hot
-  // outranks scan while both are open.
-  EXPECT_EQ(dir.behaviour_of(0), behaviour::none);
-  EXPECT_EQ(dir.behaviour_of(1), behaviour::scan);
-  EXPECT_EQ(dir.behaviour_of(2), behaviour::hot);
+  // Windows open at t=0 apply before the clock thread runs.
+  EXPECT_FALSE(dir.hot(0));
+  EXPECT_TRUE(dir.hot(1));
+  EXPECT_FALSE(dir.hot(2));
 
   const auto t0 = clock::now();
   dir.start();
   // Poll until tid 0 shows `want` (10 s cap); the ms since t0 it took.
-  const auto wait_for = [&](behaviour want) {
+  const auto wait_for = [&](bool want) {
     const auto deadline = t0 + std::chrono::seconds(10);
-    while (dir.behaviour_of(0) != want && clock::now() < deadline) {
+    while (dir.hot(0) != want && clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     return std::chrono::duration<double, std::milli>(clock::now() - t0)
         .count();
   };
-  const double on_ms = wait_for(behaviour::hot);
-  ASSERT_EQ(dir.behaviour_of(0), behaviour::hot);
+  const double on_ms = wait_for(true);
+  ASSERT_TRUE(dir.hot(0));
   EXPECT_GE(on_ms, 30.0);
-  const double off_ms = wait_for(behaviour::none);
-  EXPECT_EQ(dir.behaviour_of(0), behaviour::none);
+  const double off_ms = wait_for(false);
+  EXPECT_FALSE(dir.hot(0));
   EXPECT_GE(off_ms, 70.0);
+  // Windows nest: tid 1's 10 ms window has closed, its 1 s one holds.
+  EXPECT_TRUE(dir.hot(1));
+  EXPECT_FALSE(dir.hot(2));
   dir.stop();
 }
 
@@ -284,8 +290,7 @@ TEST(FaultPlanTest, RejectsTidBeyondWorkerCount) {
   EXPECT_FALSE(p.validate_tids(4, &err));
   EXPECT_NE(err.find("tid 4"), std::string::npos);
   EXPECT_TRUE(p.validate_tids(5, &err));
-  // Burst events carry a count, not a tid; any thread count is fine.
-  EXPECT_TRUE(parse_ok("burst:9999@0").validate_tids(1, &err));
+  EXPECT_FALSE(parse_ok("churn:1@0").validate_tids(1, &err));
 }
 
 TEST(LatencyHistogramTest, BucketBoundaries) {
@@ -499,16 +504,14 @@ TEST(FaultLoopTest, ExitedAndChurnedWorkersHandTheirSlotsBack) {
             dom.counters().freed.load(std::memory_order_relaxed));
 }
 
-// Every fault kind at once, executed (not just parsed) through each loop
-// shape: the set loop, the trim loop (faults polled under the held
-// guard), and the container loop. A slow window, a burst, an exit, a
-// churn replacement and a stall land in one 60 ms run; it must end, the
-// scheme must free everything it retired, and a container's ledger must
-// close.
+// Every fault kind the workload loops run, executed (not just parsed)
+// through each loop shape: the set loop, the trim loop (faults polled
+// under the held guard), and the container loop. Two churn replacements
+// and a stall land in one 60 ms run; it must end, the scheme must free
+// everything it retired, and a container's ledger must close.
 TEST(FaultLoopTest, EveryFaultKindThroughEveryLoopShape) {
-  const fault_plan plan = parse_ok(
-      "slow:0/20@0+5ms,burst:2000@5ms,exit:1@10ms,churn:2@15ms,"
-      "stall:0@20ms+10ms");
+  const fault_plan plan =
+      parse_ok("churn:1@10ms,churn:2@15ms,stall:0@20ms+10ms");
   constexpr unsigned kThreads = 3;
   std::string err;
   ASSERT_TRUE(plan.validate_tids(kThreads, &err)) << err;

@@ -122,8 +122,7 @@ TEST(TreiberStack, TakeAllDetachesEverything) {
 TEST(EraClock, TickAdvancesEveryFreq) {
   domain_counters ctrs;
   era_clock clock(1, ctrs);
-  std::uint64_t counter = 0;
-  for (int i = 0; i < 10; ++i) clock.tick(counter, 4);
+  for (std::uint64_t count = 1; count <= 10; ++count) clock.tick(count, 4);
   EXPECT_EQ(clock.load(std::memory_order_relaxed), 1u + 10 / 4);
   EXPECT_EQ(ctrs.era_advances.load(std::memory_order_relaxed), 10u / 4);
 }

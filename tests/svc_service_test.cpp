@@ -67,30 +67,27 @@ TEST(ShardRouter, BasicOpsAndSnapshot) {
   EXPECT_FALSE(router.get(2, out));
   EXPECT_TRUE(router.del(1));
   EXPECT_FALSE(router.del(1));
-  router.scan(0, 0, 16);
   router.thread_quiesce();
 
   router.shutdown();
   const auto snaps = router.snapshot();
   ASSERT_EQ(snaps.size(), 2u);
-  std::uint64_t gets = 0, puts = 0, dels = 0, scans = 0;
+  std::uint64_t gets = 0, puts = 0, dels = 0;
   std::uint64_t retired = 0, freed = 0;
   for (const shard_snapshot& s : snaps) {
     gets += s.gets;
     puts += s.puts;
     dels += s.dels;
-    scans += s.scans;
     retired += s.retired;
     freed += s.freed;
   }
   EXPECT_EQ(gets, 2u);
   EXPECT_EQ(puts, 2u);
   EXPECT_EQ(dels, 2u);
-  EXPECT_EQ(scans, 1u);
   EXPECT_EQ(retired, freed) << "leak after shutdown";
 
   const shard_totals totals = aggregate(snaps);
-  EXPECT_EQ(totals.ops, gets + puts + dels + scans);
+  EXPECT_EQ(totals.ops, gets + puts + dels);
   EXPECT_GT(totals.imbalance, 0.0);
 }
 
@@ -112,7 +109,6 @@ TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
   // Each thread owns keys [1000 t, 1000 t + 2 kKeys): it puts the first
   // kKeys, gets all 2 kKeys (half hit), deletes every other one it put.
   constexpr std::uint64_t kKeys = 200;
-  constexpr std::uint64_t kScans = 5;
   std::vector<std::uint64_t> hits(threads, 0);
   std::vector<unsigned> hint_of(threads);
   auto work = [&](unsigned t) {
@@ -124,9 +120,6 @@ TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
       if (router.get(base + k, out)) ++hits[t];
     }
     for (std::uint64_t k = 0; k < kKeys; k += 2) router.del(base + k);
-    for (std::uint64_t i = 0; i < kScans; ++i) {
-      router.scan(t % router.shards(), base, 16);
-    }
     router.thread_quiesce();
   };
   (void)thread_hint();  // this thread keeps its id throughout
@@ -168,13 +161,11 @@ TEST(ShardRouter, CountersStayExactWhenThreadsShareCells) {
     sum.hits += s.hits;
     sum.puts += s.puts;
     sum.dels += s.dels;
-    sum.scans += s.scans;
   }
   EXPECT_EQ(sum.gets, threads * 2 * kKeys);
   EXPECT_EQ(sum.hits, hit_sum);
   EXPECT_EQ(sum.puts, threads * kKeys);
   EXPECT_EQ(sum.dels, threads * kKeys / 2);
-  EXPECT_EQ(sum.scans, threads * kScans);
 
   const shard_totals totals = aggregate(snaps);
   EXPECT_EQ(totals.ops, sum.ops());
